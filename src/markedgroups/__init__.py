@@ -53,8 +53,9 @@ from .hnn import (
     e_oracle,
     g_oracle,
     handle_for,
-    member_H2_in_G,
+    member_in_G,
     oracle_for,
+    pair_from_handle,
     split,
 )
 from .marked import (

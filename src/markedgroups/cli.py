@@ -22,22 +22,23 @@ from .experiments import (
 from .hnn import BudgetExceededError, g_oracle, oracle_for
 from .marked import (
     MarkedGroup,
-    chabauty_agree,
-    condense,
-    h2_point,
+    condensed_balls,
     marked_Z,
     marked_Zmod,
     max_agreement,
-    orbit_witness,
+    orbit_agreement,
     relation_ball,
-    escape_index,
 )
 from .presentations import (
     builtin,
     parse_presentation,
     same_relator_set,
 )
-from .words import WordSyntaxError, enumerate_ball, free_reduce, parse_word, render_word
+from .words import free_reduce, parse_word, render_word
+
+
+class UsageError(SystemExit):
+    """A bad argument; ``main`` prints it as one line and exits 2."""
 
 
 def load_group(spec: str, budget: int) -> MarkedGroup:
@@ -52,6 +53,8 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
     if spec == "Z":
         return marked_Z()
     if spec.startswith("Z/"):
+        if not spec[2:].isdigit() or int(spec[2:]) < 1:
+            raise UsageError(f"Z/N needs a positive integer N, got {spec!r}")
         return marked_Zmod(int(spec[2:]))
     if spec.startswith("file:"):
         text = Path(spec[5:]).read_text()
@@ -68,11 +71,11 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
                 if order == 0
                 else marked_Zmod(abs(order))
             )
-        raise SystemExit(
-            f"error: no word-problem oracle for presentation {pres.name!r}; "
+        raise UsageError(
+            f"no word-problem oracle for presentation {pres.name!r}; "
             "only the built-in families and cyclic groups are decidable here"
         )
-    raise SystemExit(f"error: unknown group spec {spec!r}")
+    raise UsageError(f"unknown group spec {spec!r}")
 
 
 def _emit(payload: dict, json_path: Optional[str]) -> None:
@@ -84,15 +87,11 @@ def _emit(payload: dict, json_path: Optional[str]) -> None:
 
 def cmd_wp(args: argparse.Namespace) -> int:
     group = load_group(args.group, args.budget)
-    try:
-        w = parse_word(args.word, group.oracle.alphabet)
-    except WordSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trivial = group.oracle.is_trivial(free_reduce(w))
+    w = free_reduce(parse_word(args.word, group.oracle.alphabet, budget=args.budget))
+    trivial = group.oracle.is_trivial(w)
     _emit(
         {"group": group.name, "word": args.word,
-         "reduced": render_word(free_reduce(w)), "trivial": trivial},
+         "reduced": render_word(w), "trivial": trivial},
         args.json,
     )
     return 0 if trivial else 1
@@ -136,32 +135,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chabauty(args: argparse.Namespace) -> int:
-    oracle = g_oracle(args.budget)
-    finite_set = list(enumerate_ball(oracle.alphabet, args.rho))
-    i = args.i if args.i is not None else escape_index(finite_set, oracle)
-    _, k_point = orbit_witness(i, oracle)
-    agree = chabauty_agree(h2_point(oracle), k_point, finite_set)
+    orbit = orbit_agreement(args.rho, g_oracle(args.budget), args.i)
     _emit(
         {
             "rho": args.rho,
-            "i": i,
-            "subgroups": ["H2", k_point.label],
-            "ball_size": len(finite_set),
-            "agree": agree,
+            "i": orbit.i,
+            "subgroups": ["H2", orbit.k_point.label],
+            "ball_size": len(orbit.finite_set),
+            "agree": orbit.agree,
         },
         args.json,
     )
-    return 0 if agree else 1
+    return 0 if orbit.agree else 1
 
 
 def cmd_condense(args: argparse.Namespace) -> int:
-    oracle = g_oracle(args.budget)
-    g_marked = MarkedGroup("G", oracle)
-    _, k_point = orbit_witness(args.i, oracle)
-    extension_h = condense(g_marked, h2_point(oracle))
-    extension_k = condense(g_marked, k_point)
-    ball_h = relation_ball(extension_h, args.radius, workers=args.workers)
-    ball_k = relation_ball(extension_k, args.radius, workers=args.workers)
+    (extension_h, extension_k), (ball_h, ball_k) = condensed_balls(
+        args.i, args.radius, g_oracle(args.budget), workers=args.workers
+    )
     coincide = ball_h.fingerprint == ball_k.fingerprint
     _emit(
         {
@@ -187,7 +178,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "continuity":
         report = exp_continuity(args.radius, workers=args.workers)
     elif name == "epsilon":
-        i_list = [int(part) for part in args.i.split(",")] if args.i else [1]
+        try:
+            i_list = [int(part) for part in args.i.split(",")] if args.i else [1]
+        except ValueError:
+            raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
         report = exp_epsilon(i_list, args.rho)
     else:  # unreachable through argparse choices
         raise SystemExit(f"error: unknown experiment {name!r}")
@@ -271,6 +265,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (UsageError, ValueError, OSError) as exc:
+        # bad specs, radii, indices and word syntax; missing files
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

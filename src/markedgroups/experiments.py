@@ -15,20 +15,17 @@ from typing import Any, Callable, Iterable
 
 from .hnn import e_oracle, g_oracle
 from .marked import (
-    MarkedGroup,
-    chabauty_agree,
-    condense,
+    condensed_balls,
     escape_index,
-    h2_point,
     marked_Z,
     marked_Zmod,
     max_agreement,
-    orbit_witness,
-    relation_ball,
+    orbit_agreement,
 )
 from .presentations import ABCHS, ABCHST, builtin, conjugation_substitution
 from .rewriting import RewriteRule, build_trace, run_trace
 from .words import (
+    Alphabet,
     Word,
     commutator,
     concat,
@@ -131,11 +128,9 @@ def exp_zmod_limit(i_max: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _witness_word(i: int) -> Word:
-    """h a^{b^i} over the alphabet of G."""
-    a = gen(ABCHS, "a")
-    b = gen(ABCHS, "b")
-    h = gen(ABCHS, "h")
+def _witness_word(i: int, alphabet: Alphabet = ABCHS) -> Word:
+    """h a^{b^i}, over the alphabet of G unless another is given."""
+    a, b, h = (gen(alphabet, name) for name in "abh")
     return free_reduce(concat(h, invert(b ** i), a, b ** i))
 
 
@@ -145,28 +140,23 @@ def exp_orbit(rho: int) -> ExperimentReport:
     if rho not in (1, 2, 3):
         raise ValueError("rho must be 1, 2 or 3")
     oracle = g_oracle()
-    finite_set = list(enumerate_ball(ABCHS, rho))
-    i = escape_index(finite_set, oracle)
-    g, k_point = orbit_witness(i, oracle)
-    h_point = h2_point(oracle)
+    orbit = orbit_agreement(rho, oracle)
+    i = orbit.i
     witness = _witness_word(i)
     report = ExperimentReport(
-        "orbit", {"rho": rho, "i": i, "conjugator": render_word(g)}
+        "orbit", {"rho": rho, "i": i, "conjugator": render_word(orbit.conjugator)}
     )
 
     report.run_check(
         "chabauty-agree",
         "H and gHg^-1 intersect the radius-rho ball identically",
-        lambda: (
-            chabauty_agree(h_point, k_point, finite_set),
-            {"ball_size": len(finite_set), "i": i},
-        ),
+        lambda: (orbit.agree, {"ball_size": len(orbit.finite_set), "i": i}),
     )
     report.run_check(
         "distinct-subgroup",
         "h a^(b^i) lies in gHg^-1 but not in H",
         lambda: (
-            k_point.handle(witness) and not h_point.handle(witness),
+            orbit.k_point.handle(witness) and not orbit.h_point.handle(witness),
             {"witness": render_word(witness)},
         ),
     )
@@ -199,17 +189,11 @@ def exp_continuity(r: int, *, workers: int = 1) -> ExperimentReport:
     if r not in (2, 3, 4):
         raise ValueError("r must be 2, 3 or 4")
     oracle = g_oracle()
-    finite_set = list(enumerate_ball(ABCHS, r))
-    i = escape_index(finite_set, oracle)
-    _, k_point = orbit_witness(i, oracle)
-    g_marked = MarkedGroup("G", oracle)
-    extension_h = condense(g_marked, h2_point(oracle))
-    extension_k = condense(g_marked, k_point)
+    i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i, "workers": workers})
 
     def balls_coincide() -> tuple[bool, dict[str, Any]]:
-        ball_h = relation_ball(extension_h, r, workers=workers)
-        ball_k = relation_ball(extension_k, r, workers=workers)
+        _, (ball_h, ball_k) = condensed_balls(i, r, oracle, workers=workers)
         return (
             ball_h.fingerprint == ball_k.fingerprint,
             {
@@ -228,8 +212,8 @@ def exp_continuity(r: int, *, workers: int = 1) -> ExperimentReport:
     )
 
     def control_distinguish() -> tuple[bool, dict[str, Any]]:
-        _, k0_point = orbit_witness(0, oracle)
-        extension_k0 = condense(g_marked, k0_point)
+        # radius 0: only the two extensions are needed here
+        (extension_h, extension_k0), _ = condensed_balls(0, 0, oracle)
         alphabet = extension_h.oracle.alphabet
         ha = free_reduce(gen(alphabet, "h") * gen(alphabet, "a"))
         w = commutator(ha, gen(alphabet, "t"))
@@ -268,11 +252,7 @@ def epsilon_substitution(i: int):
 
 def epsilon_kernel_word(i: int) -> Word:
     """[t, h a^(b^i)]: trivial after the self-map, non-trivial before."""
-    a = gen(ABCHST, "a")
-    b = gen(ABCHST, "b")
-    h = gen(ABCHST, "h")
-    z = free_reduce(concat(h, invert(b ** i), a, b ** i))
-    return commutator(gen(ABCHST, "t"), z)
+    return commutator(gen(ABCHST, "t"), _witness_word(i, ABCHST))
 
 
 def epsilon_kernel_certificate(i: int):
@@ -396,10 +376,15 @@ def exp_epsilon(i_list: Iterable[int], rho: int) -> ExperimentReport:
 
         def collisions(i: int = i, sigma=sigma) -> tuple[bool, dict[str, Any]]:
             images = [substitute(u, sigma) for u in ball]
+            # sigma fixes a word letter for letter when it has no t; a pair
+            # of fixed words has image equal to word, so it cannot collide
+            fixed = [img.letters == u.letters for img, u in zip(images, ball)]
             count = 0
             example = None
             for p in range(len(ball)):
                 for q in range(p + 1, len(ball)):
+                    if fixed[p] and fixed[q]:
+                        continue
                     merged_image = free_reduce(
                         concat(images[p], invert(images[q]))
                     )

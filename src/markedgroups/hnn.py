@@ -7,6 +7,10 @@ for the extension.  It is instantiated twice, for
 
     <h> x B --(stable s, h^2 <-> ha)--> G --(stable t, identity on h^2)--> E.
 
+The second step is the general one: ``pair_from_handle`` turns a subgroup
+handle into the pair of the extension whose stable letter commutes with the
+subgroup, and ``marked.condense`` uses the same pair for any handle.
+
 Convention: a pinch t^-1 z t with z in the left associated subgroup is
 replaced by its right transport, and t z t^-1 with z in the right subgroup
 by its left transport.  Since the associated isomorphisms here are the
@@ -18,30 +22,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, TypeVar
 
 from .baumslag import (
+    BaseElement,
     eval_b,
     eval_base,
     member_A,
     member_H2,
     member_HA,
 )
-from .presentations import ABC, ABCH, ABCHS
+from .presentations import ABC, ABCH
 from .words import (
     Alphabet,
+    BudgetExceededError,
     Word,
     concat,
     free_reduce,
+    gen,
     invert,
     render_word,
 )
 
 DEFAULT_BUDGET = 10_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A word grew past the configured letter budget during reduction."""
+T = TypeVar("T")
 
 
 class GroupOracle(Protocol):
@@ -98,13 +102,6 @@ class BrittonWord:
     @property
     def stable_count(self) -> int:
         return len(self.tail)
-
-    def render(self, stable: str) -> str:
-        parts = [render_word(self.head)]
-        for eps, g in self.tail:
-            parts.append(stable if eps > 0 else stable + "^-1")
-            parts.append(render_word(g))
-        return " . ".join(parts)
 
 
 def split(w: Word, base_alphabet: Alphabet, stable_index: int) -> BrittonWord:
@@ -183,11 +180,7 @@ def britton_reduce(
 
 
 class HnnOracle:
-    """Word-problem oracle for an extension by a commuting stable letter.
-
-    Immutable after construction; the optional triviality cache is
-    transparent (verdicts are identical with caching disabled).
-    """
+    """Word-problem oracle for an extension by a commuting stable letter."""
 
     def __init__(
         self,
@@ -196,7 +189,6 @@ class HnnOracle:
         stable: str,
         *,
         budget: int = DEFAULT_BUDGET,
-        cache: bool = True,
     ):
         self.base = base
         self.pair = pair
@@ -204,7 +196,6 @@ class HnnOracle:
         self.alphabet = base.alphabet.extend(stable)
         self.stable_index = base.alphabet.arity
         self.budget = budget
-        self._cache: Optional[dict[tuple, bool]] = {} if cache else None
 
     def reduce(self, w: Word, *, strategy: str = "leftmost") -> BrittonWord:
         if len(w) > self.budget:
@@ -215,17 +206,8 @@ class HnnOracle:
         return britton_reduce(bw, self.pair, strategy=strategy, budget=self.budget)
 
     def is_trivial(self, w: Word, *, strategy: str = "leftmost") -> bool:
-        key = None
-        if self._cache is not None and strategy == "leftmost":
-            key = free_reduce(w).letters
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         bw = self.reduce(w, strategy=strategy)
-        verdict = bw.stable_count == 0 and self.base.is_trivial(bw.head)
-        if key is not None:
-            self._cache[key] = verdict
-        return verdict
+        return bw.stable_count == 0 and self.base.is_trivial(bw.head)
 
 
 # ---------------------------------------------------------------------------
@@ -263,58 +245,118 @@ def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     return HnnOracle(ZxBOracle(), g_pair(), "s", budget=budget)
 
 
-def member_H2_in_G(
-    w: Word, oracle: Optional[HnnOracle] = None
-) -> Optional[int]:
-    """k such that w = h^{2k} in G, if any.
+def member_in_G(
+    w: Word, test: Callable[[BaseElement], T], oracle: Optional[HnnOracle] = None
+) -> Optional[T]:
+    """test(z) for the element z of <h> x B equal to w in G, or None.
 
     A reduced form retaining stable letters lies outside the base group,
-    hence outside <h^2>; otherwise membership is decided in <h> x B.
+    hence outside every subgroup of it; otherwise membership is decided
+    in <h> x B.
+    """
+    bw = (oracle or g_oracle()).reduce(w)
+    if bw.stable_count:
+        return None
+    return test(eval_base(bw.head))
+
+
+# ---------------------------------------------------------------------------
+# Subgroup handles and the extensions they define.
+# ---------------------------------------------------------------------------
+
+
+class UndecidableSpecError(ValueError):
+    """Membership for an arbitrary generator list is not provided."""
+
+
+@dataclass(frozen=True)
+class SubgroupHandle:
+    """Membership in a subgroup of the ambient group.
+
+    ``contains`` returns a canonical word for the same element (equal
+    members give equal words) or None for non-members.
+    """
+
+    label: str
+    contains: Callable[[Word], Optional[Word]]
+
+    def __call__(self, w: Word) -> bool:
+        return self.contains(w) is not None
+
+
+def _a_word(alphabet: Alphabet, z: BaseElement) -> Word:
+    """h^n a^(b^e1) ... a^(b^ek) for z = h^n (x^e1 + ... + x^ek) in A."""
+    a, b, m = gen(alphabet, "a"), gen(alphabet, "b"), z.beta.m
+    parts = [_h_power(alphabet, z.n)]
+    for e in range(m.num.bit_length()):
+        if m.num >> e & 1:
+            parts += [b ** (m.xpow - e), a, b ** (e - m.xpow)]
+    return free_reduce(concat(*parts))
+
+
+def handle_for(name: str, oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
+    """The handle for H2 = <h^2>, HA = <ha> or A = <h, a^(b^i)> in G.
+
+    Canonical words: h^{2k} for H2, (ha)^k for HA, and for A the word of
+    ``_a_word``.
     """
     oracle = oracle or g_oracle()
-    bw = oracle.reduce(w)
-    if bw.stable_count:
-        return None
-    return member_H2(eval_base(bw.head))
+    alphabet = oracle.alphabet
+
+    def h2(z: BaseElement) -> Optional[Word]:
+        k = member_H2(z)
+        return None if k is None else _h_power(alphabet, 2 * k)
+
+    def ha(z: BaseElement) -> Optional[Word]:
+        k = member_HA(z)
+        return None if k is None else _ha_power(alphabet, k)
+
+    def sub_a(z: BaseElement) -> Optional[Word]:
+        return _a_word(alphabet, z) if member_A(z) else None
+
+    tests = {"H2": h2, "HA": ha, "A": sub_a}
+    if name not in tests:
+        raise UndecidableSpecError(
+            f"no membership procedure for subgroup {name!r}; only H2, HA, A and "
+            "their conjugates are decidable here"
+        )
+    test = tests[name]
+    return SubgroupHandle(name, lambda w: member_in_G(w, test, oracle))
 
 
-def member_HA_in_G(
-    w: Word, oracle: Optional[HnnOracle] = None
-) -> Optional[int]:
-    """k such that w = (ha)^k in G, if any."""
-    oracle = oracle or g_oracle()
-    bw = oracle.reduce(w)
-    if bw.stable_count:
-        return None
-    return member_HA(eval_base(bw.head))
+def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
+    """The handle for g H g^-1: z is a member iff g^-1 z g is in H, and its
+    canonical word is g rep g^-1 for the canonical word rep of g^-1 z g."""
+    g_inv = invert(g)
+
+    def contains(z: Word) -> Optional[Word]:
+        rep = inner.contains(free_reduce(concat(g_inv, z, g)))
+        return None if rep is None else free_reduce(concat(g, rep, g_inv))
+
+    return SubgroupHandle(f"conj({render_word(g)}, {inner.label})", contains)
 
 
-def member_A_in_G(w: Word, oracle: Optional[HnnOracle] = None) -> bool:
-    """Membership in the subgroup generated by h and the a^{b^i}."""
-    oracle = oracle or g_oracle()
-    bw = oracle.reduce(w)
-    if bw.stable_count:
-        return False
-    return member_A(eval_base(bw.head))
+def pair_from_handle(handle: SubgroupHandle) -> AssociatedPair:
+    """Associated pair for an extension where the stable letter commutes
+    with the subgroup: both sides are the subgroup, the isomorphism is the
+    identity, and a member's certificate is its canonical word, which is
+    therefore its own transport.
 
+    Canonical words keep merged base parts short; transporting the member
+    word itself would never shrink them.
+    """
 
-def e_pair(budget: int = DEFAULT_BUDGET) -> AssociatedPair:
-    """<h^2> on both sides with the identity isomorphism."""
-    oracle = g_oracle(budget)
+    def transport(rep: Word) -> Word:
+        return rep
 
-    def member(w: Word) -> Optional[int]:
-        return member_H2_in_G(w, oracle)
-
-    def transport(k: int) -> Word:
-        return _h_power(ABCHS, 2 * k)
-
-    return AssociatedPair(member, member, transport, transport)
+    return AssociatedPair(handle.contains, handle.contains, transport, transport)
 
 
 @lru_cache(maxsize=None)
 def e_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     """The word-problem oracle for E (alphabet a, b, c, h, s, t)."""
-    return HnnOracle(g_oracle(budget), e_pair(budget), "t", budget=budget)
+    g = g_oracle(budget)
+    return HnnOracle(g, pair_from_handle(handle_for("H2", g)), "t", budget=budget)
 
 
 def oracle_for(name: str, budget: int = DEFAULT_BUDGET) -> GroupOracle:
@@ -327,61 +369,3 @@ def oracle_for(name: str, budget: int = DEFAULT_BUDGET) -> GroupOracle:
     if name == "E":
         return e_oracle(budget)
     raise KeyError(f"no built-in oracle named {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Subgroup handles.
-# ---------------------------------------------------------------------------
-
-
-class UndecidableSpecError(ValueError):
-    """Membership for an arbitrary generator list is not provided."""
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    """A total membership predicate on words over the ambient alphabet."""
-
-    label: str
-    contains: Callable[[Word], bool]
-
-    def __call__(self, w: Word) -> bool:
-        return self.contains(w)
-
-
-def handle_H2(oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
-    oracle = oracle or g_oracle()
-    return SubgroupHandle("H2", lambda w: member_H2_in_G(w, oracle) is not None)
-
-
-def handle_HA(oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
-    oracle = oracle or g_oracle()
-    return SubgroupHandle("HA", lambda w: member_HA_in_G(w, oracle) is not None)
-
-
-def handle_A(oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
-    oracle = oracle or g_oracle()
-    return SubgroupHandle("A", lambda w: member_A_in_G(w, oracle))
-
-
-def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
-    """The handle for g H g^-1: z is a member iff g^-1 z g is in H."""
-    g_inv = invert(g)
-
-    def contains(z: Word) -> bool:
-        return inner.contains(free_reduce(concat(g_inv, z, g)))
-
-    return SubgroupHandle(f"conj({render_word(g)}, {inner.label})", contains)
-
-
-def handle_for(name: str, oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
-    if name == "H2":
-        return handle_H2(oracle)
-    if name == "HA":
-        return handle_HA(oracle)
-    if name == "A":
-        return handle_A(oracle)
-    raise UndecidableSpecError(
-        f"no membership procedure for subgroup {name!r}; only H2, HA, A and "
-        "their conjugates are decidable here"
-    )

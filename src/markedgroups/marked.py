@@ -13,15 +13,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .baumslag import PolyFrac, eval_base, member_A, monomial, span_membership
+from .baumslag import PolyFrac, member_A, monomial, span_membership
 from .hnn import (
-    AssociatedPair,
+    DEFAULT_BUDGET,
     GroupOracle,
     HnnOracle,
     SubgroupHandle,
     conjugate_handle,
     g_oracle,
-    handle_H2,
+    handle_for,
+    member_in_G,
+    pair_from_handle,
 )
 from .words import (
     Alphabet,
@@ -182,6 +184,8 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")
+    if r_max < 0:
+        raise ValueError("radius must be non-negative")
     a1 = m1.oracle.alphabet
     a2 = m2.oracle.alphabet
     for r in range(1, r_max + 1):
@@ -214,31 +218,16 @@ def chabauty_agree(
     return all(h.handle(w) == k.handle(w) for w in finite_set)
 
 
-def pair_from_handle(handle: SubgroupHandle) -> AssociatedPair:
-    """Associated pair for an extension where the stable letter commutes
-    with the subgroup: both sides are the subgroup, transport is identity.
-
-    The certificate is the member word itself; a pinch is replaced by its
-    own base part, so reduction never grows the word.
-    """
-
-    def member(w: Word) -> Optional[Word]:
-        return w if handle.contains(w) else None
-
-    def transport(w: Word) -> Word:
-        return w
-
-    return AssociatedPair(member, member, transport, transport)
-
-
 def condense(
     m: MarkedGroup, point: ChabautyPoint, *, stable: str = "t"
 ) -> MarkedGroup:
     """The marked group on n+1 letters obtained by adjoining a stable
-    letter commuting with the subgroup; marking = m's marking then t."""
+    letter commuting with the subgroup; marking = m's marking then t.
+    The extension keeps the letter budget of m's oracle, if it has one."""
     if point.ambient.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
-    oracle = HnnOracle(m.oracle, pair_from_handle(point.handle), stable)
+    budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
+    oracle = HnnOracle(m.oracle, pair_from_handle(point.handle), stable, budget=budget)
     label = point.label or point.handle.label
     return MarkedGroup(f"E({m.name}, {label})", oracle)
 
@@ -258,16 +247,10 @@ def escape_index(
     Such an i exists for every finite set because A is not finitely
     generated.
     """
-    oracle = oracle or g_oracle()
     module_parts: list[PolyFrac] = []
     for w in finite_set:
-        bw = oracle.reduce(w)
-        if bw.stable_count:
-            continue  # not in the base group, so not in A
-        z = eval_base(bw.head)
-        if not member_A(z):
-            continue
-        if not z.beta.m.is_zero():
+        z = member_in_G(w, lambda z: z if member_A(z) else None, oracle)
+        if z is not None and not z.beta.m.is_zero():
             module_parts.append(z.beta.m)
     i = 0
     while True:
@@ -289,10 +272,47 @@ def orbit_witness(
     alphabet = oracle.alphabet
     sbi = free_reduce(gen(alphabet, "s") * gen(alphabet, "b") ** i)
     g = invert(sbi)
-    handle = conjugate_handle(g, handle_H2(oracle))
+    handle = conjugate_handle(g, handle_for("H2", oracle))
     return g, ChabautyPoint(oracle, handle, label=f"conj(sb^{i}, H2)")
 
 
 def h2_point(oracle: Optional[HnnOracle] = None) -> ChabautyPoint:
     oracle = oracle or g_oracle()
-    return ChabautyPoint(oracle, handle_H2(oracle), label="H2")
+    return ChabautyPoint(oracle, handle_for("H2", oracle), label="H2")
+
+
+class OrbitAgreement(NamedTuple):
+    """<h^2> against its conjugate gHg^-1 = orbit_witness(i) on a ball of G."""
+
+    finite_set: list[Word]
+    i: int
+    conjugator: Word
+    h_point: ChabautyPoint
+    k_point: ChabautyPoint
+    agree: bool
+
+
+def orbit_agreement(
+    rho: int, oracle: HnnOracle, i: Optional[int] = None
+) -> OrbitAgreement:
+    """Compare <h^2> with its i-th conjugate on the radius-rho ball of G;
+    i defaults to the escape index of that ball."""
+    finite_set = list(enumerate_ball(oracle.alphabet, rho))
+    if i is None:
+        i = escape_index(finite_set, oracle)
+    g, k_point = orbit_witness(i, oracle)
+    h_point = h2_point(oracle)
+    agree = chabauty_agree(h_point, k_point, finite_set)
+    return OrbitAgreement(finite_set, i, g, h_point, k_point, agree)
+
+
+def condensed_balls(
+    i: int, r: int, oracle: HnnOracle, *, workers: int = 1
+) -> tuple[tuple[MarkedGroup, MarkedGroup], tuple[RelationBall, RelationBall]]:
+    """The extensions of G over <h^2> and over its i-th conjugate, and
+    their radius-r relation balls."""
+    g_marked = MarkedGroup("G", oracle)
+    _, k_point = orbit_witness(i, oracle)
+    left, right = condense(g_marked, h2_point(oracle)), condense(g_marked, k_point)
+    balls = relation_ball(left, r, workers=workers), relation_ball(right, r, workers=workers)
+    return (left, right), balls

@@ -172,18 +172,17 @@ ABCHS = Alphabet(("a", "b", "c", "h", "s"))
 ABCHST = Alphabet(("a", "b", "c", "h", "s", "t"))
 
 
+def parse_relator(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
+    """A relator WORD, or WORD = WORD stored as u v^-1; freely reduced."""
+    lhs, eq, rhs = text.partition("=")
+    w = parse_word(lhs, alphabet, line)
+    if eq:
+        w = concat(w, invert(parse_word(rhs, alphabet, line)))
+    return free_reduce(w)
+
+
 def _rels(alphabet: Alphabet, *texts: str) -> tuple[Word, ...]:
-    out = []
-    for text in texts:
-        if "=" in text:
-            lhs, rhs = text.split("=", 1)
-            w = free_reduce(
-                concat(parse_word(lhs, alphabet), invert(parse_word(rhs, alphabet)))
-            )
-        else:
-            w = free_reduce(parse_word(text, alphabet))
-        out.append(w)
-    return tuple(out)
+    return tuple(parse_relator(text, alphabet) for text in texts)
 
 
 _B_RELS = ("a^2", "[a, a^b]", "[b, c]", "a^c = a a^b")
@@ -256,17 +255,7 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "rel":
             if alphabet is None:
                 raise WordSyntaxError("rel before gens", lineno)
-            if "=" in rest:
-                lhs, rhs = rest.split("=", 1)
-                w = free_reduce(
-                    concat(
-                        parse_word(lhs, alphabet, lineno),
-                        invert(parse_word(rhs, alphabet, lineno)),
-                    )
-                )
-            else:
-                w = free_reduce(parse_word(rest, alphabet, lineno))
-            relators.append(w)
+            relators.append(parse_relator(rest, alphabet, lineno))
         elif keyword == "subgroup":
             if alphabet is None:
                 raise WordSyntaxError("subgroup before gens", lineno)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -26,6 +26,10 @@ class WordSyntaxError(ValueError):
         if line is not None:
             where = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(message + where)
+
+
+class BudgetExceededError(RuntimeError):
+    """A word grew past the configured letter budget, in parsing or reduction."""
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,6 @@ class Word:
             if i1 == i2 and s1 == -s2:
                 return False
         return True
-
-
-def word(alphabet: Alphabet, letters: Sequence[Letter] = ()) -> Word:
-    return Word(alphabet, tuple(letters))
 
 
 def identity(alphabet: Alphabet) -> Word:
@@ -299,12 +299,6 @@ def substitute(w: Word, sigma: Substitution) -> Word:
     return free_reduce(Word(sigma.target, tuple(letters)))
 
 
-def identity_substitution(alphabet: Alphabet) -> Substitution:
-    return Substitution(
-        alphabet, alphabet, tuple(gen(alphabet, name) for name in alphabet.names)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Word grammar.
 #
@@ -315,6 +309,8 @@ def identity_substitution(alphabet: Alphabet) -> Substitution:
 #                e.g. "(h^2)^s" or "t^(s b)"
 #   [u, v]       commutator u^-1 v^-1 u v
 #   1            the empty word
+# With a letter budget, no power, conjugation, commutator or sequence may
+# build a longer word; powers are measured before they are expanded.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -324,9 +320,10 @@ _TOKEN_RE = re.compile(
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int | None = None):
+    def __init__(self, text: str, line: int | None = None, budget: int | None = None):
         self.text = text
         self.line = line
+        self.budget = budget
         self.pos = 0
         self.items: list[tuple[str, str, int]] = []
         pos = 0
@@ -354,6 +351,12 @@ class _Tokens:
         self.pos += 1
         return item
 
+    def check(self, length: int) -> None:
+        if self.budget is not None and length > self.budget:
+            raise BudgetExceededError(
+                f"word expands to {length} letters (budget {self.budget})"
+            )
+
     def expect(self, value: str) -> None:
         item = self.next()
         if item[1] != value:
@@ -362,9 +365,11 @@ class _Tokens:
             )
 
 
-def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
+def parse_word(
+    text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
+) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
-    tokens = _Tokens(text, line)
+    tokens = _Tokens(text, line, budget)
     w = _parse_sequence(tokens, alphabet, stop=())
     extra = tokens.peek()
     if extra is not None:
@@ -381,7 +386,16 @@ def _parse_sequence(tokens: _Tokens, alphabet: Alphabet, stop: tuple[str, ...]) 
         if item is None or (item[0] == "sym" and item[1] in stop):
             break
         letters.extend(_parse_item(tokens, alphabet).letters)
+        tokens.check(len(letters))
     return Word(alphabet, tuple(letters))
+
+
+def _power_length(w: Word, k: int) -> int:
+    """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
+    n, u, letters = len(w), 0, w.letters
+    while 2 * u + 1 < n and letters[u] == (letters[-1 - u][0], -letters[-1 - u][1]):
+        u += 1
+    return 2 * u + abs(k) * (n - 2 * u) if k else 0
 
 
 def _parse_item(tokens: _Tokens, alphabet: Alphabet) -> Word:
@@ -396,10 +410,14 @@ def _parse_item(tokens: _Tokens, alphabet: Alphabet) -> Word:
             raise WordSyntaxError("dangling '^'", tokens.line)
         if exp[0] == "int":
             tokens.next()
-            base = base ** int(exp[1])
+            k = int(exp[1])
+            base = free_reduce(base)
+            tokens.check(_power_length(base, k))
+            base = base ** k
         else:
             conjugator = _parse_atom(tokens, alphabet)
             base = free_reduce(concat(invert(conjugator), base, conjugator))
+            tokens.check(len(base))
 
 
 def _parse_atom(tokens: _Tokens, alphabet: Alphabet) -> Word:
@@ -422,5 +440,7 @@ def _parse_atom(tokens: _Tokens, alphabet: Alphabet) -> Word:
         tokens.expect(",")
         v = _parse_sequence(tokens, alphabet, stop=("]",))
         tokens.expect("]")
-        return commutator(u, v)
+        w = commutator(u, v)
+        tokens.check(len(w))
+        return w
     raise WordSyntaxError(f"unexpected token {value!r}", tokens.line, col + 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -182,3 +183,34 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["experiment", "unknown"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--group", "Z/0", "--radius", "1"],
+        ["ball", "--group", "Z/abc", "--radius", "1"],
+        ["ball", "--group", "nope", "--radius", "1"],
+        ["ball", "--group", "file:/missing", "--radius", "1"],
+        ["ball", "--group", "Z", "--radius", "-1"],
+        ["condense", "--i", "1", "--radius", "-2"],
+        ["compare", "--group", "Z", "--other", "Z/3", "--max-radius", "-1"],
+        ["experiment", "orbit", "--rho", "5"],
+        ["experiment", "zmod-limit", "--imax", "1"],
+        ["experiment", "epsilon", "--i", "x"],
+    ],
+)
+def test_cli_bad_arguments_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("word", ["a^1000000000", "(a^9999)^(b^9999)"])
+def test_cli_parse_budget(capsys, word):
+    start = time.perf_counter()
+    assert main(["wp", "--group", "E", "--word", word]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: word expands to") and err.count("\n") == 1

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from markedgroups.hnn import g_oracle, handle_HA
+from markedgroups.hnn import DEFAULT_BUDGET, e_oracle, g_oracle, handle_for
 from markedgroups.marked import (
     Agreement,
     ChabautyPoint,
@@ -124,7 +126,7 @@ def test_cong_monotone():
 def test_chabauty_agree_examples():
     h = h2_point()
     assert chabauty_agree(h, h, list(enumerate_ball(ABCHS, 1)))
-    ha_point = ChabautyPoint(g_oracle(), handle_HA(), "HA")
+    ha_point = ChabautyPoint(g_oracle(), handle_for("HA"), "HA")
     assert not chabauty_agree(h, ha_point, [gw("h a")])
 
 
@@ -150,6 +152,24 @@ def test_condense_g_h2_is_e():
         )
 
 
+def test_e_relation_ball_pinned_and_built_by_condense():
+    e = e_oracle()
+    ball = relation_ball(MarkedGroup("E", e), 4)
+    assert ball.count == 65
+    assert ball.fingerprint == (
+        "5e6d3f74fd70bce345e9c616509fe00543474dca4c138890f0d338b11eb87a80"
+    )
+    condensed = condense(G_MARKED, h2_point()).oracle
+    rng = random.Random(29)
+    for _ in range(200):
+        letters = tuple(
+            (rng.randrange(e.alphabet.arity), rng.choice((1, -1)))
+            for _ in range(rng.randrange(0, 13))
+        )
+        w = Word(e.alphabet, letters)
+        assert e.is_trivial(w) == condensed.is_trivial(w), letters
+
+
 def test_condense_distinguished_by_commutator():
     _, k = orbit_witness(1)
     ext_h = condense(G_MARKED, h2_point())
@@ -165,7 +185,7 @@ def test_condense_z_whole_group_is_z_squared():
     z = marked_Z()
     whole = ChabautyPoint(
         z.oracle,
-        type(h2_point().handle)("all", lambda w: True),
+        type(h2_point().handle)("all", lambda w: w),
         "Z",
     )
     ext = condense(z, whole)
@@ -181,6 +201,14 @@ def test_condense_z_whole_group_is_z_squared():
 
     reference = MarkedGroup("Z^2", ZSquared())
     assert max_agreement(ext, reference, 4) == Agreement(4, True)
+
+
+def test_condense_keeps_budget():
+    tight = g_oracle(50)
+    assert condense(MarkedGroup("G", tight), h2_point(tight)).oracle.budget == 50
+    z = marked_Z()
+    whole = ChabautyPoint(z.oracle, type(h2_point().handle)("all", lambda w: w))
+    assert condense(z, whole).oracle.budget == DEFAULT_BUDGET
 
 
 def test_condense_alphabet_guard():
