@@ -57,8 +57,7 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
             raise UsageError(f"Z/N needs a positive integer N, got {spec!r}")
         return marked_Zmod(int(spec[2:]))
     if spec.startswith("file:"):
-        text = Path(spec[5:]).read_text()
-        pres = parse_presentation(text)
+        pres = parse_presentation(Path(spec[5:]).read_text(), budget=budget)
         for name in ("B", "ZxB", "G", "E"):
             if same_relator_set(pres, builtin(name)):
                 return MarkedGroup(pres.name, oracle_for(name, budget))
@@ -261,6 +260,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:
+            raise UsageError(f"--budget must be non-negative, got {args.budget}")
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Britton reduction over abstract oracles and the tower of extensions.
 
 The engine is generic: a base word-problem oracle plus an associated pair
-(membership tests returning a certificate, and transport maps realizing
-the associated isomorphism as words) yield a complete word-problem oracle
-for the extension.  It is instantiated twice, for
+(one map per associated subgroup, sending a member to the canonical word
+of its image under the associated isomorphism) yield a complete
+word-problem oracle for the extension.  It is instantiated twice, for
 
     <h> x B --(stable s, h^2 <-> ha)--> G --(stable t, identity on h^2)--> E.
 
@@ -12,10 +12,11 @@ handle into the pair of the extension whose stable letter commutes with the
 subgroup, and ``marked.condense`` uses the same pair for any handle.
 
 Convention: a pinch t^-1 z t with z in the left associated subgroup is
-replaced by its right transport, and t z t^-1 with z in the right subgroup
-by its left transport.  Since the associated isomorphisms here are the
-obvious ones, the stable-letter orientation is immaterial for triviality,
-but the engine fixes this convention for deterministic reduced forms.
+replaced by z's image on the right, and t z t^-1 with z in the right
+subgroup by its image on the left.  Since the associated isomorphisms here
+are the obvious ones, the stable-letter orientation is immaterial for
+triviality, but the engine fixes this convention for deterministic reduced
+forms.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .words import (
     Alphabet,
     BudgetExceededError,
     Word,
+    check_alphabet,
     concat,
     free_reduce,
     gen,
@@ -63,6 +65,7 @@ class BOracle:
     alphabet: Alphabet = ABC
 
     def is_trivial(self, w: Word) -> bool:
+        check_alphabet(w, self.alphabet)
         return eval_b(w).is_identity()
 
 
@@ -73,23 +76,22 @@ class ZxBOracle:
     alphabet: Alphabet = ABCH
 
     def is_trivial(self, w: Word) -> bool:
+        check_alphabet(w, self.alphabet)
         return eval_base(w).is_identity()
 
 
 @dataclass(frozen=True)
 class AssociatedPair:
-    """Membership and transport data for the two associated subgroups.
+    """The associated isomorphism, one map per side.
 
-    Membership functions take a word over the base alphabet and return a
-    certificate (None for non-members); transports turn a certificate into
-    a canonical word over the base alphabet representing the image under
-    the associated isomorphism.
+    ``member_left`` takes a word over the base alphabet and returns the
+    canonical word of its image in the right subgroup, or None when the
+    word is not in the left subgroup; ``member_right`` maps the right
+    subgroup to the left one in the same way.
     """
 
-    member_left: Callable[[Word], Optional[object]]
-    member_right: Callable[[Word], Optional[object]]
-    transport_left_to_right: Callable[[object], Word]
-    transport_right_to_left: Callable[[object], Word]
+    member_left: Callable[[Word], Optional[Word]]
+    member_right: Callable[[Word], Optional[Word]]
 
 
 @dataclass(frozen=True)
@@ -104,79 +106,57 @@ class BrittonWord:
         return len(self.tail)
 
 
-def split(w: Word, base_alphabet: Alphabet, stable_index: int) -> BrittonWord:
-    """Parse a word into alternating form; base letters keep their indices.
+def split(w: Word, base_alphabet: Alphabet) -> BrittonWord:
+    """Parse a word over base_alphabet extended by one stable letter (the
+    last letter) into alternating form; base letters keep their indices.
 
-    The stable letter must be the last letter of the extended alphabet so
-    that base parts are words over the base alphabet unchanged.
+    The parts are subwords of w, so they are freely reduced when w is.
     """
-    if stable_index != base_alphabet.arity:
-        raise ValueError("stable letter must follow the base alphabet")
+    stable = base_alphabet.arity
     head_letters: list = []
-    tail: list[tuple[int, Word]] = []
+    tail: list[tuple[int, list]] = []
     current: list = head_letters
     for idx, sign in w.letters:
-        if idx == stable_index:
+        if idx == stable:
             current = []
             tail.append((sign, current))
         else:
             current.append((idx, sign))
-    head = free_reduce(Word(base_alphabet, tuple(head_letters)))
     return BrittonWord(
-        head,
-        tuple(
-            (eps, free_reduce(Word(base_alphabet, tuple(letters))))
-            for eps, letters in tail
-        ),
+        Word(base_alphabet, tuple(head_letters)),
+        tuple((eps, Word(base_alphabet, tuple(letters))) for eps, letters in tail),
     )
 
 
 def britton_reduce(
-    bw: BrittonWord,
-    pair: AssociatedPair,
-    *,
-    strategy: str = "leftmost",
-    budget: int = DEFAULT_BUDGET,
+    bw: BrittonWord, pair: AssociatedPair, *, budget: int = DEFAULT_BUDGET
 ) -> BrittonWord:
-    """Remove pinches to a fixed point.
+    """Remove every pinch in one left-to-right pass.
 
-    Each step removes exactly two stable letters, so the loop terminates in
-    at most stable_count/2 steps.  With strategy "leftmost" the leftmost
-    pinch is rewritten first; "rightmost" is provided to check that the
-    verdict is order-independent.
+    The stack holds a pinch-free prefix.  By Britton's lemma, appending
+    t^e g to it can only create a pinch around the top part, so each
+    stable letter is tried against that part once: on a hit the part's
+    image is merged with its neighbours and the stack pops.  Pinches are
+    taken in the order of leftmost-first rewriting, which this pass
+    therefore reproduces, reduced form included.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    eps = [e for e, _ in bw.tail]
-    parts = [bw.head] + [g for _, g in bw.tail]
-    while True:
-        k = len(eps)
-        positions = range(1, k)
-        if strategy == "rightmost":
-            positions = range(k - 1, 0, -1)
-        for j in positions:
-            if eps[j - 1] != -eps[j]:
+    eps: list[int] = []
+    parts = [bw.head]
+    for e, g in bw.tail:
+        if eps and eps[-1] == -e:
+            image = (pair.member_left if e > 0 else pair.member_right)(parts[-1])
+            if image is not None:
+                merged = free_reduce(concat(parts[-2], image, g))
+                if len(merged) > budget:
+                    raise BudgetExceededError(
+                        f"base part grew to {len(merged)} letters (budget {budget})"
+                    )
+                del eps[-1], parts[-1]
+                parts[-1] = merged
                 continue
-            if eps[j - 1] < 0:
-                cert = pair.member_left(parts[j])
-                if cert is None:
-                    continue
-                replacement = pair.transport_left_to_right(cert)
-            else:
-                cert = pair.member_right(parts[j])
-                if cert is None:
-                    continue
-                replacement = pair.transport_right_to_left(cert)
-            merged = free_reduce(concat(parts[j - 1], replacement, parts[j + 1]))
-            if len(merged) > budget:
-                raise BudgetExceededError(
-                    f"base part grew to {len(merged)} letters (budget {budget})"
-                )
-            parts[j - 1 : j + 2] = [merged]
-            del eps[j - 1 : j + 1]
-            break
-        else:
-            return BrittonWord(parts[0], tuple(zip(eps, parts[1:])))
+        eps.append(e)
+        parts.append(g)
+    return BrittonWord(parts[0], tuple(zip(eps, parts[1:])))
 
 
 class HnnOracle:
@@ -194,19 +174,27 @@ class HnnOracle:
         self.pair = pair
         self.stable = stable
         self.alphabet = base.alphabet.extend(stable)
-        self.stable_index = base.alphabet.arity
         self.budget = budget
 
-    def reduce(self, w: Word, *, strategy: str = "leftmost") -> BrittonWord:
+    def reduce(self, w: Word) -> BrittonWord:
+        check_alphabet(w, self.alphabet)
         if len(w) > self.budget:
             raise BudgetExceededError(
                 f"input word has {len(w)} letters (budget {self.budget})"
             )
-        bw = split(free_reduce(w), self.base.alphabet, self.stable_index)
-        return britton_reduce(bw, self.pair, strategy=strategy, budget=self.budget)
+        bw = split(free_reduce(w), self.base.alphabet)
+        return britton_reduce(bw, self.pair, budget=self.budget)
 
     def is_trivial(self, w: Word, *, strategy: str = "leftmost") -> bool:
-        bw = self.reduce(w, strategy=strategy)
+        """Britton's lemma: w is trivial iff its reduced form has no stable
+        letters and a trivial head.  Strategy "rightmost" reduces w^-1
+        instead, meeting w's pinches from the right end, to check that the
+        verdict does not depend on the order."""
+        if strategy == "rightmost":
+            w = invert(w)
+        elif strategy != "leftmost":
+            raise ValueError(f"unknown strategy {strategy!r}")
+        bw = self.reduce(w)
         return bw.stable_count == 0 and self.base.is_trivial(bw.head)
 
 
@@ -230,13 +218,17 @@ def _ha_power(alphabet: Alphabet, k: int) -> Word:
 
 
 def g_pair() -> AssociatedPair:
-    """h^2 on the left, ha on the right, matched exponentwise."""
-    return AssociatedPair(
-        member_left=lambda w: member_H2(eval_base(w)),
-        member_right=lambda w: member_HA(eval_base(w)),
-        transport_left_to_right=lambda k: _ha_power(ABCH, k),
-        transport_right_to_left=lambda k: _h_power(ABCH, 2 * k),
-    )
+    """h^{2k} on the left, (ha)^k on the right, matched exponentwise."""
+
+    def left(w: Word) -> Optional[Word]:
+        k = member_H2(eval_base(w))
+        return None if k is None else _ha_power(ABCH, k)
+
+    def right(w: Word) -> Optional[Word]:
+        k = member_HA(eval_base(w))
+        return None if k is None else _h_power(ABCH, 2 * k)
+
+    return AssociatedPair(left, right)
 
 
 @lru_cache(maxsize=None)
@@ -338,18 +330,13 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
 
 def pair_from_handle(handle: SubgroupHandle) -> AssociatedPair:
     """Associated pair for an extension where the stable letter commutes
-    with the subgroup: both sides are the subgroup, the isomorphism is the
-    identity, and a member's certificate is its canonical word, which is
-    therefore its own transport.
+    with the subgroup: both sides are the subgroup and the isomorphism is
+    the identity, so each side maps a member to its canonical word.
 
-    Canonical words keep merged base parts short; transporting the member
+    Canonical words keep merged base parts short; returning the member
     word itself would never shrink them.
     """
-
-    def transport(rep: Word) -> Word:
-        return rep
-
-    return AssociatedPair(handle.contains, handle.contains, transport, transport)
+    return AssociatedPair(handle.contains, handle.contains)
 
 
 @lru_cache(maxsize=None)

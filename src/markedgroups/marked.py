@@ -28,6 +28,7 @@ from .hnn import (
 from .words import (
     Alphabet,
     Word,
+    check_alphabet,
     enumerate_ball,
     enumerate_sphere,
     first_letters,
@@ -55,6 +56,7 @@ class CyclicOracle:
             raise ValueError("order must be positive")
 
     def is_trivial(self, w: Word) -> bool:
+        check_alphabet(w, self.alphabet)
         exponent = sum(sign for _, sign in w.letters)
         if self.order is None:
             return exponent == 0

@@ -35,17 +35,14 @@ class InvalidConjugatorError(ValueError):
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A designated subgroup: explicit generator words, optionally conjugated.
+    """A designated subgroup, given by explicit generator words.
 
-    With a conjugator g present, the spec denotes g H g^-1 where H is the
-    subgroup named by ``base``.  Generator lists may be empty when the
-    handle is semantic (membership decided by a bespoke procedure).
+    Generator lists may be empty when the handle is semantic (membership
+    decided by a bespoke procedure).
     """
 
     name: str
     generators: tuple[Word, ...] = ()
-    conjugator: Optional[Word] = None
-    base: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -172,12 +169,15 @@ ABCHS = Alphabet(("a", "b", "c", "h", "s"))
 ABCHST = Alphabet(("a", "b", "c", "h", "s", "t"))
 
 
-def parse_relator(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
-    """A relator WORD, or WORD = WORD stored as u v^-1; freely reduced."""
+def parse_relator(
+    text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
+) -> Word:
+    """A relator WORD, or WORD = WORD stored as u v^-1; freely reduced.
+    With a budget, each side is parsed under it, as by ``parse_word``."""
     lhs, eq, rhs = text.partition("=")
-    w = parse_word(lhs, alphabet, line)
+    w = parse_word(lhs, alphabet, line, budget=budget)
     if eq:
-        w = concat(w, invert(parse_word(rhs, alphabet, line)))
+        w = concat(w, invert(parse_word(rhs, alphabet, line, budget=budget)))
     return free_reduce(w)
 
 
@@ -224,12 +224,13 @@ def builtin(name: str) -> Presentation:
 #   rel WORD
 #   rel WORD = WORD
 #   subgroup NAME gen WORD[, WORD ...]
-#   subgroup NAME conj WORD of NAME
 # Comments start with '#'.
 # ---------------------------------------------------------------------------
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str, *, budget: int | None = None) -> Presentation:
+    """Parse the file format; with a budget, every word is parsed under it,
+    as by ``parse_word``."""
     name: Optional[str] = None
     alphabet: Optional[Alphabet] = None
     relators: list[Word] = []
@@ -255,7 +256,7 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "rel":
             if alphabet is None:
                 raise WordSyntaxError("rel before gens", lineno)
-            relators.append(parse_relator(rest, alphabet, lineno))
+            relators.append(parse_relator(rest, alphabet, lineno, budget=budget))
         elif keyword == "subgroup":
             if alphabet is None:
                 raise WordSyntaxError("subgroup before gens", lineno)
@@ -263,27 +264,13 @@ def parse_presentation(text: str) -> Presentation:
             if len(parts) != 2:
                 raise WordSyntaxError("malformed subgroup line", lineno)
             sub_name, sub_rest = parts
-            if sub_rest.startswith("gen "):
-                gens = tuple(
-                    free_reduce(parse_word(g, alphabet, lineno))
-                    for g in sub_rest[4:].split(",")
-                )
-                subgroups.append(SubgroupSpec(sub_name, gens))
-            elif sub_rest.startswith("conj "):
-                body = sub_rest[5:]
-                if " of " not in body:
-                    raise WordSyntaxError("subgroup conj needs 'of BASE'", lineno)
-                conj_text, base = body.rsplit(" of ", 1)
-                subgroups.append(
-                    SubgroupSpec(
-                        sub_name,
-                        (),
-                        conjugator=free_reduce(parse_word(conj_text, alphabet, lineno)),
-                        base=base.strip(),
-                    )
-                )
-            else:
-                raise WordSyntaxError("subgroup needs 'gen' or 'conj'", lineno)
+            if not sub_rest.startswith("gen "):
+                raise WordSyntaxError("subgroup needs 'gen'", lineno)
+            gens = tuple(
+                free_reduce(parse_word(g, alphabet, lineno, budget=budget))
+                for g in sub_rest[4:].split(",")
+            )
+            subgroups.append(SubgroupSpec(sub_name, gens))
         else:
             raise WordSyntaxError(f"unknown keyword {keyword!r}", lineno)
     if alphabet is None:
@@ -298,12 +285,6 @@ def serialize_presentation(p: Presentation) -> str:
     for rel in p.relators:
         lines.append(f"rel {render_word(rel)}")
     for spec in p.subgroups:
-        if spec.conjugator is not None:
-            lines.append(
-                f"subgroup {spec.name} conj {render_word(spec.conjugator)}"
-                f" of {spec.base}"
-            )
-        else:
-            gens_text = ", ".join(render_word(g) for g in spec.generators)
-            lines.append(f"subgroup {spec.name} gen {gens_text}")
+        gens_text = ", ".join(render_word(g) for g in spec.generators)
+        lines.append(f"subgroup {spec.name} gen {gens_text}")
     return "\n".join(lines) + "\n"

@@ -164,6 +164,15 @@ def commutator(u: Word, v: Word) -> Word:
     return free_reduce(concat(invert(u), invert(v), u, v))
 
 
+def check_alphabet(w: Word, alphabet: Alphabet) -> None:
+    """Refuse a word over another alphabet: letters are read by index, so
+    a permuted or wider alphabet would silently mean a different word."""
+    if w.alphabet is not alphabet and w.alphabet != alphabet:
+        raise ValueError(
+            f"word over {w.alphabet.names} given to a group over {alphabet.names}"
+        )
+
+
 def transfer(w: Word, alphabet: Alphabet) -> Word:
     """The same letter sequence read over another alphabet of equal arity."""
     if alphabet.arity != w.alphabet.arity:
@@ -353,8 +362,9 @@ class _Tokens:
 
     def check(self, length: int) -> None:
         if self.budget is not None and length > self.budget:
+            where = "" if self.line is None else f" (line {self.line})"
             raise BudgetExceededError(
-                f"word expands to {length} letters (budget {self.budget})"
+                f"word expands to {length} letters (budget {self.budget}){where}"
             )
 
     def expect(self, value: str) -> None:

@@ -198,6 +198,8 @@ def test_cli_usage_error():
         ["experiment", "orbit", "--rho", "5"],
         ["experiment", "zmod-limit", "--imax", "1"],
         ["experiment", "epsilon", "--i", "x"],
+        ["--budget", "-1", "wp", "--group", "E", "--word", "a"],
+        ["ball", "--group", "Z", "--radius", "1", "--workers", "-3"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):
@@ -214,3 +216,14 @@ def test_cli_parse_budget(capsys, word):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: word expands to") and err.count("\n") == 1
+
+
+def test_cli_presentation_file_budget(capsys, tmp_path):
+    path = tmp_path / "big.pres"
+    path.write_text("group X\ngens x\nrel x^1000000000\n")
+    start = time.perf_counter()
+    assert main(["ball", "--group", f"file:{path}", "--radius", "1"]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: word expands to") and "(line 3)" in err, err
+    assert err.count("\n") == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from markedgroups.hnn import (
     BOracle,
@@ -17,8 +19,10 @@ from markedgroups.hnn import (
     split,
 )
 from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
-from markedgroups.presentations import ABCH, ABCHS, ABCHST, builtin
+from markedgroups.marked import CyclicOracle
+from markedgroups.presentations import ABC, ABCH, ABCHS, ABCHST, builtin
 from markedgroups.words import (
+    Alphabet,
     Word,
     concat,
     free_reduce,
@@ -26,6 +30,10 @@ from markedgroups.words import (
     parse_word,
     render_word,
 )
+
+
+def zw(text):
+    return parse_word(text, ABCH)
 
 
 def gw(text):
@@ -44,20 +52,15 @@ E = e_oracle()
 
 
 def test_split_examples():
-    bw = split(gw("s^-1 h h s"), ABCH, 4)
+    bw = split(gw("s^-1 h h s"), ABCH)
     assert render_word(bw.head) == "1"
     assert [(e, render_word(g)) for e, g in bw.tail] == [
         (-1, "h h"), (1, "1")
     ]
-    bw2 = split(gw("a b"), ABCH, 4)
+    bw2 = split(gw("a b"), ABCH)
     assert bw2.stable_count == 0 and render_word(bw2.head) == "a b"
-    bw3 = split(gw("s a s"), ABCH, 4)
+    bw3 = split(gw("s a s"), ABCH)
     assert [(e, render_word(g)) for e, g in bw3.tail] == [(1, "a"), (1, "1")]
-
-
-def test_split_rejects_misplaced_stable():
-    with pytest.raises(ValueError):
-        split(gw("a"), ABCH, 3)
 
 
 # -- Britton reduction in G --------------------------------------------------
@@ -107,12 +110,12 @@ def test_member_HA_and_A_in_G():
 
 def test_transport_canonical_forms():
     pair = g_pair()
-    assert render_word(pair.transport_left_to_right(3)) == "h h h a"
-    assert render_word(pair.transport_left_to_right(-2)) == "h^-1 h^-1"
-    assert render_word(pair.transport_right_to_left(-1)) == "h^-1 h^-1"
-    epair = E.pair
-    rep = epair.member_left(gw("h^4"))
-    assert render_word(epair.transport_left_to_right(rep)) == "h h h h"
+    assert render_word(pair.member_left(zw("h^6"))) == "h h h a"
+    assert render_word(pair.member_left(zw("a h^-4 a"))) == "h^-1 h^-1"
+    assert render_word(pair.member_right(zw("(h a)^-1"))) == "h^-1 h^-1"
+    assert pair.member_left(zw("h a")) is None
+    assert pair.member_right(zw("h")) is None
+    assert render_word(E.pair.member_left(gw("h^4"))) == "h h h h"
 
 
 # -- subgroup handles --------------------------------------------------------
@@ -212,6 +215,29 @@ def test_base_completeness_sample():
         assert G.is_trivial(lifted) == eval_base(w).is_identity()
 
 
+@st.composite
+def stable_heavy_words(draw, alphabet):
+    # h and the stable letter are drawn often, so that pinches are common
+    n = alphabet.arity
+    letter = st.tuples(
+        st.one_of(st.sampled_from((3, n - 1)), st.integers(0, n - 1)),
+        st.sampled_from((1, -1)),
+    )
+    return Word(alphabet, tuple(draw(st.lists(letter, max_size=24))))
+
+
+@given(st.one_of(stable_heavy_words(ABCHS), stable_heavy_words(ABCHST)))
+def test_reduced_form_has_no_pinch(w):
+    oracle = G if w.alphabet == ABCHS else E
+    bw = oracle.reduce(w)
+    parts = [bw.head] + [g for _, g in bw.tail]
+    assert all(part.is_reduced() for part in parts)
+    for (e1, g), (e2, _) in zip(bw.tail, bw.tail[1:]):
+        if e1 == -e2:
+            member = oracle.pair.member_left if e1 < 0 else oracle.pair.member_right
+            assert member(g) is None, render_word(g)
+
+
 def test_reduction_strategy_agreement():
     for w in random_words(ABCHST, 200, 10, seed=17):
         left = E.is_trivial(w, strategy="leftmost")
@@ -222,7 +248,7 @@ def test_reduction_strategy_agreement():
 def test_pinch_count_decreases_by_two():
     bw = E.reduce(ew("t^-1 h^2 t t^-1 h^4 t"))
     assert bw.stable_count == 0
-    start = split(free_reduce(ew("t^-1 h^2 t t^-1 h^4 t")), ABCHS, 5)
+    start = split(free_reduce(ew("t^-1 h^2 t t^-1 h^4 t")), ABCHS)
     assert start.stable_count == 2  # free reduction already removed one pair
 
 
@@ -249,6 +275,21 @@ def test_budget_enforced():
     tight2 = HnnOracle(ZxBOracle(), g_pair(), "s", budget=6)
     with pytest.raises(BudgetExceededError):
         tight2.is_trivial(gw("s^-1 h^6 s"))
+
+
+def test_oracles_reject_foreign_alphabets():
+    permuted = Alphabet(("b", "a", "c", "h", "s"))
+    for oracle, w in (
+        (G, parse_word("a a", permuted)),  # read by index, this would be b b
+        (E, gw("a a")),
+        (G, ew("a a")),
+        (ZxBOracle(), parse_word("a a", Alphabet(("b", "a", "c", "h")))),
+        (ZxBOracle(), parse_word("a a", ABC)),
+        (BOracle(), zw("a a")),
+        (CyclicOracle(2), parse_word("y y", Alphabet(("y",)))),
+    ):
+        with pytest.raises(ValueError):
+            oracle.is_trivial(w)
 
 
 def test_b_oracle():

@@ -136,16 +136,15 @@ group G
 gens a b c h s
 rel a^2
 subgroup H2 gen h^2
-subgroup K conj (s b)^-1 of H2
 """
     p = parse_presentation(text)
     spec = p.subgroup("H2")
     assert render_word(spec.generators[0]) == "h h"
-    conj = p.subgroup("K")
-    assert conj.base == "H2"
-    assert render_word(conj.conjugator) == "b^-1 s^-1"
     with pytest.raises(KeyError):
         p.subgroup("missing")
+    with pytest.raises(WordSyntaxError) as err:
+        parse_presentation(text + "subgroup K conj (s b)^-1 of H2\n")
+    assert "line 6" in str(err.value)
 
 
 def test_parse_error_reports_line():
