@@ -21,6 +21,7 @@ from .experiments import (
 )
 from .hnn import BudgetExceededError, g_oracle, oracle_for
 from .marked import (
+    CyclicOracle,
     MarkedGroup,
     condensed_balls,
     marked_Z,
@@ -65,10 +66,8 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
             order = 0
             for rel in pres.relators:
                 order = math.gcd(order, sum(s for _, s in rel.letters))
-            return (
-                MarkedGroup(pres.name, marked_Z().oracle)
-                if order == 0
-                else marked_Zmod(abs(order))
+            return MarkedGroup(
+                pres.name, CyclicOracle(abs(order) or None, pres.alphabet)
             )
         raise UsageError(
             f"no word-problem oracle for presentation {pres.name!r}; "
@@ -98,7 +97,7 @@ def cmd_wp(args: argparse.Namespace) -> int:
 
 def cmd_ball(args: argparse.Namespace) -> int:
     group = load_group(args.group, args.budget)
-    ball = relation_ball(group, args.radius, workers=args.workers)
+    ball = relation_ball(group, args.radius)
     print(ball.export(group.name), end="")
     if args.json:
         Path(args.json).write_text(
@@ -150,7 +149,7 @@ def cmd_chabauty(args: argparse.Namespace) -> int:
 
 def cmd_condense(args: argparse.Namespace) -> int:
     (extension_h, extension_k), (ball_h, ball_k) = condensed_balls(
-        args.i, args.radius, g_oracle(args.budget), workers=args.workers
+        args.i, args.radius, g_oracle(args.budget)
     )
     coincide = ball_h.fingerprint == ball_k.fingerprint
     _emit(
@@ -175,7 +174,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "orbit":
         report = exp_orbit(args.rho)
     elif name == "continuity":
-        report = exp_continuity(args.radius, workers=args.workers)
+        report = exp_continuity(args.radius)
     elif name == "epsilon":
         try:
             i_list = [int(part) for part in args.i.split(",")] if args.i else [1]
@@ -189,6 +188,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.json:
         Path(args.json).write_text(text + "\n")
     return 0 if report.passed else 1
+
+
+_WORKERS_HELP = "accepted for compatibility; has no effect (scans run in one thread)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="export a relation ball")
     p.add_argument("--group", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_ball)
 
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_condense)
 
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--i", default=None, help="comma-separated index list")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", default=None)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(fn=cmd_experiment)

@@ -1,7 +1,7 @@
 """Named, reproducible desk-scale experiments with JSON reports.
 
 Each experiment is deterministic given its parameters: identical reports
-(modulo timing fields) across runs and worker counts.  Every check
+(modulo timing fields) from run to run.  Every check
 carries a human-readable anchor naming the claim it verifies, a verdict,
 and concrete witness data.
 """
@@ -27,6 +27,7 @@ from .rewriting import RewriteRule, build_trace, run_trace
 from .words import (
     Alphabet,
     Word,
+    check_budget,
     commutator,
     concat,
     enumerate_ball,
@@ -182,7 +183,7 @@ def exp_orbit(rho: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def exp_continuity(r: int, *, workers: int = 1) -> ExperimentReport:
+def exp_continuity(r: int) -> ExperimentReport:
     """Relation balls of the extensions over H and over its escaping
     conjugate coincide at radius r; the i=0 conjugate is separated by a
     short explicit word."""
@@ -190,10 +191,10 @@ def exp_continuity(r: int, *, workers: int = 1) -> ExperimentReport:
         raise ValueError("r must be 2, 3 or 4")
     oracle = g_oracle()
     i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
-    report = ExperimentReport("continuity", {"r": r, "i": i, "workers": workers})
+    report = ExperimentReport("continuity", {"r": r, "i": i})
 
     def balls_coincide() -> tuple[bool, dict[str, Any]]:
-        _, (ball_h, ball_k) = condensed_balls(i, r, oracle, workers=workers)
+        _, (ball_h, ball_k) = condensed_balls(i, r, oracle)
         return (
             ball_h.fingerprint == ball_k.fingerprint,
             {
@@ -300,6 +301,8 @@ def exp_epsilon(i_list: Iterable[int], rho: int) -> ExperimentReport:
         raise ValueError("rho must be at most 2")
     i_list = list(i_list)
     oracle = e_oracle()
+    for i in i_list:
+        check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     ball = list(enumerate_ball(ABCHST, rho))

@@ -9,7 +9,6 @@ canonical renderings, so repeated comparisons are O(1) after construction.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -29,12 +28,11 @@ from .words import (
     Alphabet,
     Word,
     check_alphabet,
+    check_budget,
     enumerate_ball,
     enumerate_sphere,
-    first_letters,
     free_reduce,
     gen,
-    identity,
     invert,
     render_canonical,
     sort_key,
@@ -118,53 +116,36 @@ def _fingerprint(words: Sequence[Word]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def relation_ball(
-    m: MarkedGroup, r: int, *, workers: int = 1
-) -> RelationBall:
+def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     """Exactly the trivial words of length <= r, in deterministic order.
 
-    Only one of each pair {w, w^-1} is tested (triviality is inversion
-    invariant); partitions by first letter are independent, so the result
-    does not depend on the worker count.
+    Only one of each pair {w, w^-1} is tested, since triviality is
+    inversion invariant; the scan runs in one thread.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    alphabet = m.oracle.alphabet
     oracle = m.oracle
-
-    def scan(first) -> list[Word]:
-        found: list[Word] = []
-        for w in enumerate_ball(alphabet, r, first=first):
-            wi = invert(w)
-            if sort_key(wi) < sort_key(w):
-                continue  # the partner's scan covers this pair
-            if oracle.is_trivial(w):
-                found.append(w)
-                if wi.letters != w.letters:
-                    found.append(wi)
-        return found
-
-    partitions = first_letters(alphabet)
-    trivial: list[Word] = [identity(alphabet)]
-    if workers <= 1:
-        for first in partitions:
-            trivial.extend(scan(first))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(scan, partitions):
-                trivial.extend(chunk)
+    trivial: list[Word] = []
+    for w in enumerate_ball(oracle.alphabet, r):
+        wi = invert(w)
+        if sort_key(wi) < sort_key(w):
+            continue  # tested as its inverse
+        if oracle.is_trivial(w):
+            trivial.append(w)
+            if wi.letters != w.letters:
+                trivial.append(wi)
     trivial.sort(key=sort_key)
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 
 
-def cong_r(m1: MarkedGroup, m2: MarkedGroup, r: int, *, workers: int = 1) -> bool:
+def cong_r(m1: MarkedGroup, m2: MarkedGroup, r: int) -> bool:
     """True iff the radius-r relation balls coincide."""
     if m1.arity != m2.arity:
         raise ValueError(
             f"arity mismatch: {m1.arity} vs {m2.arity}"
         )
-    b1 = relation_ball(m1, r, workers=workers)
-    b2 = relation_ball(m2, r, workers=workers)
+    b1 = relation_ball(m1, r)
+    b2 = relation_ball(m2, r)
     return b1.fingerprint == b2.fingerprint
 
 
@@ -268,9 +249,12 @@ def orbit_witness(
     """The conjugator g = (s b^i)^-1 and the point for g H g^-1.
 
     The conjugate subgroup is generated by h a^{b^i}; its square is h^2,
-    so it differs from <h^2> exactly by the coset of the witness.
+    so it differs from <h^2> exactly by the coset of the witness.  Raises
+    BudgetExceededError before building s b^i when it has more letters
+    than the oracle's budget.
     """
     oracle = oracle or g_oracle()
+    check_budget(abs(i) + 1, oracle.budget)
     alphabet = oracle.alphabet
     sbi = free_reduce(gen(alphabet, "s") * gen(alphabet, "b") ** i)
     g = invert(sbi)
@@ -309,12 +293,12 @@ def orbit_agreement(
 
 
 def condensed_balls(
-    i: int, r: int, oracle: HnnOracle, *, workers: int = 1
+    i: int, r: int, oracle: HnnOracle
 ) -> tuple[tuple[MarkedGroup, MarkedGroup], tuple[RelationBall, RelationBall]]:
     """The extensions of G over <h^2> and over its i-th conjugate, and
     their radius-r relation balls."""
     g_marked = MarkedGroup("G", oracle)
     _, k_point = orbit_witness(i, oracle)
     left, right = condense(g_marked, h2_point(oracle)), condense(g_marked, k_point)
-    balls = relation_ball(left, r, workers=workers), relation_ball(right, r, workers=workers)
+    balls = relation_ball(left, r), relation_ball(right, r)
     return (left, right), balls

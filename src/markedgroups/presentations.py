@@ -15,6 +15,7 @@ from .words import (
     Substitution,
     Word,
     WordSyntaxError,
+    check_budget,
     commutator,
     concat,
     free_reduce,
@@ -173,11 +174,14 @@ def parse_relator(
     text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
 ) -> Word:
     """A relator WORD, or WORD = WORD stored as u v^-1; freely reduced.
-    With a budget, each side is parsed under it, as by ``parse_word``."""
+    With a budget, both sides together must fit it before free reduction,
+    as the items of a sequence do in ``parse_word``."""
     lhs, eq, rhs = text.partition("=")
     w = parse_word(lhs, alphabet, line, budget=budget)
     if eq:
-        w = concat(w, invert(parse_word(rhs, alphabet, line, budget=budget)))
+        v = parse_word(rhs, alphabet, line, budget=budget)
+        check_budget(len(w) + len(v), budget, line)
+        w = concat(w, invert(v))
     return free_reduce(w)
 
 

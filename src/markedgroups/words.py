@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -173,6 +173,15 @@ def check_alphabet(w: Word, alphabet: Alphabet) -> None:
         )
 
 
+def check_budget(length: int, budget: int | None, line: int | None = None) -> None:
+    """Refuse a word of more than ``budget`` letters; None means no limit."""
+    if budget is not None and length > budget:
+        where = "" if line is None else f" (line {line})"
+        raise BudgetExceededError(
+            f"word expands to {length} letters (budget {budget}){where}"
+        )
+
+
 def transfer(w: Word, alphabet: Alphabet) -> Word:
     """The same letter sequence read over another alphabet of equal arity."""
     if alphabet.arity != w.alphabet.arity:
@@ -236,42 +245,19 @@ def _sphere_from(
             prefix.pop()
 
 
-def enumerate_sphere(
-    alphabet: Alphabet, length: int, first: Optional[Letter] = None
-) -> Iterator[Word]:
-    """Freely reduced words of exactly the given length, in lex order.
-
-    With ``first`` set, only words starting with that letter are produced
-    (empty for length 0), which partitions the sphere for parallel scans.
-    """
+def enumerate_sphere(alphabet: Alphabet, length: int) -> Iterator[Word]:
+    """Freely reduced words of exactly the given length, in lex order."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    if first is None:
-        yield from _sphere_from(alphabet, length, [])
-    elif length > 0:
-        yield from _sphere_from(alphabet, length - 1, [first])
+    yield from _sphere_from(alphabet, length, [])
 
 
-def enumerate_ball(
-    alphabet: Alphabet, r: int, first: Optional[Letter] = None
-) -> Iterator[Word]:
+def enumerate_ball(alphabet: Alphabet, r: int) -> Iterator[Word]:
     """Every freely reduced word of length <= r, once, in length-lex order."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    if first is None:
-        yield identity(alphabet)
-        start = 1
-    else:
-        start = 1
-    for length in range(start, r + 1):
-        yield from enumerate_sphere(alphabet, length, first=first)
-
-
-def first_letters(alphabet: Alphabet) -> list[Letter]:
-    """All letters in enumeration order; the ball partition keys."""
-    return [
-        (idx, sign) for idx in range(alphabet.arity) for sign in (1, -1)
-    ]
+    for length in range(r + 1):
+        yield from _sphere_from(alphabet, length, [])
 
 
 @dataclass(frozen=True)
@@ -361,11 +347,7 @@ class _Tokens:
         return item
 
     def check(self, length: int) -> None:
-        if self.budget is not None and length > self.budget:
-            where = "" if self.line is None else f" (line {self.line})"
-            raise BudgetExceededError(
-                f"word expands to {length} letters (budget {self.budget}){where}"
-            )
+        check_budget(length, self.budget, self.line)
 
     def expect(self, value: str) -> None:
         item = self.next()

@@ -72,13 +72,6 @@ def test_report_json_deterministic_without_timing():
     assert '"ms"' not in a
 
 
-def test_continuity_worker_independent():
-    a = exp_continuity(2, workers=1).to_json(include_timing=False)
-    b = exp_continuity(2, workers=3).to_json(include_timing=False)
-    # the worker count is a parameter, so compare the check payloads
-    assert json.loads(a)["checks"] == json.loads(b)["checks"]
-
-
 # -- group loading -----------------------------------------------------------
 
 
@@ -103,6 +96,20 @@ def test_load_group_cyclic_file(tmp_path):
     path.write_text("group C\ngens x\nrel x^10\nrel x^4\n")
     group = load_group(f"file:{path}", 10_000)
     assert group.oracle.order == 2  # gcd(10, 4)
+
+
+def test_cli_one_letter_file_keeps_its_letter_and_name(capsys, tmp_path):
+    path = tmp_path / "c3.pres"
+    path.write_text("group C3\ngens y\nrel y^3\n")
+    assert main(["wp", "--group", f"file:{path}", "--word", "y y y"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["group"] == "C3" and out["trivial"] is True
+    assert main(
+        ["compare", "--group", f"file:{path}", "--other", "Z/3",
+         "--max-radius", "6"]
+    ) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["left"] == "C3" and out["saturated"] is True
 
 
 def test_load_group_undecidable_file(tmp_path):
@@ -227,3 +234,43 @@ def test_cli_presentation_file_budget(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: word expands to") and "(line 3)" in err, err
     assert err.count("\n") == 1
+
+
+def test_cli_relator_equation_budget(capsys, tmp_path):
+    # each side fits the default budget of 10000; together they do not
+    path = tmp_path / "eq.pres"
+    path.write_text("group X\ngens x\nrel x^6000 = x^-6000\n")
+    assert main(["ball", "--group", f"file:{path}", "--radius", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(line 3)" in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget", "100", "condense", "--i", "1000000000", "--radius", "1"],
+        ["--budget", "100", "chabauty", "--rho", "1", "--i", "1000000000"],
+        ["experiment", "epsilon", "--i", "1000000000", "--rho", "0"],
+    ],
+)
+def test_cli_index_budget(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--group", "E", "--radius", "3"],
+        ["condense", "--i", "1", "--radius", "2"],
+    ],
+)
+def test_cli_workers_flag_has_no_effect(capsys, argv):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--workers", "4"]) == 0
+    assert capsys.readouterr().out == plain

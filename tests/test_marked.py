@@ -79,14 +79,6 @@ def test_relation_ball_matches_naive_sweep():
     assert [w.letters for w in ball.words] == [w.letters for w in naive]
 
 
-def test_relation_ball_worker_independent():
-    e_marked = condense(G_MARKED, h2_point())
-    b1 = relation_ball(e_marked, 2, workers=1)
-    b4 = relation_ball(e_marked, 2, workers=4)
-    assert b1.fingerprint == b4.fingerprint
-    assert b1.words == b4.words
-
-
 def test_relation_ball_export_header():
     ball = relation_ball(marked_Zmod(2), 2)
     lines = ball.export("Z/2").splitlines()

@@ -17,7 +17,6 @@ from markedgroups.words import (
     enumerate_sphere,
     free_reduce,
     gen,
-    identity,
     invert,
     parse_word,
     render_word,
@@ -167,14 +166,6 @@ def test_ball_count_matches_exhaustive():
 def test_ball_order_is_length_then_lex():
     keys = [sort_key(u) for u in enumerate_ball(AB, 3)]
     assert keys == sorted(keys)
-
-
-def test_ball_partitioning_by_first_letter():
-    whole = [u.letters for u in enumerate_ball(AB, 3)]
-    pieces = [identity(AB).letters]
-    for first in [(0, 1), (0, -1), (1, 1), (1, -1)]:
-        pieces.extend(u.letters for u in enumerate_ball(AB, 3, first=first))
-    assert sorted(pieces) == sorted(whole)
 
 
 def test_sphere_lengths():
