@@ -227,9 +227,9 @@ def eval_b(w: Word) -> BElement:
     """Homomorphic evaluation of a word over {a, b, c} in B."""
     result = B_IDENTITY
     names = w.alphabet.names
-    for idx, sign in w.letters:
-        name = names[idx]
-        table = _B_GENS if sign > 0 else _B_GENS_INV
+    for x in w.letters:
+        name = names[x >> 1]
+        table = _B_GENS_INV if x & 1 else _B_GENS
         if name not in table:
             raise ForeignLetterError(f"letter {name!r} is not a generator of B")
         result = b_mul(result, table[name])
@@ -241,12 +241,12 @@ def eval_base(w: Word) -> BaseElement:
     n = 0
     beta = B_IDENTITY
     names = w.alphabet.names
-    for idx, sign in w.letters:
-        name = names[idx]
+    for x in w.letters:
+        name = names[x >> 1]
         if name == "h":
-            n += sign
+            n += -1 if x & 1 else 1
         elif name in _B_GENS:
-            table = _B_GENS if sign > 0 else _B_GENS_INV
+            table = _B_GENS_INV if x & 1 else _B_GENS
             beta = b_mul(beta, table[name])
         else:
             raise ForeignLetterError(

@@ -35,7 +35,7 @@ from .presentations import (
     parse_presentation,
     same_relator_set,
 )
-from .words import free_reduce, parse_word, render_word
+from .words import exponent_sum, free_reduce, parse_word, render_word
 
 
 class UsageError(SystemExit):
@@ -65,7 +65,7 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
         if pres.alphabet.arity == 1:
             order = 0
             for rel in pres.relators:
-                order = math.gcd(order, sum(s for _, s in rel.letters))
+                order = math.gcd(order, exponent_sum(rel))
             return MarkedGroup(
                 pres.name, CyclicOracle(abs(order) or None, pres.alphabet)
             )
@@ -172,15 +172,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if name == "zmod-limit":
         report = exp_zmod_limit(args.imax)
     elif name == "orbit":
-        report = exp_orbit(args.rho)
+        report = exp_orbit(args.rho, budget=args.budget)
     elif name == "continuity":
-        report = exp_continuity(args.radius)
+        report = exp_continuity(args.radius, budget=args.budget)
     elif name == "epsilon":
         try:
             i_list = [int(part) for part in args.i.split(",")] if args.i else [1]
         except ValueError:
             raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
-        report = exp_epsilon(i_list, args.rho)
+        report = exp_epsilon(i_list, args.rho, budget=args.budget)
     else:  # unreachable through argparse choices
         raise SystemExit(f"error: unknown experiment {name!r}")
     text = report.to_json(include_timing=not args.no_timing)

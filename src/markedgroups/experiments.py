@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .hnn import e_oracle, g_oracle
+from .hnn import DEFAULT_BUDGET, e_oracle, g_oracle
 from .marked import (
     condensed_balls,
     escape_index,
@@ -34,6 +34,7 @@ from .words import (
     free_reduce,
     gen,
     invert,
+    parse_word,
     render_word,
     substitute,
 )
@@ -135,12 +136,12 @@ def _witness_word(i: int, alphabet: Alphabet = ABCHS) -> Word:
     return free_reduce(concat(h, invert(b ** i), a, b ** i))
 
 
-def exp_orbit(rho: int) -> ExperimentReport:
+def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """For the finite set F = ball of radius rho in G, find a conjugate
     of H = <h^2> that meets F exactly as H does yet differs from H."""
     if rho not in (1, 2, 3):
         raise ValueError("rho must be 1, 2 or 3")
-    oracle = g_oracle()
+    oracle = g_oracle(budget)
     orbit = orbit_agreement(rho, oracle)
     i = orbit.i
     witness = _witness_word(i)
@@ -183,13 +184,13 @@ def exp_orbit(rho: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def exp_continuity(r: int) -> ExperimentReport:
+def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Relation balls of the extensions over H and over its escaping
     conjugate coincide at radius r; the i=0 conjugate is separated by a
     short explicit word."""
     if r not in (2, 3, 4):
         raise ValueError("r must be 2, 3 or 4")
-    oracle = g_oracle()
+    oracle = g_oracle(budget)
     i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
 
@@ -265,42 +266,31 @@ def epsilon_kernel_certificate(i: int):
     """
     sigma = epsilon_substitution(i)
     start = substitute(epsilon_kernel_word(i), sigma)
-    lg = lambda name, sign=1: (ABCHST.index(name), sign)
-    b_sign = 1 if i >= 0 else -1
-    w = lambda *letters: Word(ABCHST, tuple(letters))
+    b = "b" if i >= 0 else "b^-1"
+    rule = lambda name, lhs, rhs: RewriteRule(
+        name, parse_word(lhs, ABCHST), parse_word(rhs, ABCHST)
+    )
     rules = [
-        RewriteRule("move-h-inv-left", w(lg("b", b_sign), lg("h", -1)),
-                    w(lg("h", -1), lg("b", b_sign))),
-        RewriteRule(
-            "fold-inverse-pair",
-            w(lg("a", -1), lg("h", -1)),
-            w(lg("s", -1), lg("h", -1), lg("h", -1), lg("s", 1)),
-        ),
-        RewriteRule(
-            "stable-pinch",
-            w(lg("t", -1), lg("h", -1), lg("h", -1), lg("t", 1)),
-            w(lg("h", -1), lg("h", -1)),
-        ),
-        RewriteRule("move-h-left", w(lg("b", b_sign), lg("h", 1)),
-                    w(lg("h", 1), lg("b", b_sign))),
-        RewriteRule(
-            "fold-pair",
-            w(lg("h", 1), lg("a", 1)),
-            w(lg("s", -1), lg("h", 1), lg("h", 1), lg("s", 1)),
-        ),
+        rule("move-h-inv-left", f"{b} h^-1", f"h^-1 {b}"),
+        rule("fold-inverse-pair", "a^-1 h^-1", "s^-1 h^-1 h^-1 s"),
+        rule("stable-pinch", "t^-1 h^-1 h^-1 t", "h^-1 h^-1"),
+        rule("move-h-left", f"{b} h", f"h {b}"),
+        rule("fold-pair", "h a", "s^-1 h h s"),
     ]
     schedule = [0] * abs(i) + [1, 2] + [3] * abs(i) + [4]
     steps = build_trace(start, rules, schedule)
     return start, rules, steps
 
 
-def exp_epsilon(i_list: Iterable[int], rho: int) -> ExperimentReport:
+def exp_epsilon(
+    i_list: Iterable[int], rho: int, *, budget: int = DEFAULT_BUDGET
+) -> ExperimentReport:
     """For each i: the map is well defined, surjective, non-injective,
     and its collision count on the radius-rho ball is reported."""
     if rho > 2:
         raise ValueError("rho must be at most 2")
     i_list = list(i_list)
-    oracle = e_oracle()
+    oracle = e_oracle(budget)
     for i in i_list:
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")

@@ -112,16 +112,16 @@ def split(w: Word, base_alphabet: Alphabet) -> BrittonWord:
 
     The parts are subwords of w, so they are freely reduced when w is.
     """
-    stable = base_alphabet.arity
+    stable = 2 * base_alphabet.arity  # t; t^-1 is stable + 1
     head_letters: list = []
     tail: list[tuple[int, list]] = []
     current: list = head_letters
-    for idx, sign in w.letters:
-        if idx == stable:
+    for x in w.letters:
+        if x >= stable:
             current = []
-            tail.append((sign, current))
+            tail.append((-1 if x & 1 else 1, current))
         else:
-            current.append((idx, sign))
+            current.append(x)
     return BrittonWord(
         Word(base_alphabet, tuple(head_letters)),
         tuple((eps, Word(base_alphabet, tuple(letters))) for eps, letters in tail),
@@ -204,17 +204,12 @@ class HnnOracle:
 
 
 def _h_power(alphabet: Alphabet, k: int) -> Word:
-    h_idx = alphabet.index("h")
-    sign = 1 if k >= 0 else -1
-    return Word(alphabet, ((h_idx, sign),) * abs(k))
+    return gen(alphabet, "h") ** k
 
 
 def _ha_power(alphabet: Alphabet, k: int) -> Word:
     # (ha)^k = h^k a^(k mod 2): h central, a^2 = 1.
-    letters = list(_h_power(alphabet, k).letters)
-    if k % 2:
-        letters.append((alphabet.index("a"), 1))
-    return Word(alphabet, tuple(letters))
+    return _h_power(alphabet, k) * gen(alphabet, "a") ** (k % 2)
 
 
 def g_pair() -> AssociatedPair:

@@ -31,9 +31,11 @@ from .words import (
     check_budget,
     enumerate_ball,
     enumerate_sphere,
+    exponent_sum,
     free_reduce,
     gen,
     invert,
+    invert_letters,
     render_canonical,
     sort_key,
     transfer,
@@ -55,7 +57,7 @@ class CyclicOracle:
 
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
-        exponent = sum(sign for _, sign in w.letters)
+        exponent = exponent_sum(w)
         if self.order is None:
             return exponent == 0
         return exponent % self.order == 0
@@ -127,13 +129,13 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     oracle = m.oracle
     trivial: list[Word] = []
     for w in enumerate_ball(oracle.alphabet, r):
-        wi = invert(w)
-        if sort_key(wi) < sort_key(w):
-            continue  # tested as its inverse
+        inverse = invert_letters(w.letters)
+        if inverse < w.letters:
+            continue  # tested as its inverse, which has the same length
         if oracle.is_trivial(w):
             trivial.append(w)
-            if wi.letters != w.letters:
-                trivial.append(wi)
+            if inverse != w.letters:
+                trivial.append(Word(w.alphabet, inverse))
     trivial.sort(key=sort_key)
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 

@@ -143,7 +143,7 @@ def conjugation_substitution(
         raise ValueError(f"stable letter {stable!r} not in alphabet")
     stable_idx = p_e.alphabet.index(stable)
     g_lifted = Word(p_e.alphabet, g.letters) if g.alphabet != p_e.alphabet else g
-    if any(idx == stable_idx for idx, _ in g_lifted.letters):
+    if any(x >> 1 == stable_idx for x in g_lifted.letters):
         raise InvalidConjugatorError(
             f"conjugator {render_word(g)!r} contains the stable letter"
         )

@@ -1,8 +1,11 @@
 """Free-group words over named alphabets.
 
-Words are stored as tuples of (generator index, sign) pairs so that
-generators can carry multi-character names and inversion is O(1) per
-letter.  All values are immutable; all operations are pure.
+A letter is one int: 2*i for generator i and 2*i + 1 for its inverse,
+so ``x ^ 1`` inverts a letter, ``x >> 1`` is its generator index, and
+int order is the enumeration order (index ascending, each generator
+before its inverse).  Names live only in the alphabet, so generators can
+carry multi-character names.  All values are immutable; all operations
+are pure.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterator
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+Letter = int  # 2*i for generator i, 2*i + 1 for its inverse
 
 
 class WordSyntaxError(ValueError):
@@ -79,12 +82,13 @@ class Word:
     letters: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        n = self.alphabet.arity
-        for idx, sign in self.letters:
-            if not 0 <= idx < n:
-                raise ValueError(f"letter index {idx} out of range for arity {n}")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        bound = 2 * self.alphabet.arity
+        for x in self.letters:
+            if type(x) is not int or not 0 <= x < bound:
+                raise ValueError(
+                    f"letter {x!r} is not an int in [0, {bound}) for arity "
+                    f"{self.alphabet.arity}"
+                )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -110,18 +114,15 @@ class Word:
         return render_word(self)
 
     def is_reduced(self) -> bool:
-        for (i1, s1), (i2, s2) in zip(self.letters, self.letters[1:]):
-            if i1 == i2 and s1 == -s2:
-                return False
-        return True
+        return all(x ^ y != 1 for x, y in zip(self.letters, self.letters[1:]))
 
 
 def identity(alphabet: Alphabet) -> Word:
     return Word(alphabet, ())
 
 
-def gen(alphabet: Alphabet, name: str, sign: int = 1) -> Word:
-    return Word(alphabet, ((alphabet.index(name), sign),))
+def gen(alphabet: Alphabet, name: str) -> Word:
+    return Word(alphabet, (2 * alphabet.index(name),))
 
 
 def concat(*ws: Word) -> Word:
@@ -140,18 +141,23 @@ def concat(*ws: Word) -> Word:
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to w in the free group."""
     stack: list[Letter] = []
-    for idx, sign in w.letters:
-        if stack and stack[-1][0] == idx and stack[-1][1] == -sign:
+    for x in w.letters:
+        if stack and stack[-1] == x ^ 1:
             stack.pop()
         else:
-            stack.append((idx, sign))
+            stack.append(x)
     if len(stack) == len(w.letters):
         return w
     return Word(w.alphabet, tuple(stack))
 
 
+def invert_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters of the inverse word: reversed, each letter inverted."""
+    return tuple(x ^ 1 for x in reversed(letters))
+
+
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple((idx, -sign) for idx, sign in reversed(w.letters)))
+    return Word(w.alphabet, invert_letters(w.letters))
 
 
 def conjugate(x: Word, y: Word) -> Word:
@@ -167,7 +173,7 @@ def commutator(u: Word, v: Word) -> Word:
 def check_alphabet(w: Word, alphabet: Alphabet) -> None:
     """Refuse a word over another alphabet: letters are read by index, so
     a permuted or wider alphabet would silently mean a different word."""
-    if w.alphabet is not alphabet and w.alphabet != alphabet:
+    if w.alphabet is not alphabet and w.alphabet.names != alphabet.names:
         raise ValueError(
             f"word over {w.alphabet.names} given to a group over {alphabet.names}"
         )
@@ -189,34 +195,28 @@ def transfer(w: Word, alphabet: Alphabet) -> Word:
     return Word(alphabet, w.letters)
 
 
-# Letter order for enumeration and sorting: index ascending, +1 before -1.
-def _letter_key(letter: Letter) -> tuple[int, int]:
-    idx, sign = letter
-    return (idx, 0 if sign > 0 else 1)
+def exponent_sum(w: Word) -> int:
+    """The image of w in Z when every generator maps to 1."""
+    return len(w.letters) - 2 * sum(x & 1 for x in w.letters)
 
 
-def sort_key(w: Word) -> tuple[int, tuple[tuple[int, int], ...]]:
-    return (len(w.letters), tuple(_letter_key(let) for let in w.letters))
+def sort_key(w: Word) -> tuple[int, tuple[Letter, ...]]:
+    """Length-lex order; int order on letters is the enumeration order."""
+    return (len(w.letters), w.letters)
 
 
 def render_word(w: Word) -> str:
     if not w.letters:
         return "1"
-    parts = []
-    for idx, sign in w.letters:
-        name = w.alphabet.names[idx]
-        parts.append(name if sign > 0 else name + "^-1")
-    return " ".join(parts)
+    names = w.alphabet.names
+    return " ".join(names[x >> 1] + ("^-1" if x & 1 else "") for x in w.letters)
 
 
 def render_canonical(w: Word) -> str:
     """Name-independent rendering over the basis x1..xn of the free group."""
     if not w.letters:
         return "1"
-    parts = []
-    for idx, sign in w.letters:
-        parts.append(f"x{idx + 1}" if sign > 0 else f"x{idx + 1}^-1")
-    return " ".join(parts)
+    return " ".join(f"x{(x >> 1) + 1}" + ("^-1" if x & 1 else "") for x in w.letters)
 
 
 def ball_size(n: int, r: int) -> int:
@@ -235,14 +235,13 @@ def _sphere_from(
     if length == 0:
         yield Word(alphabet, tuple(prefix))
         return
-    last = prefix[-1] if prefix else None
-    for idx in range(alphabet.arity):
-        for sign in (1, -1):
-            if last is not None and last[0] == idx and last[1] == -sign:
-                continue
-            prefix.append((idx, sign))
-            yield from _sphere_from(alphabet, length - 1, prefix)
-            prefix.pop()
+    cancel = prefix[-1] ^ 1 if prefix else -1
+    for x in range(2 * alphabet.arity):
+        if x == cancel:
+            continue
+        prefix.append(x)
+        yield from _sphere_from(alphabet, length - 1, prefix)
+        prefix.pop()
 
 
 def enumerate_sphere(alphabet: Alphabet, length: int) -> Iterator[Word]:
@@ -285,12 +284,9 @@ def substitute(w: Word, sigma: Substitution) -> Word:
     if w.alphabet != sigma.source:
         raise ValueError("word not over the substitution's source alphabet")
     letters: list[Letter] = []
-    for idx, sign in w.letters:
-        img = sigma.images[idx]
-        if sign > 0:
-            letters.extend(img.letters)
-        else:
-            letters.extend((i, -s) for i, s in reversed(img.letters))
+    for x in w.letters:
+        img = sigma.images[x >> 1].letters
+        letters.extend(invert_letters(img) if x & 1 else img)
     return free_reduce(Word(sigma.target, tuple(letters)))
 
 
@@ -385,7 +381,7 @@ def _parse_sequence(tokens: _Tokens, alphabet: Alphabet, stop: tuple[str, ...]) 
 def _power_length(w: Word, k: int) -> int:
     """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
     n, u, letters = len(w), 0, w.letters
-    while 2 * u + 1 < n and letters[u] == (letters[-1 - u][0], -letters[-1 - u][1]):
+    while 2 * u + 1 < n and letters[u] == letters[-1 - u] ^ 1:
         u += 1
     return 2 * u + abs(k) * (n - 2 * u) if k else 0
 

@@ -166,7 +166,7 @@ def test_criterion_7_oracle_properties():
     ok = True
     for _ in range(1000):
         letters = tuple(
-            (rng.randrange(6), rng.choice((1, -1)))
+            2 * rng.randrange(6) + (rng.choice((1, -1)) < 0)
             for _ in range(rng.randrange(0, 13))
         )
         w = Word(ABCHST, letters)
@@ -174,7 +174,7 @@ def test_criterion_7_oracle_properties():
         u = Word(
             ABCHST,
             tuple(
-                (rng.randrange(6), rng.choice((1, -1)))
+                2 * rng.randrange(6) + (rng.choice((1, -1)) < 0)
                 for _ in range(rng.randrange(0, 5))
             ),
         )

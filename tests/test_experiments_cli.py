@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -260,6 +261,48 @@ def test_cli_index_budget(capsys, argv):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget", "2", "experiment", "orbit", "--rho", "1"],
+        ["--budget", "2", "experiment", "continuity", "--radius", "2"],
+        ["--budget", "2", "experiment", "epsilon", "--i", "3", "--rho", "0"],
+        ["--budget", "100", "experiment", "epsilon", "--i", "1000000000",
+         "--rho", "0"],
+    ],
+)
+def test_cli_experiment_budget(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"(budget {argv[1]})" in err, err
+
+
+# SHA-256 of stdout for fixed commands, so that a change to rendering, word
+# order or a verdict fails in the fast tests, not only in the benchmark.
+PINNED_OUTPUT = {
+    "experiment continuity --radius 3 --no-timing":
+        "ac89e3d73fd0f1b12c31b0ef840f93a9c17422e67946df97b1682051535c9995",
+    "experiment orbit --rho 2 --no-timing":
+        "fbb25d4c69a2cfa751550d4e3d8851ad5bed4f88fe29cb6ee7d591ba0159160f",
+    "experiment epsilon --i 1,2 --rho 1 --no-timing":
+        "99303092235d9e35f01dae8d7b511775efff771103d6a515c12584ee0134741b",
+    "chabauty --rho 2":
+        "93160d08c7bd35fb685c5b73f09e9b341ff661a32d37d3dd188213c432727944",
+    "condense --i 1 --radius 3":
+        "3c267e3fc60821539f25ae30111ccb523922853c4e03bb4d4b636c0fe6efa489",
+    "ball --group G --radius 4":
+        "e8651a1b12ac564b429a8abcf8699c286e3bb410a8bd7bb117bb7f755a7804ec",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUT))
+def test_cli_output_pinned(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[command]
 
 
 @pytest.mark.parametrize(

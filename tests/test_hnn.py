@@ -167,7 +167,7 @@ def test_trivial_conjugator_handle():
     rng = random.Random(11)
     for _ in range(20):
         letters = tuple(
-            (rng.randrange(5), rng.choice((1, -1)))
+            2 * rng.randrange(5) + (rng.choice((1, -1)) < 0)
             for _ in range(rng.randrange(0, 9))
         )
         w = Word(ABCHS, letters)
@@ -182,7 +182,7 @@ def random_words(alphabet, count, max_len, seed):
     out = []
     for _ in range(count):
         letters = tuple(
-            (rng.randrange(alphabet.arity), rng.choice((1, -1)))
+            2 * rng.randrange(alphabet.arity) + (rng.choice((1, -1)) < 0)
             for _ in range(rng.randrange(0, max_len + 1))
         )
         out.append(Word(alphabet, letters))
@@ -222,7 +222,7 @@ def stable_heavy_words(draw, alphabet):
     letter = st.tuples(
         st.one_of(st.sampled_from((3, n - 1)), st.integers(0, n - 1)),
         st.sampled_from((1, -1)),
-    )
+    ).map(lambda t: 2 * t[0] + (t[1] < 0))
     return Word(alphabet, tuple(draw(st.lists(letter, max_size=24))))
 
 

@@ -52,6 +52,31 @@ def test_relation_ball_zmod2():
     ]
 
 
+class CountingOracle:
+    """Passes every call through to an oracle and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.calls = 0
+
+    def is_trivial(self, w):
+        self.calls += 1
+        return self.inner.is_trivial(w)
+
+
+@pytest.mark.parametrize(
+    "group, r, calls",
+    [(marked_Z(), r, r + 1) for r in range(5)]
+    + [(MarkedGroup("E", e_oracle()), 2, 73)],
+)
+def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
+    counting = CountingOracle(group.oracle)
+    ball = relation_ball(MarkedGroup(group.name, counting), r)
+    assert counting.calls == calls
+    assert ball == relation_ball(group, r)
+
+
 def test_relation_ball_e_radius2():
     e_marked = MarkedGroup("E", condense(G_MARKED, h2_point()).oracle)
     ball = relation_ball(e_marked, 2)
@@ -155,7 +180,7 @@ def test_e_relation_ball_pinned_and_built_by_condense():
     rng = random.Random(29)
     for _ in range(200):
         letters = tuple(
-            (rng.randrange(e.alphabet.arity), rng.choice((1, -1)))
+            2 * rng.randrange(e.alphabet.arity) + (rng.choice((1, -1)) < 0)
             for _ in range(rng.randrange(0, 13))
         )
         w = Word(e.alphabet, letters)
@@ -187,8 +212,8 @@ def test_condense_z_whole_group_is_z_squared():
         alphabet = ext.oracle.alphabet
 
         def is_trivial(self, w):
-            e1 = sum(s for i, s in w.letters if i == 0)
-            e2 = sum(s for i, s in w.letters if i == 1)
+            e1 = sum((-1) ** x for x in w.letters if x // 2 == 0)
+            e2 = sum((-1) ** x for x in w.letters if x // 2 == 1)
             return e1 == 0 and e2 == 0
 
     reference = MarkedGroup("Z^2", ZSquared())

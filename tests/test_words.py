@@ -46,6 +46,19 @@ def test_alphabet_validation():
     assert Alphabet(("x_1", "Y2")).arity == 2
 
 
+@pytest.mark.parametrize("letters", [(4,), (-1,), ((0, 1),)])
+def test_word_rejects_bad_letters(letters):
+    # a letter is one int: 2*i for generator i, 2*i + 1 for its inverse
+    with pytest.raises(ValueError):
+        Word(AB, letters)
+
+
+def test_letter_order_is_generator_then_inverse():
+    assert [render_word(u) for u in enumerate_sphere(AB, 1)] == [
+        "a", "a^-1", "b", "b^-1"
+    ]
+
+
 def test_alphabet_extend_conflict():
     with pytest.raises(ValueError):
         AB.extend("a")
@@ -73,7 +86,9 @@ def words(draw, alphabet=AB, max_len=20):
     n = alphabet.arity
     letters = draw(
         st.lists(
-            st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+            st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))).map(
+                lambda t: 2 * t[0] + (t[1] < 0)
+            ),
             max_size=max_len,
         )
     )
@@ -136,7 +151,7 @@ def test_substitute_homomorphic(u, v):
 def brute_force_ball(alphabet, r):
     """Independent oracle: generate all letter strings, keep reduced ones."""
     n = alphabet.arity
-    letters = [(i, s) for i in range(n) for s in (1, -1)]
+    letters = [2 * i + (s < 0) for i in range(n) for s in (1, -1)]
     out = set()
     for length in range(r + 1):
         for combo in itertools.product(letters, repeat=length):
