@@ -32,7 +32,6 @@ from .baumslag import (
     BaseElement,
     BElement,
     PolyFrac,
-    eval_b,
     eval_base,
     member_A,
     member_H2,
@@ -44,11 +43,9 @@ from .baumslag import (
 )
 from .hnn import (
     AssociatedPair,
-    BrittonWord,
     BudgetExceededError,
     HnnOracle,
     SubgroupHandle,
-    britton_reduce,
     conjugate_handle,
     e_oracle,
     g_oracle,
@@ -56,7 +53,6 @@ from .hnn import (
     member_in_G,
     oracle_for,
     pair_from_handle,
-    split,
 )
 from .marked import (
     Agreement,

@@ -223,19 +223,6 @@ _B_GENS = {"a": B_A, "b": B_B, "c": B_C}
 _B_GENS_INV = {name: b_inv(el) for name, el in _B_GENS.items()}
 
 
-def eval_b(w: Word) -> BElement:
-    """Homomorphic evaluation of a word over {a, b, c} in B."""
-    result = B_IDENTITY
-    names = w.alphabet.names
-    for x in w.letters:
-        name = names[x >> 1]
-        table = _B_GENS_INV if x & 1 else _B_GENS
-        if name not in table:
-            raise ForeignLetterError(f"letter {name!r} is not a generator of B")
-        result = b_mul(result, table[name])
-    return result
-
-
 def eval_base(w: Word) -> BaseElement:
     """Homomorphic evaluation of a word over {a, b, c, h} in <h> x B."""
     n = 0

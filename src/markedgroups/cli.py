@@ -42,6 +42,14 @@ class UsageError(SystemExit):
     """A bad argument; ``main`` prints it as one line and exits 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors as UsageError instead of printing a usage
+    block and exiting; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def load_group(spec: str, budget: int) -> MarkedGroup:
     """Resolve a group spec: B|ZxB|G|E, Z, Z/N, or file:PATH.
 
@@ -194,7 +202,7 @@ _WORKERS_HELP = "accepted for compatibility; has no effect (scans run in one thr
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markedgroups",
         description="Exact word problems, relation balls, and subgroup "
         "experiments for the built-in extension tower.",
@@ -259,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.budget < 0:
             raise UsageError(f"--budget must be non-negative, got {args.budget}")
         if getattr(args, "workers", 1) < 1:

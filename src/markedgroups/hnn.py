@@ -27,7 +27,6 @@ from typing import Callable, Optional, Protocol, TypeVar
 
 from .baumslag import (
     BaseElement,
-    eval_b,
     eval_base,
     member_A,
     member_H2,
@@ -66,7 +65,7 @@ class BOracle:
 
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
-        return eval_b(w).is_identity()
+        return eval_base(w).is_identity()
 
 
 @dataclass(frozen=True)
@@ -94,71 +93,6 @@ class AssociatedPair:
     member_right: Callable[[Word], Optional[Word]]
 
 
-@dataclass(frozen=True)
-class BrittonWord:
-    """Alternating form g0 t^e1 g1 ... t^ek gk with stable-free parts g_i."""
-
-    head: Word
-    tail: tuple[tuple[int, Word], ...] = ()
-
-    @property
-    def stable_count(self) -> int:
-        return len(self.tail)
-
-
-def split(w: Word, base_alphabet: Alphabet) -> BrittonWord:
-    """Parse a word over base_alphabet extended by one stable letter (the
-    last letter) into alternating form; base letters keep their indices.
-
-    The parts are subwords of w, so they are freely reduced when w is.
-    """
-    stable = 2 * base_alphabet.arity  # t; t^-1 is stable + 1
-    head_letters: list = []
-    tail: list[tuple[int, list]] = []
-    current: list = head_letters
-    for x in w.letters:
-        if x >= stable:
-            current = []
-            tail.append((-1 if x & 1 else 1, current))
-        else:
-            current.append(x)
-    return BrittonWord(
-        Word(base_alphabet, tuple(head_letters)),
-        tuple((eps, Word(base_alphabet, tuple(letters))) for eps, letters in tail),
-    )
-
-
-def britton_reduce(
-    bw: BrittonWord, pair: AssociatedPair, *, budget: int = DEFAULT_BUDGET
-) -> BrittonWord:
-    """Remove every pinch in one left-to-right pass.
-
-    The stack holds a pinch-free prefix.  By Britton's lemma, appending
-    t^e g to it can only create a pinch around the top part, so each
-    stable letter is tried against that part once: on a hit the part's
-    image is merged with its neighbours and the stack pops.  Pinches are
-    taken in the order of leftmost-first rewriting, which this pass
-    therefore reproduces, reduced form included.
-    """
-    eps: list[int] = []
-    parts = [bw.head]
-    for e, g in bw.tail:
-        if eps and eps[-1] == -e:
-            image = (pair.member_left if e > 0 else pair.member_right)(parts[-1])
-            if image is not None:
-                merged = free_reduce(concat(parts[-2], image, g))
-                if len(merged) > budget:
-                    raise BudgetExceededError(
-                        f"base part grew to {len(merged)} letters (budget {budget})"
-                    )
-                del eps[-1], parts[-1]
-                parts[-1] = merged
-                continue
-        eps.append(e)
-        parts.append(g)
-    return BrittonWord(parts[0], tuple(zip(eps, parts[1:])))
-
-
 class HnnOracle:
     """Word-problem oracle for an extension by a commuting stable letter."""
 
@@ -176,26 +110,81 @@ class HnnOracle:
         self.alphabet = base.alphabet.extend(stable)
         self.budget = budget
 
-    def reduce(self, w: Word) -> BrittonWord:
-        check_alphabet(w, self.alphabet)
-        if len(w) > self.budget:
-            raise BudgetExceededError(
-                f"input word has {len(w)} letters (budget {self.budget})"
-            )
-        bw = split(free_reduce(w), self.base.alphabet)
-        return britton_reduce(bw, self.pair, budget=self.budget)
+    def _fold(self, w: Word) -> tuple[list[int], list[int]]:
+        """Remove every pinch in one left-to-right pass over free_reduce(w).
 
-    def is_trivial(self, w: Word, *, strategy: str = "leftmost") -> bool:
+        Returns the letters of the reduced form and the positions of its
+        stable letters.  The list ``out`` holds a pinch-free prefix, and
+        base letters are pushed onto it with free cancellation.  By
+        Britton's lemma a stable letter can only pinch the part since the
+        previous stable letter, so each part is tried once, when it
+        closes: on a hit both stable letters and the part give way to the
+        part's image.  Pinches are taken in the order of leftmost-first
+        rewriting, which this pass therefore reproduces, reduced form
+        included.
+        """
+        check_alphabet(w, self.alphabet)
+        budget = self.budget
+        if len(w) > budget:
+            raise BudgetExceededError(
+                f"input word has {len(w)} letters (budget {budget})"
+            )
+        base = self.base.alphabet
+        stable = 2 * base.arity  # t; t^-1 is stable + 1
+        left, right = self.pair.member_left, self.pair.member_right
+        out: list[int] = []
+        marks: list[int] = []
+        for x in free_reduce(w).letters:
+            if x < stable:
+                if out and out[-1] == x ^ 1:
+                    out.pop()
+                else:
+                    out.append(x)
+                continue
+            start = _close_part(out, marks, budget)
+            if marks and out[start - 1] == x ^ 1:
+                member = left if x == stable else right
+                image = member(Word(base, tuple(out[start:])))
+                if image is not None:
+                    del out[start - 1:]
+                    marks.pop()
+                    for y in image.letters:
+                        if out and out[-1] == y ^ 1:
+                            out.pop()
+                        else:
+                            out.append(y)
+                    continue
+            marks.append(len(out))
+            out.append(x)
+        _close_part(out, marks, budget)
+        return out, marks
+
+    def reduce(self, w: Word) -> Word:
+        """The reduced form of w: no pinch, every part freely reduced."""
+        return Word(self.alphabet, tuple(self._fold(w)[0]))
+
+    def _base_word(self, w: Word) -> Optional[Word]:
+        """The reduced form of w over the base alphabet, or None if it keeps
+        a stable letter: w then lies outside the base group."""
+        out, marks = self._fold(w)
+        return None if marks else Word(self.base.alphabet, tuple(out))
+
+    def is_trivial(self, w: Word) -> bool:
         """Britton's lemma: w is trivial iff its reduced form has no stable
-        letters and a trivial head.  Strategy "rightmost" reduces w^-1
-        instead, meeting w's pinches from the right end, to check that the
-        verdict does not depend on the order."""
-        if strategy == "rightmost":
-            w = invert(w)
-        elif strategy != "leftmost":
-            raise ValueError(f"unknown strategy {strategy!r}")
-        bw = self.reduce(w)
-        return bw.stable_count == 0 and self.base.is_trivial(bw.head)
+        letters and is trivial in the base group."""
+        z = self._base_word(w)
+        return z is not None and self.base.is_trivial(z)
+
+
+def _close_part(out: list[int], marks: list[int], budget: int) -> int:
+    """Where the part after the last stable letter starts; a part longer
+    than the budget is refused."""
+    start = marks[-1] + 1 if marks else 0
+    if len(out) - start > budget:
+        raise BudgetExceededError(
+            f"base part grew to {len(out) - start} letters (budget {budget})"
+        )
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +230,8 @@ def member_in_G(
     hence outside every subgroup of it; otherwise membership is decided
     in <h> x B.
     """
-    bw = (oracle or g_oracle()).reduce(w)
-    if bw.stable_count:
-        return None
-    return test(eval_base(bw.head))
+    z = (oracle or g_oracle())._base_word(w)
+    return None if z is None else test(eval_base(z))
 
 
 # ---------------------------------------------------------------------------

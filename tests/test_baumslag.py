@@ -20,7 +20,6 @@ from markedgroups.baumslag import (
     b_mul,
     base_inv,
     base_mul,
-    eval_b,
     eval_base,
     gf2_divmod,
     gf2_mul,
@@ -145,13 +144,11 @@ def test_eval_base_examples():
     assert eval_base(pw("a^c")) == BaseElement(0, BElement(PolyFrac(0b11)))
     with pytest.raises(ForeignLetterError):
         eval_base(parse_word("s", builtin("G").alphabet))
-    with pytest.raises(ForeignLetterError):
-        eval_b(pw("h"))
 
 
 def test_relators_die_in_model():
     for rel in builtin("B").relators:
-        assert eval_b(Word(builtin("B").alphabet, rel.letters)).is_identity()
+        assert eval_base(Word(builtin("B").alphabet, rel.letters)).is_identity()
     for rel in builtin("ZxB").relators:
         assert eval_base(rel).is_identity()
 

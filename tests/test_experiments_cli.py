@@ -188,9 +188,14 @@ def test_cli_budget_exceeded(capsys):
 
 
 def test_cli_usage_error():
+    assert main(["experiment", "unknown"]) == 2
+
+
+def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["experiment", "unknown"])
-    assert err.value.code == 2
+        main(["ball", "--help"])
+    assert err.value.code == 0
+    assert "--radius" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -208,6 +213,9 @@ def test_cli_usage_error():
         ["experiment", "epsilon", "--i", "x"],
         ["--budget", "-1", "wp", "--group", "E", "--word", "a"],
         ["ball", "--group", "Z", "--radius", "1", "--workers", "-3"],
+        ["ball", "--group", "Z", "--radius", "1", "--bogus"],
+        ["ball", "--group", "Z", "--radius", "x"],
+        [],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from markedgroups.hnn import (
     g_pair,
     handle_for,
     member_in_G,
-    split,
 )
 from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
 from markedgroups.marked import CyclicOracle
@@ -48,37 +48,21 @@ G = g_oracle()
 E = e_oracle()
 
 
-# -- split -------------------------------------------------------------------
-
-
-def test_split_examples():
-    bw = split(gw("s^-1 h h s"), ABCH)
-    assert render_word(bw.head) == "1"
-    assert [(e, render_word(g)) for e, g in bw.tail] == [
-        (-1, "h h"), (1, "1")
-    ]
-    bw2 = split(gw("a b"), ABCH)
-    assert bw2.stable_count == 0 and render_word(bw2.head) == "a b"
-    bw3 = split(gw("s a s"), ABCH)
-    assert [(e, render_word(g)) for e, g in bw3.tail] == [(1, "a"), (1, "1")]
-
-
 # -- Britton reduction in G --------------------------------------------------
 
 
 def test_britton_reduce_g_examples():
-    bw = G.reduce(gw("s^-1 h^2 s"))
-    assert bw.stable_count == 0 and render_word(bw.head) == "h a"
-    bw2 = G.reduce(gw("s h a s^-1"))
-    assert bw2.stable_count == 0 and render_word(bw2.head) == "h h"
-    bw3 = G.reduce(gw("s a s^-1"))  # a not in <ha>: no pinch
-    assert bw3.stable_count == 2
+    assert render_word(G.reduce(gw("s^-1 h^2 s"))) == "h a"
+    assert render_word(G.reduce(gw("s h a s^-1"))) == "h h"
+    # a is not in <ha>: no pinch
+    assert render_word(G.reduce(gw("s a s^-1"))) == "s a s^-1"
+    # pinch-free forms come back unchanged
+    assert render_word(G.reduce(gw("a b"))) == "a b"
+    assert render_word(G.reduce(gw("s a s"))) == "s a s"
 
 
 def test_britton_reduce_e_examples():
-    bw = E.reduce(ew("t^-1 h^4 t"))
-    assert bw.stable_count == 0
-    assert render_word(bw.head) == "h h h h"
+    assert render_word(E.reduce(ew("t^-1 h^4 t"))) == "h h h h"
 
 
 def test_g_oracle_examples():
@@ -226,30 +210,77 @@ def stable_heavy_words(draw, alphabet):
     return Word(alphabet, tuple(draw(st.lists(letter, max_size=24))))
 
 
+def parts_of(oracle, r):
+    """The reduced form r split at its stable letters: the base parts and
+    the signs of the stable letters between them."""
+    stable = 2 * oracle.base.alphabet.arity
+    parts, signs = [[]], []
+    for x in r.letters:
+        if x >= stable:
+            signs.append(-1 if x & 1 else 1)
+            parts.append([])
+        else:
+            parts[-1].append(x)
+    return [Word(oracle.base.alphabet, tuple(p)) for p in parts], signs
+
+
 @given(st.one_of(stable_heavy_words(ABCHS), stable_heavy_words(ABCHST)))
 def test_reduced_form_has_no_pinch(w):
     oracle = G if w.alphabet == ABCHS else E
-    bw = oracle.reduce(w)
-    parts = [bw.head] + [g for _, g in bw.tail]
+    r = oracle.reduce(w)
+    assert r.alphabet == oracle.alphabet
+    parts, signs = parts_of(oracle, r)
     assert all(part.is_reduced() for part in parts)
-    for (e1, g), (e2, _) in zip(bw.tail, bw.tail[1:]):
+    for e1, g, e2 in zip(signs, parts[1:], signs[1:]):
         if e1 == -e2:
             member = oracle.pair.member_left if e1 < 0 else oracle.pair.member_right
             assert member(g) is None, render_word(g)
 
 
 def test_reduction_strategy_agreement():
+    # w^-1 meets w's pinches from the right end
     for w in random_words(ABCHST, 200, 10, seed=17):
-        left = E.is_trivial(w, strategy="leftmost")
-        right = E.is_trivial(w, strategy="rightmost")
-        assert left == right
+        assert E.is_trivial(w) == E.is_trivial(invert(w))
 
 
 def test_pinch_count_decreases_by_two():
-    bw = E.reduce(ew("t^-1 h^2 t t^-1 h^4 t"))
-    assert bw.stable_count == 0
-    start = split(free_reduce(ew("t^-1 h^2 t t^-1 h^4 t")), ABCHS)
-    assert start.stable_count == 2  # free reduction already removed one pair
+    w = ew("t^-1 h^2 t t^-1 h^4 t")
+    assert render_word(E.reduce(w)) == "h h h h h h"
+    stable = 2 * ABCHS.arity
+    # free reduction already removed one pair
+    assert sum(x >= stable for x in free_reduce(w).letters) == 2
+
+
+def pin_letters(rng, alphabet, depth):
+    """Up to four items: a random letter, h^2, h a or an inverse, or a
+    stable letter around a nested word and then its inverse, so that
+    pinches, nested ones too, are common."""
+    n = alphabet.arity
+    h, a = 2 * alphabet.index("h"), 2 * alphabet.index("a")
+    letters = []
+    for _ in range(rng.randrange(0, 5)):
+        r = rng.random()
+        if r < 0.2:
+            letters.append(rng.randrange(2 * n))
+        elif r < 0.5:
+            letters.extend(rng.choice(((h, h), (h + 1, h + 1), (h, a), (a, h + 1))))
+        elif depth:
+            x = 2 * rng.randrange(4, n) + rng.randrange(2)
+            letters += [x] + pin_letters(rng, alphabet, depth - 1) + [x ^ 1]
+    return letters
+
+
+def test_reduced_forms_pinned():
+    # SHA-256 of 2,000 rendered reduced forms; a change to the reduction
+    # engine must keep them byte-identical
+    lines = []
+    for oracle, seed in ((G, 1), (E, 2)):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            w = Word(oracle.alphabet, tuple(pin_letters(rng, oracle.alphabet, 3)))
+            lines.append(render_word(oracle.reduce(w)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "192b36a8e8c0a8ed3643cd784e9f5cc0893990fd4f14f3167ea8952a340d755d"
 
 
 def test_tower_consistency():
@@ -275,6 +306,15 @@ def test_budget_enforced():
     tight2 = HnnOracle(ZxBOracle(), g_pair(), "s", budget=6)
     with pytest.raises(BudgetExceededError):
         tight2.is_trivial(gw("s^-1 h^6 s"))
+
+
+def test_base_part_budget():
+    # 10 letters pass the input check; the nested pinches grow h a to h^16
+    w = gw("s s s s h a s^-1 s^-1 s^-1 s^-1")
+    message = r"^base part grew to 16 letters \(budget 10\)$"
+    with pytest.raises(BudgetExceededError, match=message):
+        g_oracle(10).reduce(w)
+    assert render_word(g_oracle(16).reduce(w)) == " ".join(["h"] * 16)
 
 
 def test_oracles_reject_foreign_alphabets():
