@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -99,26 +99,20 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("cannot multiply words over different alphabets")
-        return free_reduce(Word(self.alphabet, self.letters + other.letters))
+        return Word(self.alphabet, tuple(_reduce_letters(self.letters + other.letters)))
 
     def __invert__(self) -> "Word":
         return invert(self)
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return invert(self) ** (-k)
-        result = Word(self.alphabet, self.letters * k)
-        return free_reduce(result)
+        letters = invert_letters(self.letters) if k < 0 else self.letters
+        return Word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
 
     def __str__(self) -> str:
         return render_word(self)
 
     def is_reduced(self) -> bool:
         return all(x ^ y != 1 for x, y in zip(self.letters, self.letters[1:]))
-
-
-def identity(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
 
 
 def gen(alphabet: Alphabet, name: str) -> Word:
@@ -138,20 +132,26 @@ def concat(*ws: Word) -> Word:
     return Word(alphabet, tuple(letters))
 
 
-def free_reduce(w: Word) -> Word:
-    """The unique freely reduced word equal to w in the free group."""
+def _reduce_letters(letters: Sequence[Letter]) -> list[Letter]:
+    """Freely reduce a letter sequence: one pass with a stack."""
     stack: list[Letter] = []
-    for x in w.letters:
+    for x in letters:
         if stack and stack[-1] == x ^ 1:
             stack.pop()
         else:
             stack.append(x)
+    return stack
+
+
+def free_reduce(w: Word) -> Word:
+    """The unique freely reduced word equal to w in the free group."""
+    stack = _reduce_letters(w.letters)
     if len(stack) == len(w.letters):
         return w
     return Word(w.alphabet, tuple(stack))
 
 
-def invert_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def invert_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """The letters of the inverse word: reversed, each letter inverted."""
     return tuple(x ^ 1 for x in reversed(letters))
 
@@ -306,31 +306,37 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)"
-    r"|(?P<sym>[\^\(\)\[\],]))"
+    r"|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
+
+# Each level of brackets costs three parser frames (sequence, item, atom),
+# so this keeps the recursion far below Python's limit.
+_MAX_DEPTH = 100
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int | None = None, budget: int | None = None):
-        self.text = text
+    def __init__(
+        self, text: str, alphabet: Alphabet, line: int | None, budget: int | None
+    ):
+        self.alphabet = alphabet
         self.line = line
         self.budget = budget
         self.pos = 0
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise WordSyntaxError(
-                        f"unexpected character {text[pos:].strip()[0]!r}",
-                        line,
-                        pos + 1,
-                    )
-                break
-            if m.lastgroup is not None:
-                self.items.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
+        depth = 0
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            value = m.group(kind)
+            if kind == "bad":
+                raise WordSyntaxError(
+                    f"unexpected character {value!r}", line, m.start() + 1
+                )
+            depth += (value in "([") - (value in ")]")  # no name or int is in these
+            if depth > _MAX_DEPTH:
+                raise WordSyntaxError(
+                    f"brackets nested deeper than {_MAX_DEPTH}", line, m.start(kind) + 1
+                )
+            self.items.append((kind, value, m.start(kind)))
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -345,49 +351,39 @@ class _Tokens:
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)
 
-    def expect(self, value: str) -> None:
-        item = self.next()
-        if item[1] != value:
-            raise WordSyntaxError(
-                f"expected {value!r}, got {item[1]!r}", self.line, item[2] + 1
-            )
-
 
 def parse_word(
     text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
-    tokens = _Tokens(text, line, budget)
-    w = _parse_sequence(tokens, alphabet, stop=())
+    tokens = _Tokens(text, alphabet, line, budget)
+    letters = _parse_sequence(tokens, stop=())
     extra = tokens.peek()
     if extra is not None:
-        raise WordSyntaxError(
-            f"unexpected token {extra[1]!r}", line, extra[2] + 1
-        )
-    return w
+        raise WordSyntaxError(f"unexpected token {extra[1]!r}", line, extra[2] + 1)
+    return Word(alphabet, tuple(letters))
 
 
-def _parse_sequence(tokens: _Tokens, alphabet: Alphabet, stop: tuple[str, ...]) -> Word:
+def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
     letters: list[Letter] = []
     while True:
         item = tokens.peek()
         if item is None or (item[0] == "sym" and item[1] in stop):
-            break
-        letters.extend(_parse_item(tokens, alphabet).letters)
+            return letters
+        letters.extend(_parse_item(tokens))
         tokens.check(len(letters))
-    return Word(alphabet, tuple(letters))
 
 
-def _power_length(w: Word, k: int) -> int:
+def _power_length(letters: list[Letter], k: int) -> int:
     """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
-    n, u, letters = len(w), 0, w.letters
+    n, u = len(letters), 0
     while 2 * u + 1 < n and letters[u] == letters[-1 - u] ^ 1:
         u += 1
     return 2 * u + abs(k) * (n - 2 * u) if k else 0
 
 
-def _parse_item(tokens: _Tokens, alphabet: Alphabet) -> Word:
-    base = _parse_atom(tokens, alphabet)
+def _parse_item(tokens: _Tokens) -> list[Letter]:
+    base = _parse_atom(tokens)
     while True:
         item = tokens.peek()
         if item is None or item[1] != "^":
@@ -399,36 +395,36 @@ def _parse_item(tokens: _Tokens, alphabet: Alphabet) -> Word:
         if exp[0] == "int":
             tokens.next()
             k = int(exp[1])
-            base = free_reduce(base)
+            base = _reduce_letters(base)
             tokens.check(_power_length(base, k))
-            base = base ** k
+            base = _reduce_letters((invert_letters(base) if k < 0 else base) * abs(k))
         else:
-            conjugator = _parse_atom(tokens, alphabet)
-            base = free_reduce(concat(invert(conjugator), base, conjugator))
+            y = _parse_atom(tokens)
+            base = _reduce_letters([*invert_letters(y), *base, *y])
             tokens.check(len(base))
 
 
-def _parse_atom(tokens: _Tokens, alphabet: Alphabet) -> Word:
+def _parse_atom(tokens: _Tokens) -> list[Letter]:
     kind, value, col = tokens.next()
     if kind == "name":
         try:
-            return gen(alphabet, value)
+            return [2 * tokens.alphabet.index(value)]
         except KeyError:
             raise WordSyntaxError(
                 f"unknown generator {value!r}", tokens.line, col + 1
             ) from None
     if kind == "int" and value == "1":
-        return identity(alphabet)
+        return []
     if kind == "sym" and value == "(":
-        inner = _parse_sequence(tokens, alphabet, stop=(")",))
-        tokens.expect(")")
+        inner = _parse_sequence(tokens, stop=(")",))
+        tokens.next()  # the ")" that stopped the sequence
         return inner
     if kind == "sym" and value == "[":
-        u = _parse_sequence(tokens, alphabet, stop=(",",))
-        tokens.expect(",")
-        v = _parse_sequence(tokens, alphabet, stop=("]",))
-        tokens.expect("]")
-        w = commutator(u, v)
+        u = _parse_sequence(tokens, stop=(",",))
+        tokens.next()  # ","
+        v = _parse_sequence(tokens, stop=("]",))
+        tokens.next()  # "]"
+        w = _reduce_letters([*invert_letters(u), *invert_letters(v), *u, *v])
         tokens.check(len(w))
         return w
     raise WordSyntaxError(f"unexpected token {value!r}", tokens.line, col + 1)

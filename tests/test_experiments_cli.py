@@ -245,6 +245,22 @@ def test_cli_presentation_file_budget(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_cli_deep_nesting_exit_2(capsys, tmp_path):
+    deep = "(" * 1000 + "x" + ")" * 1000
+    assert main(["wp", "--group", "E", "--word", deep.replace("x", "a")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: brackets nested deeper than 100\n", err
+    path = tmp_path / "deep.pres"
+    path.write_text(f"group X\ngens x\nrel {deep}\n")
+    assert main(["ball", "--group", f"file:{path}", "--radius", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: brackets nested deeper than 100 (line 3"), err
+    assert err.count("\n") == 1
+    limit = "(" * 100 + "a a^-1" + ")" * 100
+    assert main(["wp", "--group", "E", "--word", limit]) == 0
+    assert '"trivial": true' in capsys.readouterr().out
+
+
 def test_cli_relator_equation_budget(capsys, tmp_path):
     # each side fits the default budget of 10000; together they do not
     path = tmp_path / "eq.pres"

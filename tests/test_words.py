@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -225,3 +227,54 @@ def test_parse_errors():
         w("z")
     with pytest.raises(WordSyntaxError):
         w("a !")
+
+
+def test_parse_nesting_limit():
+    # each level of brackets costs three parser frames, so depth is capped
+    assert render_word(w("(" * 100 + "a" + ")" * 100)) == "a"
+    assert render_word(w("[" * 99 + "(a b)" + ", 1]" * 99)) == "1"
+    with pytest.raises(WordSyntaxError, match=r"nested deeper than 100 \(line 2, col 101\)"):
+        parse_word("(" * 101 + "a" + ")" * 101, AB, 2)
+
+
+# A fixed pool of pieces: names, unknown names, the empty word, powers
+# (zero, negative zero and too large to expand), conjugations,
+# commutators, stray brackets, commas, carets and characters.
+_PIECES = (
+    "a", "b", "x_1", "a^-1", "b^-1", "z", "c", "ab", "x_2", "1",
+    "a^0", "b^-0", "a^2", "b^-3", "x_1^5", "(a b)^-2", "(a b a^-1)^3",
+    "(a b b^-1 a^-1)^7", "a^99999999999999999999999",
+    "b^-99999999999999999999999", "(a b)^123456789012345678901234567890",
+    "1^99999999999999999999999", "a^b", "b^(a b)", "(a^2)^(b a^-1)",
+    "x_1^(a b)^2", "[a, b]", "[a b, b^-1 a]", "[a^2, (a b)^-1]", "[a, a]",
+    "(", ")", "[", "]", ",", "^", "^2", "^-1", "^b", "^(", "^-0", "a^",
+    "!", "#", "-", "-3", "01", "a^01", "a a^-1", "b^-1 b a",
+)
+
+
+def _parse_outcomes(n_texts):
+    alphabet = Alphabet(("a", "b", "x_1"))
+    rng = random.Random(20231)
+    for _ in range(n_texts):
+        k = rng.randint(1, 6)
+        text = "".join(
+            rng.choice(_PIECES) + rng.choice((" ", " ", "", "  ", "\t"))
+            for _ in range(k)
+        )
+        for budget in (None, 5, 20, 100):
+            for line in (None, 3):
+                try:
+                    yield repr(parse_word(text, alphabet, line, budget=budget).letters)
+                except Exception as exc:  # the class and message are pinned
+                    yield f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_pinned():
+    # letters or exception of 160,000 parses; hash taken before the
+    # parser passed letter lists instead of Words
+    digest = hashlib.sha256()
+    for outcome in _parse_outcomes(20000):
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "76f6e6e39443262755192d058bdf133446996883f722a7939cc409e23ee1a036"
+    )
