@@ -42,7 +42,6 @@ from .baumslag import (
     span_membership,
 )
 from .hnn import (
-    AssociatedPair,
     BudgetExceededError,
     HnnOracle,
     SubgroupHandle,
@@ -52,11 +51,9 @@ from .hnn import (
     handle_for,
     member_in_G,
     oracle_for,
-    pair_from_handle,
 )
 from .marked import (
     Agreement,
-    ChabautyPoint,
     CyclicOracle,
     MarkedGroup,
     RelationBall,

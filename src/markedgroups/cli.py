@@ -147,7 +147,7 @@ def cmd_chabauty(args: argparse.Namespace) -> int:
             "rho": args.rho,
             "i": orbit.i,
             "subgroups": ["H2", orbit.k_point.label],
-            "ball_size": len(orbit.finite_set),
+            "ball_size": orbit.ball_size,
             "agree": orbit.agree,
         },
         args.json,

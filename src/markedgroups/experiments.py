@@ -152,13 +152,13 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     report.run_check(
         "chabauty-agree",
         "H and gHg^-1 intersect the radius-rho ball identically",
-        lambda: (orbit.agree, {"ball_size": len(orbit.finite_set), "i": i}),
+        lambda: (orbit.agree, {"ball_size": orbit.ball_size, "i": i}),
     )
     report.run_check(
         "distinct-subgroup",
         "h a^(b^i) lies in gHg^-1 but not in H",
         lambda: (
-            orbit.k_point.handle(witness) and not orbit.h_point.handle(witness),
+            orbit.k_point(witness) and not orbit.h_point(witness),
             {"witness": render_word(witness)},
         ),
     )
@@ -191,7 +191,7 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     if r not in (2, 3, 4):
         raise ValueError("r must be 2, 3 or 4")
     oracle = g_oracle(budget)
-    i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
+    i = escape_index(enumerate_ball(ABCHS, r), oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
 
     def balls_coincide() -> tuple[bool, dict[str, Any]]:

@@ -1,15 +1,14 @@
 """Britton reduction over abstract oracles and the tower of extensions.
 
-The engine is generic: a base word-problem oracle plus an associated pair
-(one map per associated subgroup, sending a member to the canonical word
-of its image under the associated isomorphism) yield a complete
-word-problem oracle for the extension.  It is instantiated twice, for
+The engine is generic: a base word-problem oracle plus the associated
+isomorphism in each direction (``HnnOracle``'s ``left`` and ``right``
+maps) yield a complete word-problem oracle for the extension.  It is instantiated twice, for
 
     <h> x B --(stable s, h^2 <-> ha)--> G --(stable t, identity on h^2)--> E.
 
-The second step is the general one: ``pair_from_handle`` turns a subgroup
-handle into the pair of the extension whose stable letter commutes with the
-subgroup, and ``marked.condense`` uses the same pair for any handle.
+The second step is the general one: the stable letter commutes with a
+subgroup, so both maps are the subgroup handle's ``contains``, and
+``marked.condense`` passes them the same way for any handle.
 
 Convention: a pinch t^-1 z t with z in the left associated subgroup is
 replaced by z's image on the right, and t z t^-1 with z in the right
@@ -58,54 +57,38 @@ class GroupOracle(Protocol):
 
 
 @dataclass(frozen=True)
-class BOracle:
-    """Word problem of B via the exact GF(2) module model."""
+class BaseOracle:
+    """Word problem of B (alphabet ABC) or of <h> x B (alphabet ABCH) via
+    the exact GF(2) module model."""
 
-    alphabet: Alphabet = ABC
-
-    def is_trivial(self, w: Word) -> bool:
-        check_alphabet(w, self.alphabet)
-        return eval_base(w).is_identity()
-
-
-@dataclass(frozen=True)
-class ZxBOracle:
-    """Word problem of the direct product <h> x B."""
-
-    alphabet: Alphabet = ABCH
+    alphabet: Alphabet
 
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
         return eval_base(w).is_identity()
-
-
-@dataclass(frozen=True)
-class AssociatedPair:
-    """The associated isomorphism, one map per side.
-
-    ``member_left`` takes a word over the base alphabet and returns the
-    canonical word of its image in the right subgroup, or None when the
-    word is not in the left subgroup; ``member_right`` maps the right
-    subgroup to the left one in the same way.
-    """
-
-    member_left: Callable[[Word], Optional[Word]]
-    member_right: Callable[[Word], Optional[Word]]
 
 
 class HnnOracle:
-    """Word-problem oracle for an extension by a commuting stable letter."""
+    """Word-problem oracle for an extension by a commuting stable letter.
+
+    ``left`` takes a word over the base alphabet and returns the canonical
+    word of its image in the right subgroup, or None when the word is not
+    in the left subgroup; ``right`` maps the right subgroup to the left one
+    in the same way.
+    """
 
     def __init__(
         self,
         base: GroupOracle,
-        pair: AssociatedPair,
+        left: Callable[[Word], Optional[Word]],
+        right: Callable[[Word], Optional[Word]],
         stable: str,
         *,
         budget: int = DEFAULT_BUDGET,
     ):
         self.base = base
-        self.pair = pair
+        self.left = left
+        self.right = right
         self.stable = stable
         self.alphabet = base.alphabet.extend(stable)
         self.budget = budget
@@ -131,7 +114,7 @@ class HnnOracle:
             )
         base = self.base.alphabet
         stable = 2 * base.arity  # t; t^-1 is stable + 1
-        left, right = self.pair.member_left, self.pair.member_right
+        left, right = self.left, self.right
         out: list[int] = []
         marks: list[int] = []
         for x in free_reduce(w).letters:
@@ -201,24 +184,22 @@ def _ha_power(alphabet: Alphabet, k: int) -> Word:
     return _h_power(alphabet, k) * gen(alphabet, "a") ** (k % 2)
 
 
-def g_pair() -> AssociatedPair:
-    """h^{2k} on the left, (ha)^k on the right, matched exponentwise."""
+def _h2_to_ha(w: Word) -> Optional[Word]:
+    """h^{2k} on the left goes to (ha)^k on the right."""
+    k = member_H2(eval_base(w))
+    return None if k is None else _ha_power(ABCH, k)
 
-    def left(w: Word) -> Optional[Word]:
-        k = member_H2(eval_base(w))
-        return None if k is None else _ha_power(ABCH, k)
 
-    def right(w: Word) -> Optional[Word]:
-        k = member_HA(eval_base(w))
-        return None if k is None else _h_power(ABCH, 2 * k)
-
-    return AssociatedPair(left, right)
+def _ha_to_h2(w: Word) -> Optional[Word]:
+    """(ha)^k on the right goes back to h^{2k} on the left."""
+    k = member_HA(eval_base(w))
+    return None if k is None else _h_power(ABCH, 2 * k)
 
 
 @lru_cache(maxsize=None)
 def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     """The word-problem oracle for G (alphabet a, b, c, h, s)."""
-    return HnnOracle(ZxBOracle(), g_pair(), "s", budget=budget)
+    return HnnOracle(BaseOracle(ABCH), _h2_to_ha, _ha_to_h2, "s", budget=budget)
 
 
 def member_in_G(
@@ -245,14 +226,18 @@ class UndecidableSpecError(ValueError):
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """Membership in a subgroup of the ambient group.
+    """A subgroup of the ambient group G over ``alphabet``: a point of Sub(G).
 
     ``contains`` returns a canonical word for the same element (equal
-    members give equal words) or None for non-members.
+    members give equal words) or None for non-members.  An extension whose
+    stable letter commutes with the subgroup takes ``contains`` as both of
+    its maps: canonical words keep merged base parts short, where the
+    member word itself would never shrink them.
     """
 
     label: str
     contains: Callable[[Word], Optional[Word]]
+    alphabet: Alphabet
 
     def __call__(self, w: Word) -> bool:
         return self.contains(w) is not None
@@ -295,7 +280,7 @@ def handle_for(name: str, oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
             "their conjugates are decidable here"
         )
     test = tests[name]
-    return SubgroupHandle(name, lambda w: member_in_G(w, test, oracle))
+    return SubgroupHandle(name, lambda w: member_in_G(w, test, oracle), alphabet)
 
 
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
@@ -307,32 +292,24 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
         rep = inner.contains(free_reduce(concat(g_inv, z, g)))
         return None if rep is None else free_reduce(concat(g, rep, g_inv))
 
-    return SubgroupHandle(f"conj({render_word(g)}, {inner.label})", contains)
-
-
-def pair_from_handle(handle: SubgroupHandle) -> AssociatedPair:
-    """Associated pair for an extension where the stable letter commutes
-    with the subgroup: both sides are the subgroup and the isomorphism is
-    the identity, so each side maps a member to its canonical word.
-
-    Canonical words keep merged base parts short; returning the member
-    word itself would never shrink them.
-    """
-    return AssociatedPair(handle.contains, handle.contains)
+    return SubgroupHandle(
+        f"conj({render_word(g)}, {inner.label})", contains, inner.alphabet
+    )
 
 
 @lru_cache(maxsize=None)
 def e_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     """The word-problem oracle for E (alphabet a, b, c, h, s, t)."""
     g = g_oracle(budget)
-    return HnnOracle(g, pair_from_handle(handle_for("H2", g)), "t", budget=budget)
+    h2 = handle_for("H2", g)
+    return HnnOracle(g, h2.contains, h2.contains, "t", budget=budget)
 
 
 def oracle_for(name: str, budget: int = DEFAULT_BUDGET) -> GroupOracle:
     if name == "B":
-        return BOracle()
+        return BaseOracle(ABC)
     if name == "ZxB":
-        return ZxBOracle()
+        return BaseOracle(ABCH)
     if name == "G":
         return g_oracle(budget)
     if name == "E":

@@ -9,7 +9,7 @@ canonical renderings, so repeated comparisons are O(1) after construction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .baumslag import PolyFrac, member_A, monomial, span_membership
@@ -22,11 +22,11 @@ from .hnn import (
     g_oracle,
     handle_for,
     member_in_G,
-    pair_from_handle,
 )
 from .words import (
     Alphabet,
     Word,
+    ball_size,
     check_alphabet,
     check_budget,
     enumerate_ball,
@@ -142,13 +142,7 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
 
 def cong_r(m1: MarkedGroup, m2: MarkedGroup, r: int) -> bool:
     """True iff the radius-r relation balls coincide."""
-    if m1.arity != m2.arity:
-        raise ValueError(
-            f"arity mismatch: {m1.arity} vs {m2.arity}"
-        )
-    b1 = relation_ball(m1, r)
-    b2 = relation_ball(m2, r)
-    return b1.fingerprint == b2.fingerprint
+    return max_agreement(m1, m2, r).saturated
 
 
 class Agreement(NamedTuple):
@@ -181,40 +175,30 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
 
 
 # ---------------------------------------------------------------------------
-# Chabauty points and the condensation map.
+# Points of Sub(G) and the condensation map.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChabautyPoint:
-    """A subgroup of the ambient group, given by a membership handle."""
-
-    ambient: GroupOracle
-    handle: SubgroupHandle
-    label: str = ""
-
-
 def chabauty_agree(
-    h: ChabautyPoint, k: ChabautyPoint, finite_set: Iterable[Word]
+    h: SubgroupHandle, k: SubgroupHandle, words: Iterable[Word]
 ) -> bool:
-    """True iff the two subgroups meet the finite set identically."""
-    if h.ambient.alphabet != k.ambient.alphabet:
+    """True iff the two subgroups meet the finite set of words identically."""
+    if h.alphabet != k.alphabet:
         raise ValueError("Chabauty points must share the ambient group")
-    return all(h.handle(w) == k.handle(w) for w in finite_set)
+    return all(h(w) == k(w) for w in words)
 
 
 def condense(
-    m: MarkedGroup, point: ChabautyPoint, *, stable: str = "t"
+    m: MarkedGroup, point: SubgroupHandle, *, stable: str = "t"
 ) -> MarkedGroup:
     """The marked group on n+1 letters obtained by adjoining a stable
     letter commuting with the subgroup; marking = m's marking then t.
     The extension keeps the letter budget of m's oracle, if it has one."""
-    if point.ambient.alphabet != m.oracle.alphabet:
+    if point.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
     budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
-    oracle = HnnOracle(m.oracle, pair_from_handle(point.handle), stable, budget=budget)
-    label = point.label or point.handle.label
-    return MarkedGroup(f"E({m.name}, {label})", oracle)
+    oracle = HnnOracle(m.oracle, point.contains, point.contains, stable, budget=budget)
+    return MarkedGroup(f"E({m.name}, {point.label})", oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +231,8 @@ def escape_index(
 
 def orbit_witness(
     i: int, oracle: Optional[HnnOracle] = None
-) -> tuple[Word, ChabautyPoint]:
-    """The conjugator g = (s b^i)^-1 and the point for g H g^-1.
+) -> tuple[Word, SubgroupHandle]:
+    """The conjugator g = (s b^i)^-1 and the handle for g H g^-1.
 
     The conjugate subgroup is generated by h a^{b^i}; its square is h^2,
     so it differs from <h^2> exactly by the coset of the witness.  Raises
@@ -261,22 +245,17 @@ def orbit_witness(
     sbi = free_reduce(gen(alphabet, "s") * gen(alphabet, "b") ** i)
     g = invert(sbi)
     handle = conjugate_handle(g, handle_for("H2", oracle))
-    return g, ChabautyPoint(oracle, handle, label=f"conj(sb^{i}, H2)")
-
-
-def h2_point(oracle: Optional[HnnOracle] = None) -> ChabautyPoint:
-    oracle = oracle or g_oracle()
-    return ChabautyPoint(oracle, handle_for("H2", oracle), label="H2")
+    return g, replace(handle, label=f"conj(sb^{i}, H2)")
 
 
 class OrbitAgreement(NamedTuple):
     """<h^2> against its conjugate gHg^-1 = orbit_witness(i) on a ball of G."""
 
-    finite_set: list[Word]
+    ball_size: int
     i: int
     conjugator: Word
-    h_point: ChabautyPoint
-    k_point: ChabautyPoint
+    h_point: SubgroupHandle
+    k_point: SubgroupHandle
     agree: bool
 
 
@@ -284,14 +263,16 @@ def orbit_agreement(
     rho: int, oracle: HnnOracle, i: Optional[int] = None
 ) -> OrbitAgreement:
     """Compare <h^2> with its i-th conjugate on the radius-rho ball of G;
-    i defaults to the escape index of that ball."""
-    finite_set = list(enumerate_ball(oracle.alphabet, rho))
+    i defaults to the escape index of that ball.  The ball is walked, not
+    kept: once for the escape index, when i is not given, and once for the
+    comparison."""
+    size = ball_size(oracle.alphabet.arity, rho)
     if i is None:
-        i = escape_index(finite_set, oracle)
+        i = escape_index(enumerate_ball(oracle.alphabet, rho), oracle)
     g, k_point = orbit_witness(i, oracle)
-    h_point = h2_point(oracle)
-    agree = chabauty_agree(h_point, k_point, finite_set)
-    return OrbitAgreement(finite_set, i, g, h_point, k_point, agree)
+    h_point = handle_for("H2", oracle)
+    agree = chabauty_agree(h_point, k_point, enumerate_ball(oracle.alphabet, rho))
+    return OrbitAgreement(size, i, g, h_point, k_point, agree)
 
 
 def condensed_balls(
@@ -301,6 +282,7 @@ def condensed_balls(
     their radius-r relation balls."""
     g_marked = MarkedGroup("G", oracle)
     _, k_point = orbit_witness(i, oracle)
-    left, right = condense(g_marked, h2_point(oracle)), condense(g_marked, k_point)
+    left = condense(g_marked, handle_for("H2", oracle))
+    right = condense(g_marked, k_point)
     balls = relation_ball(left, r), relation_ball(right, r)
     return (left, right), balls

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +344,26 @@ def test_cli_workers_flag_has_no_effect(capsys, argv):
     plain = capsys.readouterr().out
     assert main(argv + ["--workers", "4"]) == 0
     assert capsys.readouterr().out == plain
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(language):
+    return re.findall(
+        rf"^```{language}\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL
+    )
+
+
+def test_readme_examples(capsys):
+    commands = [
+        line
+        for block in readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("markedgroups ")
+    ]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    (example,) = readme_blocks("python")
+    exec(example, {})

@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from markedgroups.hnn import (
-    BOracle,
+    BaseOracle,
     BudgetExceededError,
     HnnOracle,
     UndecidableSpecError,
-    ZxBOracle,
     conjugate_handle,
     e_oracle,
     g_oracle,
-    g_pair,
     handle_for,
     member_in_G,
 )
@@ -93,13 +91,12 @@ def test_member_HA_and_A_in_G():
 
 
 def test_transport_canonical_forms():
-    pair = g_pair()
-    assert render_word(pair.member_left(zw("h^6"))) == "h h h a"
-    assert render_word(pair.member_left(zw("a h^-4 a"))) == "h^-1 h^-1"
-    assert render_word(pair.member_right(zw("(h a)^-1"))) == "h^-1 h^-1"
-    assert pair.member_left(zw("h a")) is None
-    assert pair.member_right(zw("h")) is None
-    assert render_word(E.pair.member_left(gw("h^4"))) == "h h h h"
+    assert render_word(G.left(zw("h^6"))) == "h h h a"
+    assert render_word(G.left(zw("a h^-4 a"))) == "h^-1 h^-1"
+    assert render_word(G.right(zw("(h a)^-1"))) == "h^-1 h^-1"
+    assert G.left(zw("h a")) is None
+    assert G.right(zw("h")) is None
+    assert render_word(E.left(gw("h^4"))) == "h h h h"
 
 
 # -- subgroup handles --------------------------------------------------------
@@ -233,7 +230,7 @@ def test_reduced_form_has_no_pinch(w):
     assert all(part.is_reduced() for part in parts)
     for e1, g, e2 in zip(signs, parts[1:], signs[1:]):
         if e1 == -e2:
-            member = oracle.pair.member_left if e1 < 0 else oracle.pair.member_right
+            member = oracle.left if e1 < 0 else oracle.right
             assert member(g) is None, render_word(g)
 
 
@@ -298,12 +295,12 @@ def test_tower_consistency():
 
 
 def test_budget_enforced():
-    tight = HnnOracle(ZxBOracle(), g_pair(), "s", budget=8)
+    tight = HnnOracle(BaseOracle(ABCH), G.left, G.right, "s", budget=8)
     with pytest.raises(BudgetExceededError):
         tight.is_trivial(gw("a b a b a b a b a"))
     # transport growth also budgeted: s h^6 s^-1 wants (via right member) none,
     # but s^-1 h^k s explodes into (ha)^k
-    tight2 = HnnOracle(ZxBOracle(), g_pair(), "s", budget=6)
+    tight2 = HnnOracle(BaseOracle(ABCH), G.left, G.right, "s", budget=6)
     with pytest.raises(BudgetExceededError):
         tight2.is_trivial(gw("s^-1 h^6 s"))
 
@@ -323,9 +320,9 @@ def test_oracles_reject_foreign_alphabets():
         (G, parse_word("a a", permuted)),  # read by index, this would be b b
         (E, gw("a a")),
         (G, ew("a a")),
-        (ZxBOracle(), parse_word("a a", Alphabet(("b", "a", "c", "h")))),
-        (ZxBOracle(), parse_word("a a", ABC)),
-        (BOracle(), zw("a a")),
+        (BaseOracle(ABCH), parse_word("a a", Alphabet(("b", "a", "c", "h")))),
+        (BaseOracle(ABCH), parse_word("a a", ABC)),
+        (BaseOracle(ABC), zw("a a")),
         (CyclicOracle(2), parse_word("y y", Alphabet(("y",)))),
     ):
         with pytest.raises(ValueError):
@@ -333,6 +330,6 @@ def test_oracles_reject_foreign_alphabets():
 
 
 def test_b_oracle():
-    oracle = BOracle()
+    oracle = BaseOracle(ABC)
     assert oracle.is_trivial(parse_word("a^2", oracle.alphabet))
     assert not oracle.is_trivial(parse_word("a b", oracle.alphabet))

@@ -1,21 +1,27 @@
 import random
+import tracemalloc
 
 import pytest
 
-from markedgroups.hnn import DEFAULT_BUDGET, e_oracle, g_oracle, handle_for
+from markedgroups.hnn import (
+    DEFAULT_BUDGET,
+    SubgroupHandle,
+    e_oracle,
+    g_oracle,
+    handle_for,
+)
 from markedgroups.marked import (
     Agreement,
-    ChabautyPoint,
     CyclicOracle,
     MarkedGroup,
     chabauty_agree,
     condense,
     cong_r,
     escape_index,
-    h2_point,
     marked_Z,
     marked_Zmod,
     max_agreement,
+    orbit_agreement,
     orbit_witness,
     relation_ball,
 )
@@ -78,7 +84,7 @@ def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
 
 
 def test_relation_ball_e_radius2():
-    e_marked = MarkedGroup("E", condense(G_MARKED, h2_point()).oracle)
+    e_marked = MarkedGroup("E", condense(G_MARKED, handle_for("H2")).oracle)
     ball = relation_ball(e_marked, 2)
     assert [render_canonical(w) for w in ball.words] == [
         "1", "x1 x1", "x1^-1 x1^-1"
@@ -141,17 +147,37 @@ def test_cong_monotone():
 
 
 def test_chabauty_agree_examples():
-    h = h2_point()
+    h = handle_for("H2")
     assert chabauty_agree(h, h, list(enumerate_ball(ABCHS, 1)))
-    ha_point = ChabautyPoint(g_oracle(), handle_for("HA"), "HA")
+    ha_point = handle_for("HA")
     assert not chabauty_agree(h, ha_point, [gw("h a")])
+
+
+def test_chabauty_agree_alphabet_guard():
+    whole_z = SubgroupHandle("all", lambda w: w, marked_Z().oracle.alphabet)
+    with pytest.raises(ValueError):
+        chabauty_agree(handle_for("H2"), whole_z, [])
+
+
+def test_orbit_agreement_streams_the_ball():
+    # the radius-3 ball of G has 911 words; walking it instead of listing
+    # it keeps the peak far below the 144 KiB that a list of the ball takes
+    oracle = g_oracle()
+    tracemalloc.start()
+    try:
+        orbit = orbit_agreement(3, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (orbit.ball_size, orbit.i, orbit.agree) == (911, 2, True)
+    assert peak < 64 * 1024, peak
 
 
 def test_chabauty_agree_radius2_witness():
     finite_set = list(enumerate_ball(ABCHS, 2))
     i = escape_index(finite_set)
     _, k = orbit_witness(i)
-    assert chabauty_agree(h2_point(), k, finite_set)
+    assert chabauty_agree(handle_for("H2"), k, finite_set)
 
 
 # -- condense ----------------------------------------------------------------
@@ -160,7 +186,7 @@ def test_chabauty_agree_radius2_witness():
 def test_condense_g_h2_is_e():
     from markedgroups.hnn import e_oracle
 
-    extension = condense(G_MARKED, h2_point())
+    extension = condense(G_MARKED, handle_for("H2"))
     assert extension.marking == ("a", "b", "c", "h", "s", "t")
     e = e_oracle()
     for w in enumerate_ball(extension.oracle.alphabet, 3):
@@ -176,7 +202,7 @@ def test_e_relation_ball_pinned_and_built_by_condense():
     assert ball.fingerprint == (
         "5e6d3f74fd70bce345e9c616509fe00543474dca4c138890f0d338b11eb87a80"
     )
-    condensed = condense(G_MARKED, h2_point()).oracle
+    condensed = condense(G_MARKED, handle_for("H2")).oracle
     rng = random.Random(29)
     for _ in range(200):
         letters = tuple(
@@ -189,22 +215,18 @@ def test_e_relation_ball_pinned_and_built_by_condense():
 
 def test_condense_distinguished_by_commutator():
     _, k = orbit_witness(1)
-    ext_h = condense(G_MARKED, h2_point())
+    ext_h = condense(G_MARKED, handle_for("H2"))
     ext_k = condense(G_MARKED, k)
     z = parse_word("h a^b", ABCHS)
     comm = parse_word("[h a^b, t]", ext_h.oracle.alphabet)
-    assert k.handle(z) and not h2_point().handle(z)
+    assert k(z) and not handle_for("H2")(z)
     assert ext_k.oracle.is_trivial(comm)
     assert not ext_h.oracle.is_trivial(comm)
 
 
 def test_condense_z_whole_group_is_z_squared():
     z = marked_Z()
-    whole = ChabautyPoint(
-        z.oracle,
-        type(h2_point().handle)("all", lambda w: w),
-        "Z",
-    )
+    whole = SubgroupHandle("Z", lambda w: w, z.oracle.alphabet)
     ext = condense(z, whole)
     assert ext.arity == 2
 
@@ -222,15 +244,15 @@ def test_condense_z_whole_group_is_z_squared():
 
 def test_condense_keeps_budget():
     tight = g_oracle(50)
-    assert condense(MarkedGroup("G", tight), h2_point(tight)).oracle.budget == 50
+    assert condense(MarkedGroup("G", tight), handle_for("H2", tight)).oracle.budget == 50
     z = marked_Z()
-    whole = ChabautyPoint(z.oracle, type(h2_point().handle)("all", lambda w: w))
+    whole = SubgroupHandle("all", lambda w: w, z.oracle.alphabet)
     assert condense(z, whole).oracle.budget == DEFAULT_BUDGET
 
 
 def test_condense_alphabet_guard():
     with pytest.raises(ValueError):
-        condense(marked_Z(), h2_point())
+        condense(marked_Z(), handle_for("H2"))
 
 
 # -- escape index and orbit witness -----------------------------------------
@@ -268,8 +290,8 @@ def test_orbit_witness_claims():
         witness = free_reduce(parse_word(f"h a^(b^{i})", ABCHS))
         assert oracle.is_trivial(lhs * invert(witness))
         # the witness generates: in K, not in H2, and its square is h^2
-        assert k.handle(witness)
-        assert not h2_point().handle(witness)
+        assert k(witness)
+        assert not handle_for("H2")(witness)
         assert oracle.is_trivial(
             witness * witness * invert(gw("h^2"))
         )
