@@ -21,7 +21,6 @@ from .words import (
 )
 from .presentations import (
     Presentation,
-    SubgroupSpec,
     builtin,
     conjugation_substitution,
     hnn_presentation,

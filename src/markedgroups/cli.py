@@ -35,7 +35,13 @@ from .presentations import (
     parse_presentation,
     same_relator_set,
 )
-from .words import exponent_sum, free_reduce, parse_word, render_word
+from .words import (
+    DEFAULT_BUDGET,
+    exponent_sum,
+    free_reduce,
+    parse_word,
+    render_word,
+)
 
 
 class UsageError(SystemExit):
@@ -189,16 +195,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
         report = exp_epsilon(i_list, args.rho, budget=args.budget)
-    else:  # unreachable through argparse choices
-        raise SystemExit(f"error: unknown experiment {name!r}")
     text = report.to_json(include_timing=not args.no_timing)
     print(text)
     if args.json:
         Path(args.json).write_text(text + "\n")
     return 0 if report.passed else 1
-
-
-_WORKERS_HELP = "accepted for compatibility; has no effect (scans run in one thread)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments for the built-in extension tower.",
     )
     parser.add_argument(
-        "--budget", type=int, default=10_000,
-        help="letter budget for reductions (default 10000)",
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="letter budget for parsing and reductions (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -222,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="export a relation ball")
     p.add_argument("--group", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; has no effect (scans run in one thread)",
+    )
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_ball)
 
@@ -246,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_condense)
 
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--i", default=None, help="comma-separated index list")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", default=None)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(fn=cmd_experiment)

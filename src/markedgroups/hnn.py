@@ -21,7 +21,6 @@ forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Protocol, TypeVar
 
 from .baumslag import (
@@ -33,6 +32,7 @@ from .baumslag import (
 )
 from .presentations import ABC, ABCH
 from .words import (
+    DEFAULT_BUDGET,
     Alphabet,
     BudgetExceededError,
     Word,
@@ -44,7 +44,6 @@ from .words import (
     render_word,
 )
 
-DEFAULT_BUDGET = 10_000
 T = TypeVar("T")
 
 
@@ -196,7 +195,6 @@ def _ha_to_h2(w: Word) -> Optional[Word]:
     return None if k is None else _h_power(ABCH, 2 * k)
 
 
-@lru_cache(maxsize=None)
 def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     """The word-problem oracle for G (alphabet a, b, c, h, s)."""
     return HnnOracle(BaseOracle(ABCH), _h2_to_ha, _ha_to_h2, "s", budget=budget)
@@ -297,7 +295,6 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     )
 
 
-@lru_cache(maxsize=None)
 def e_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     """The word-problem oracle for E (alphabet a, b, c, h, s, t)."""
     g = g_oracle(budget)

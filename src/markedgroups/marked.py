@@ -188,16 +188,14 @@ def chabauty_agree(
     return all(h(w) == k(w) for w in words)
 
 
-def condense(
-    m: MarkedGroup, point: SubgroupHandle, *, stable: str = "t"
-) -> MarkedGroup:
+def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
     """The marked group on n+1 letters obtained by adjoining a stable
     letter commuting with the subgroup; marking = m's marking then t.
     The extension keeps the letter budget of m's oracle, if it has one."""
     if point.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
     budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
-    oracle = HnnOracle(m.oracle, point.contains, point.contains, stable, budget=budget)
+    oracle = HnnOracle(m.oracle, point.contains, point.contains, "t", budget=budget)
     return MarkedGroup(f"E({m.name}, {point.label})", oracle)
 
 

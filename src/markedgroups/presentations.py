@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .words import (
+    DEFAULT_BUDGET,
     Alphabet,
     Substitution,
     Word,
@@ -35,23 +36,10 @@ class InvalidConjugatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class SubgroupSpec:
-    """A designated subgroup, given by explicit generator words.
-
-    Generator lists may be empty when the handle is semantic (membership
-    decided by a bespoke procedure).
-    """
-
-    name: str
-    generators: tuple[Word, ...] = ()
-
-
-@dataclass(frozen=True)
 class Presentation:
     name: str
     alphabet: Alphabet
     relators: tuple[Word, ...]
-    subgroups: tuple[SubgroupSpec, ...] = ()
 
     def __post_init__(self) -> None:
         seen: set[tuple] = set()
@@ -66,21 +54,12 @@ class Presentation:
                 raise ValueError(f"duplicate relator {render_word(rel)!r}")
             seen.add(rel.letters)
 
-    def subgroup(self, name: str) -> SubgroupSpec:
-        for spec in self.subgroups:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no subgroup named {name!r} in presentation {self.name}")
-
 
 def make_presentation(
-    name: str,
-    alphabet: Alphabet,
-    relators: Iterable[Word],
-    subgroups: Iterable[SubgroupSpec] = (),
+    name: str, alphabet: Alphabet, relators: Iterable[Word]
 ) -> Presentation:
     reduced = tuple(free_reduce(r) for r in relators)
-    return Presentation(name, alphabet, reduced, tuple(subgroups))
+    return Presentation(name, alphabet, reduced)
 
 
 def cyclic_rotations(w: Word) -> set[tuple]:
@@ -108,12 +87,14 @@ def same_relator_set(p: Presentation, q: Presentation) -> bool:
 
 
 def hnn_presentation(
-    p: Presentation, h: SubgroupSpec, stable: str
+    p: Presentation, name: str, generators: Iterable[Word], stable: str
 ) -> Presentation:
-    """Extend p by a stable letter commuting with every generator of h.
+    """Extend p by a stable letter commuting with the subgroup generated by
+    the given words: the finite presentation of the extension over a
+    finitely generated subgroup.
 
-    Adds one generator and one relator [stable, h_j] per subgroup generator;
-    existing relators are untouched.
+    Adds one generator and one relator [stable, h_j] per subgroup generator
+    h_j; existing relators are untouched.
     """
     if stable in p.alphabet:
         raise AlphabetConflictError(
@@ -127,11 +108,11 @@ def hnn_presentation(
 
     t = gen(extended, stable)
     relators = [lift(r) for r in p.relators]
-    for hw in h.generators:
+    for hw in generators:
         if hw.alphabet != p.alphabet:
             raise ValueError("subgroup generator over wrong alphabet")
         relators.append(commutator(t, lift(hw)))
-    return Presentation(f"{p.name}*{h.name}", extended, tuple(relators))
+    return Presentation(name, extended, tuple(relators))
 
 
 def conjugation_substitution(
@@ -171,11 +152,12 @@ ABCHST = Alphabet(("a", "b", "c", "h", "s", "t"))
 
 
 def parse_relator(
-    text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
+    text: str, alphabet: Alphabet, line: int | None = None, *,
+    budget: int = DEFAULT_BUDGET,
 ) -> Word:
     """A relator WORD, or WORD = WORD stored as u v^-1; freely reduced.
-    With a budget, both sides together must fit it before free reduction,
-    as the items of a sequence do in ``parse_word``."""
+    Both sides together must fit the budget before free reduction, as the
+    items of a sequence do in ``parse_word``."""
     lhs, eq, rhs = text.partition("=")
     w = parse_word(lhs, alphabet, line, budget=budget)
     if eq:
@@ -190,33 +172,27 @@ def _rels(alphabet: Alphabet, *texts: str) -> tuple[Word, ...]:
 
 
 _B_RELS = ("a^2", "[a, a^b]", "[b, c]", "a^c = a a^b")
-_H_RELS = ("[h, a]", "[h, b]", "[h, c]")
 
 
 def builtin(name: str) -> Presentation:
     """Built-in presentations B, ZxB, G, E with generator order
-    (a, b, c[, h][, s][, t])."""
+    (a, b, c[, h][, s][, t]).  ZxB = <h> x B and E = f(<h^2>) are the
+    commuting extensions of ``hnn_presentation``."""
     if name == "B":
         return make_presentation("B", ABC, _rels(ABC, *_B_RELS))
     if name == "ZxB":
-        return make_presentation("ZxB", ABCH, _rels(ABCH, *_B_RELS, *_H_RELS))
+        return hnn_presentation(
+            builtin("B"), "ZxB", (gen(ABC, x) for x in ABC.names), "h"
+        )
     if name == "G":
         return make_presentation(
             "G",
             ABCHS,
-            _rels(ABCHS, *_B_RELS, *_H_RELS, "(h^2)^s = h a"),
-            subgroups=(
-                SubgroupSpec("H2", (parse_word("h^2", ABCHS),)),
-                SubgroupSpec("HA", (parse_word("h a", ABCHS),)),
-            ),
+            _rels(ABCHS, *_B_RELS, "[h, a]", "[h, b]", "[h, c]", "(h^2)^s = h a"),
         )
     if name == "E":
-        return make_presentation(
-            "E",
-            ABCHST,
-            _rels(
-                ABCHST, *_B_RELS, *_H_RELS, "(h^2)^s = h a", "(h^2)^t = h^2"
-            ),
+        return hnn_presentation(
+            builtin("G"), "E", (parse_word("h^2", ABCHS),), "t"
         )
     raise KeyError(f"unknown built-in presentation {name!r}")
 
@@ -227,18 +203,16 @@ def builtin(name: str) -> Presentation:
 #   gens NAME+
 #   rel WORD
 #   rel WORD = WORD
-#   subgroup NAME gen WORD[, WORD ...]
 # Comments start with '#'.
 # ---------------------------------------------------------------------------
 
 
-def parse_presentation(text: str, *, budget: int | None = None) -> Presentation:
-    """Parse the file format; with a budget, every word is parsed under it,
-    as by ``parse_word``."""
+def parse_presentation(text: str, *, budget: int = DEFAULT_BUDGET) -> Presentation:
+    """Parse the file format; every word is parsed under the budget, as by
+    ``parse_word``."""
     name: Optional[str] = None
     alphabet: Optional[Alphabet] = None
     relators: list[Word] = []
-    subgroups: list[SubgroupSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -261,34 +235,15 @@ def parse_presentation(text: str, *, budget: int | None = None) -> Presentation:
             if alphabet is None:
                 raise WordSyntaxError("rel before gens", lineno)
             relators.append(parse_relator(rest, alphabet, lineno, budget=budget))
-        elif keyword == "subgroup":
-            if alphabet is None:
-                raise WordSyntaxError("subgroup before gens", lineno)
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise WordSyntaxError("malformed subgroup line", lineno)
-            sub_name, sub_rest = parts
-            if not sub_rest.startswith("gen "):
-                raise WordSyntaxError("subgroup needs 'gen'", lineno)
-            gens = tuple(
-                free_reduce(parse_word(g, alphabet, lineno, budget=budget))
-                for g in sub_rest[4:].split(",")
-            )
-            subgroups.append(SubgroupSpec(sub_name, gens))
         else:
             raise WordSyntaxError(f"unknown keyword {keyword!r}", lineno)
     if alphabet is None:
         raise WordSyntaxError("no gens line")
-    return Presentation(
-        name or "anonymous", alphabet, tuple(relators), tuple(subgroups)
-    )
+    return Presentation(name or "anonymous", alphabet, tuple(relators))
 
 
 def serialize_presentation(p: Presentation) -> str:
     lines = [f"group {p.name}", "gens " + " ".join(p.alphabet.names)]
     for rel in p.relators:
         lines.append(f"rel {render_word(rel)}")
-    for spec in p.subgroups:
-        gens_text = ", ".join(render_word(g) for g in spec.generators)
-        lines.append(f"subgroup {spec.name} gen {gens_text}")
     return "\n".join(lines) + "\n"

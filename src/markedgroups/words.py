@@ -18,6 +18,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 Letter = int  # 2*i for generator i, 2*i + 1 for its inverse
 
+DEFAULT_BUDGET = 10_000  # letters any one word may have, parsed or reduced
+
 
 class WordSyntaxError(ValueError):
     """Raised on malformed word or presentation text."""
@@ -179,9 +181,11 @@ def check_alphabet(w: Word, alphabet: Alphabet) -> None:
         )
 
 
-def check_budget(length: int, budget: int | None, line: int | None = None) -> None:
-    """Refuse a word of more than ``budget`` letters; None means no limit."""
-    if budget is not None and length > budget:
+def check_budget(
+    length: int, budget: int = DEFAULT_BUDGET, line: int | None = None
+) -> None:
+    """Refuse a word of more than ``budget`` letters."""
+    if length > budget:
         where = "" if line is None else f" (line {line})"
         raise BudgetExceededError(
             f"word expands to {length} letters (budget {budget}){where}"
@@ -300,8 +304,9 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 #                e.g. "(h^2)^s" or "t^(s b)"
 #   [u, v]       commutator u^-1 v^-1 u v
 #   1            the empty word
-# With a letter budget, no power, conjugation, commutator or sequence may
-# build a longer word; powers are measured before they are expanded.
+# No power, conjugation, commutator or sequence may build a word longer
+# than the letter budget; powers are measured before they are expanded,
+# and a power of the empty word is the empty word.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -315,9 +320,7 @@ _MAX_DEPTH = 100
 
 
 class _Tokens:
-    def __init__(
-        self, text: str, alphabet: Alphabet, line: int | None, budget: int | None
-    ):
+    def __init__(self, text: str, alphabet: Alphabet, line: int | None, budget: int):
         self.alphabet = alphabet
         self.line = line
         self.budget = budget
@@ -326,17 +329,15 @@ class _Tokens:
         depth = 0
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            value = m.group(kind)
+            value, col = m.group(kind), m.start(kind)
             if kind == "bad":
-                raise WordSyntaxError(
-                    f"unexpected character {value!r}", line, m.start() + 1
-                )
+                raise WordSyntaxError(f"unexpected character {value!r}", line, col + 1)
             depth += (value in "([") - (value in ")]")  # no name or int is in these
             if depth > _MAX_DEPTH:
                 raise WordSyntaxError(
-                    f"brackets nested deeper than {_MAX_DEPTH}", line, m.start(kind) + 1
+                    f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
                 )
-            self.items.append((kind, value, m.start(kind)))
+            self.items.append((kind, value, col))
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -353,7 +354,8 @@ class _Tokens:
 
 
 def parse_word(
-    text: str, alphabet: Alphabet, line: int | None = None, *, budget: int | None = None
+    text: str, alphabet: Alphabet, line: int | None = None, *,
+    budget: int = DEFAULT_BUDGET,
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
     tokens = _Tokens(text, alphabet, line, budget)
@@ -396,6 +398,8 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
             tokens.next()
             k = int(exp[1])
             base = _reduce_letters(base)
+            if not base:
+                continue  # a power of 1 is 1; [] * k overflows past sys.maxsize
             tokens.check(_power_length(base, k))
             base = _reduce_letters((invert_letters(base) if k < 0 else base) * abs(k))
         else:

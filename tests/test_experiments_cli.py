@@ -219,6 +219,8 @@ def test_cli_help_exits_0(capsys):
         ["ball", "--group", "Z", "--radius", "1", "--bogus"],
         ["ball", "--group", "Z", "--radius", "x"],
         [],
+        ["condense", "--i", "1", "--radius", "2", "--workers", "4"],
+        ["experiment", "orbit", "--workers", "2"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):
@@ -235,6 +237,20 @@ def test_cli_parse_budget(capsys, word):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: word expands to") and err.count("\n") == 1
+
+
+def test_cli_power_of_empty_word(capsys):
+    huge = "1^99999999999999999999999"
+    assert main(["wp", "--group", "E", "--word", huge]) == 0
+    assert '"trivial": true' in capsys.readouterr().out
+
+
+def test_cli_subgroup_line_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.pres"
+    path.write_text(serialize_presentation(builtin("G")) + "subgroup H2 gen h^2\n")
+    assert main(["ball", "--group", f"file:{path}", "--radius", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown keyword 'subgroup' (line 11)\n", err
 
 
 def test_cli_presentation_file_budget(capsys, tmp_path):
@@ -332,13 +348,7 @@ def test_cli_output_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[command]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ball", "--group", "E", "--radius", "3"],
-        ["condense", "--i", "1", "--radius", "2"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["ball", "--group", "E", "--radius", "3"]])
 def test_cli_workers_flag_has_no_effect(capsys, argv):
     assert main(argv) == 0
     plain = capsys.readouterr().out

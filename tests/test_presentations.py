@@ -5,7 +5,6 @@ from markedgroups.presentations import (
     AlphabetConflictError,
     InvalidConjugatorError,
     Presentation,
-    SubgroupSpec,
     builtin,
     conjugation_substitution,
     hnn_presentation,
@@ -22,6 +21,23 @@ from markedgroups.words import (
     render_word,
     substitute,
 )
+
+# The relators of the built-ins as they were listed by hand before ZxB and E
+# were built by hnn_presentation: an independent reference for both.
+_B_TEXTS = [
+    "a a", "a^-1 b^-1 a^-1 b a b^-1 a b", "b^-1 c^-1 b c",
+    "c^-1 a c b^-1 a^-1 b a^-1",
+]
+_ZXB_TEXTS = _B_TEXTS + ["h^-1 a^-1 h a", "h^-1 b^-1 h b", "h^-1 c^-1 h c"]
+_G_TEXTS = _ZXB_TEXTS + ["s^-1 h h s a^-1 h^-1"]
+_E_TEXTS = _G_TEXTS + ["t^-1 h h t h^-1 h^-1"]  # (h^2)^t = h^2
+
+
+def _reference_e():
+    alphabet = Alphabet(("a", "b", "c", "h", "s", "t"))
+    return Presentation(
+        "E", alphabet, tuple(parse_word(text, alphabet) for text in _E_TEXTS)
+    )
 
 
 def test_builtin_shapes():
@@ -46,6 +62,15 @@ def test_builtin_relators_trivial_under_oracles():
             assert oracle.is_trivial(rel), render_word(rel)
 
 
+def test_builtin_relators_match_reference():
+    for name, texts in (("B", _B_TEXTS), ("ZxB", _ZXB_TEXTS), ("G", _G_TEXTS)):
+        assert [render_word(r) for r in builtin(name).relators] == texts, name
+    e = builtin("E")
+    assert same_relator_set(e, _reference_e())
+    # [t, h^2], the same relator as (h^2)^t = h^2 up to rotation and inversion
+    assert render_word(e.relators[-1]) == "t^-1 h^-1 h^-1 t h h"
+
+
 def test_g_relator_for_stable_letter():
     g = builtin("G")
     assert render_word(g.relators[-1]) == "s^-1 h h s a^-1 h^-1"
@@ -53,10 +78,10 @@ def test_g_relator_for_stable_letter():
 
 def test_hnn_presentation_of_e():
     g = builtin("G")
-    extended = hnn_presentation(g, g.subgroup("H2"), "t")
+    extended = hnn_presentation(g, "E", (parse_word("h^2", g.alphabet),), "t")
     assert len(extended.relators) == 9
-    assert extended.alphabet == builtin("E").alphabet
-    assert same_relator_set(extended, builtin("E"))
+    assert extended.alphabet == _reference_e().alphabet
+    assert same_relator_set(extended, _reference_e())
     # existing relators untouched
     for old, new in zip(g.relators, extended.relators):
         assert old.letters == new.letters
@@ -64,22 +89,23 @@ def test_hnn_presentation_of_e():
 
 def test_hnn_presentation_z_squared():
     z = make_presentation("Z", Alphabet(("a",)), ())
-    sub = SubgroupSpec("all", (gen(z.alphabet, "a"),))
-    ext = hnn_presentation(z, sub, "t")
-    assert ext.alphabet.names == ("a", "t")
+    ext = hnn_presentation(z, "Z2", (gen(z.alphabet, "a"),), "t")
+    assert ext.name == "Z2" and ext.alphabet.names == ("a", "t")
     assert [render_word(r) for r in ext.relators] == ["t^-1 a^-1 t a"]
 
 
 def test_hnn_presentation_trivial_subgroup_is_free_product():
     alphabet = Alphabet(("a",))
     p = make_presentation("C2", alphabet, (parse_word("a^2", alphabet),))
-    ext = hnn_presentation(p, SubgroupSpec("triv", ()), "t")
+    ext = hnn_presentation(p, "C2*Z", (), "t")
     assert len(ext.relators) == 1 and ext.alphabet.names == ("a", "t")
 
 
 def test_hnn_presentation_name_collision():
     with pytest.raises(AlphabetConflictError):
-        hnn_presentation(builtin("G"), SubgroupSpec("x", ()), "s")
+        hnn_presentation(builtin("G"), "x", (), "s")
+    with pytest.raises(ValueError, match="wrong alphabet"):
+        hnn_presentation(builtin("G"), "x", (parse_word("a", Alphabet(("a",))),), "t")
 
 
 def test_conjugation_substitution_examples():
@@ -133,18 +159,16 @@ def test_parse_relation_forms():
 def test_parse_subgroup_lines_and_comments():
     text = """# sample
 group G
-gens a b c h s
+gens a b c h s  # the marking
 rel a^2
-subgroup H2 gen h^2
 """
     p = parse_presentation(text)
-    spec = p.subgroup("H2")
-    assert render_word(spec.generators[0]) == "h h"
-    with pytest.raises(KeyError):
-        p.subgroup("missing")
-    with pytest.raises(WordSyntaxError) as err:
-        parse_presentation(text + "subgroup K conj (s b)^-1 of H2\n")
-    assert "line 6" in str(err.value)
+    assert p.name == "G" and p.alphabet.names == ("a", "b", "c", "h", "s")
+    assert [render_word(r) for r in p.relators] == ["a a"]
+    # a subgroup is its generator words, given to hnn_presentation; the
+    # file format has no subgroup line
+    with pytest.raises(WordSyntaxError, match=r"^unknown keyword 'subgroup' \(line 5\)$"):
+        parse_presentation(text + "subgroup H2 gen h^2\n")
 
 
 def test_parse_error_reports_line():

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from markedgroups.words import (
+    DEFAULT_BUDGET,
     Alphabet,
+    BudgetExceededError,
     Substitution,
     Word,
     WordSyntaxError,
@@ -237,6 +239,28 @@ def test_parse_nesting_limit():
         parse_word("(" * 101 + "a" + ")" * 101, AB, 2)
 
 
+def test_parse_budget_is_default():
+    # a huge exponent is refused by the default budget before it is
+    # expanded, not by an OverflowError or an allocation of its letters
+    with pytest.raises(BudgetExceededError, match=r"\(budget 10000\)$"):
+        parse_word("a^99999999999999999999999", AB)
+    assert len(parse_word("a^10000", AB)) == DEFAULT_BUDGET
+    with pytest.raises(BudgetExceededError):
+        parse_word("a^10001", AB)
+
+
+def test_parse_power_of_empty_word():
+    huge = "99999999999999999999999"
+    assert parse_word(f"1^{huge}", AB).letters == ()
+    assert parse_word(f"(a a^-1)^-{huge} b", AB, budget=100).letters == (2,)
+
+
+def test_parse_bad_character_column():
+    # the column is the character's, not that of the whitespace before it
+    with pytest.raises(WordSyntaxError, match=r"'!' \(line 1, col 5\)$"):
+        parse_word("a   !", AB, 1)
+
+
 # A fixed pool of pieces: names, unknown names, the empty word, powers
 # (zero, negative zero and too large to expand), conjugations,
 # commutators, stray brackets, commas, carets and characters.
@@ -261,7 +285,7 @@ def _parse_outcomes(n_texts):
             rng.choice(_PIECES) + rng.choice((" ", " ", "", "  ", "\t"))
             for _ in range(k)
         )
-        for budget in (None, 5, 20, 100):
+        for budget in (DEFAULT_BUDGET, 5, 20, 100):
             for line in (None, 3):
                 try:
                     yield repr(parse_word(text, alphabet, line, budget=budget).letters)
@@ -270,11 +294,13 @@ def _parse_outcomes(n_texts):
 
 
 def test_parse_pinned():
-    # letters or exception of 160,000 parses; hash taken before the
-    # parser passed letter lists instead of Words
+    # letters or exception of 160,000 parses; re-pinned when the budget
+    # became an int that defaults to DEFAULT_BUDGET, a power of the empty
+    # word became the empty word and the bad-character column moved onto
+    # the character, with every outcome compared against the old parser's
     digest = hashlib.sha256()
     for outcome in _parse_outcomes(20000):
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == (
-        "76f6e6e39443262755192d058bdf133446996883f722a7939cc409e23ee1a036"
+        "fe11329f72cb55003ef14b491d7575d20d70378f1d987bc4172bfd119c0fcdf2"
     )
