@@ -26,6 +26,7 @@ from .presentations import (
     hnn_presentation,
     parse_presentation,
     serialize_presentation,
+    zero_sum_coordinates,
 )
 from .baumslag import (
     BaseElement,
@@ -60,6 +61,7 @@ from .marked import (
     condense,
     cong_r,
     escape_index,
+    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,

@@ -34,9 +34,11 @@ from .presentations import (
     builtin,
     parse_presentation,
     same_relator_set,
+    zero_sum_coordinates,
 )
 from .words import (
     DEFAULT_BUDGET,
+    WordSyntaxError,
     exponent_sum,
     free_reduce,
     parse_word,
@@ -61,10 +63,12 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
 
     File presentations get an oracle only when they match a decidable
     family: a built-in up to relator rotation/inversion, or a one-generator
-    presentation (cyclic).
+    presentation (cyclic).  Coordinates come from the presentation.
     """
     if spec in ("B", "ZxB", "G", "E"):
-        return MarkedGroup(spec, oracle_for(spec, budget))
+        return MarkedGroup(
+            spec, oracle_for(spec, budget), zero_sum_coordinates(builtin(spec))
+        )
     if spec == "Z":
         return marked_Z()
     if spec.startswith("Z/"):
@@ -73,15 +77,16 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
         return marked_Zmod(int(spec[2:]))
     if spec.startswith("file:"):
         pres = parse_presentation(Path(spec[5:]).read_text(), budget=budget)
+        coordinates = zero_sum_coordinates(pres)
         for name in ("B", "ZxB", "G", "E"):
             if same_relator_set(pres, builtin(name)):
-                return MarkedGroup(pres.name, oracle_for(name, budget))
+                return MarkedGroup(pres.name, oracle_for(name, budget), coordinates)
         if pres.alphabet.arity == 1:
             order = 0
             for rel in pres.relators:
                 order = math.gcd(order, exponent_sum(rel))
             return MarkedGroup(
-                pres.name, CyclicOracle(abs(order) or None, pres.alphabet)
+                pres.name, CyclicOracle(abs(order) or None, pres.alphabet), coordinates
             )
         raise UsageError(
             f"no word-problem oracle for presentation {pres.name!r}; "
@@ -99,7 +104,14 @@ def _emit(payload: dict, json_path: Optional[str]) -> None:
 
 def cmd_wp(args: argparse.Namespace) -> int:
     group = load_group(args.group, args.budget)
-    w = free_reduce(parse_word(args.word, group.oracle.alphabet, budget=args.budget))
+    try:
+        w = parse_word(args.word, group.oracle.alphabet, budget=args.budget)
+    except WordSyntaxError as exc:
+        if exc.col is None:
+            raise
+        # the message names a column only together with a line
+        raise UsageError(f"{exc} (col {exc.col})") from None
+    w = free_reduce(w)
     trivial = group.oracle.is_trivial(w)
     _emit(
         {"group": group.name, "word": args.word,

@@ -17,6 +17,7 @@ from .hnn import DEFAULT_BUDGET, e_oracle, g_oracle
 from .marked import (
     condensed_balls,
     escape_index,
+    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -191,7 +192,8 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     if r not in (2, 3, 4):
         raise ValueError("r must be 2, 3 or 4")
     oracle = g_oracle(budget)
-    i = escape_index(enumerate_ball(ABCHS, r), oracle)
+    # outside the kernel of G's coordinates no word is in A (orbit_agreement)
+    i = escape_index(enumerate_ball(ABCHS, r, marked_G(oracle).coordinates), oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
 
     def balls_coincide() -> tuple[bool, dict[str, Any]]:

@@ -23,6 +23,7 @@ from .hnn import (
     handle_for,
     member_in_G,
 )
+from .presentations import builtin, zero_sum_coordinates
 from .words import (
     Alphabet,
     Word,
@@ -69,11 +70,15 @@ class MarkedGroup:
 
     The marking is the oracle's alphabet order.  That the marking
     generates is an assumption supplied by the constructor; it is not
-    checkable from the oracle alone.
+    checkable from the oracle alone.  ``coordinates`` are generator
+    indices whose exponent sums are homomorphisms to Z, as derived by
+    ``zero_sum_coordinates``: every trivial word has sum 0 in each, so
+    scans prune the rest.  The default () walks every word.
     """
 
     name: str
     oracle: GroupOracle
+    coordinates: tuple[int, ...] = ()
 
     @property
     def marking(self) -> tuple[str, ...]:
@@ -85,11 +90,16 @@ class MarkedGroup:
 
 
 def marked_Z() -> MarkedGroup:
-    return MarkedGroup("Z", CyclicOracle(None))
+    return MarkedGroup("Z", CyclicOracle(None), (0,))
 
 
 def marked_Zmod(n: int) -> MarkedGroup:
     return MarkedGroup(f"Z/{n}", CyclicOracle(n))
+
+
+def marked_G(oracle: HnnOracle) -> MarkedGroup:
+    """G over the given oracle, with the coordinates of its presentation."""
+    return MarkedGroup("G", oracle, zero_sum_coordinates(builtin("G")))
 
 
 @dataclass(frozen=True)
@@ -121,14 +131,16 @@ def _fingerprint(words: Sequence[Word]) -> str:
 def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     """Exactly the trivial words of length <= r, in deterministic order.
 
-    Only one of each pair {w, w^-1} is tested, since triviality is
-    inversion invariant; the scan runs in one thread.
+    The scan walks only the words with exponent sum 0 in each of m's
+    coordinates, since no other word is trivial, and tests only one of
+    each pair {w, w^-1}, since triviality is inversion invariant; it runs
+    in one thread.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     oracle = m.oracle
     trivial: list[Word] = []
-    for w in enumerate_ball(oracle.alphabet, r):
+    for w in enumerate_ball(oracle.alphabet, r, m.coordinates):
         inverse = invert_letters(w.letters)
         if inverse < w.letters:
             continue  # tested as its inverse, which has the same length
@@ -159,7 +171,9 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """Largest r <= r_max at which the relation balls coincide.
 
     Scans sphere by sphere; a disagreement at radius r rules out all
-    larger radii by monotonicity.
+    larger radii by monotonicity.  Only words with exponent sum 0 in the
+    coordinates both markings share are tested: any other word is
+    non-trivial on both sides.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")
@@ -167,8 +181,9 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
         raise ValueError("radius must be non-negative")
     a1 = m1.oracle.alphabet
     a2 = m2.oracle.alphabet
+    shared = tuple(i for i in m1.coordinates if i in m2.coordinates)
     for r in range(1, r_max + 1):
-        for w in enumerate_sphere(a1, r):
+        for w in enumerate_sphere(a1, r, shared):
             if m1.oracle.is_trivial(w) != m2.oracle.is_trivial(transfer(w, a2)):
                 return Agreement(r - 1, False)
     return Agreement(r_max, True)
@@ -191,12 +206,16 @@ def chabauty_agree(
 def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
     """The marked group on n+1 letters obtained by adjoining a stable
     letter commuting with the subgroup; marking = m's marking then t.
-    The extension keeps the letter budget of m's oracle, if it has one."""
+    The extension keeps the letter budget of m's oracle, if it has one,
+    and m's coordinates plus t: every relator [t, z] has exponent sum 0
+    in each letter."""
     if point.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
     budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
     oracle = HnnOracle(m.oracle, point.contains, point.contains, "t", budget=budget)
-    return MarkedGroup(f"E({m.name}, {point.label})", oracle)
+    return MarkedGroup(
+        f"E({m.name}, {point.label})", oracle, m.coordinates + (m.arity,)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +282,18 @@ def orbit_agreement(
     """Compare <h^2> with its i-th conjugate on the radius-rho ball of G;
     i defaults to the escape index of that ball.  The ball is walked, not
     kept: once for the escape index, when i is not given, and once for the
-    comparison."""
+    comparison.  Both walks skip the words with a non-zero exponent sum in
+    G's coordinates: h and a are not coordinates, so <h^2>, <ha>, A and,
+    the kernel being normal, their conjugates meet no such word."""
     size = ball_size(oracle.alphabet.arity, rho)
+    coordinates = marked_G(oracle).coordinates
     if i is None:
-        i = escape_index(enumerate_ball(oracle.alphabet, rho), oracle)
+        i = escape_index(enumerate_ball(oracle.alphabet, rho, coordinates), oracle)
     g, k_point = orbit_witness(i, oracle)
     h_point = handle_for("H2", oracle)
-    agree = chabauty_agree(h_point, k_point, enumerate_ball(oracle.alphabet, rho))
+    agree = chabauty_agree(
+        h_point, k_point, enumerate_ball(oracle.alphabet, rho, coordinates)
+    )
     return OrbitAgreement(size, i, g, h_point, k_point, agree)
 
 
@@ -278,7 +302,7 @@ def condensed_balls(
 ) -> tuple[tuple[MarkedGroup, MarkedGroup], tuple[RelationBall, RelationBall]]:
     """The extensions of G over <h^2> and over its i-th conjugate, and
     their radius-r relation balls."""
-    g_marked = MarkedGroup("G", oracle)
+    g_marked = marked_G(oracle)
     _, k_point = orbit_witness(i, oracle)
     left = condense(g_marked, handle_for("H2", oracle))
     right = condense(g_marked, k_point)

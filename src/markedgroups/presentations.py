@@ -8,6 +8,7 @@ significant: it is the marking used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional
 
 from .words import (
@@ -84,6 +85,23 @@ def same_relator_set(p: Presentation, q: Presentation) -> bool:
         return False
     qrels = relator_closure(q.relators)
     return all(r.letters in qrels for r in p.relators)
+
+
+def zero_sum_coordinates(p: Presentation) -> tuple[int, ...]:
+    """The generator indices whose exponent sum is 0 in every relator.
+
+    The exponent sum of such a generator is a homomorphism from the group
+    to Z, so every trivial word has sum 0 in each of them; scans of a
+    marked group use them to skip the rest (``MarkedGroup.coordinates``).
+    """
+    arity = p.alphabet.arity
+    nonzero: set[int] = set()
+    for rel in p.relators:
+        sums = [0] * arity
+        for x in rel.letters:
+            sums[x >> 1] += -1 if x & 1 else 1
+        nonzero.update(i for i, total in enumerate(sums) if total)
+    return tuple(i for i in range(arity) if i not in nonzero)
 
 
 def hnn_presentation(
@@ -174,10 +192,13 @@ def _rels(alphabet: Alphabet, *texts: str) -> tuple[Word, ...]:
 _B_RELS = ("a^2", "[a, a^b]", "[b, c]", "a^c = a a^b")
 
 
+@cache
 def builtin(name: str) -> Presentation:
     """Built-in presentations B, ZxB, G, E with generator order
     (a, b, c[, h][, s][, t]).  ZxB = <h> x B and E = f(<h^2>) are the
-    commuting extensions of ``hnn_presentation``."""
+    commuting extensions of ``hnn_presentation``.  Presentations are
+    immutable, so each is parsed once per process: group specs, scans
+    (for coordinates) and experiments ask for them again and again."""
     if name == "B":
         return make_presentation("B", ABC, _rels(ABC, *_B_RELS))
     if name == "ZxB":

@@ -234,33 +234,75 @@ def ball_size(n: int, r: int) -> int:
 
 
 def _sphere_from(
-    alphabet: Alphabet, length: int, prefix: list[Letter]
+    alphabet: Alphabet,
+    length: int,
+    prefix: list[Letter],
+    steps: Sequence[tuple[int, int]],
+    sums: list[int],
+    norm: int,
 ) -> Iterator[Word]:
+    """The words of ``length`` more letters after ``prefix`` whose
+    coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
+    ``sums[k]``; letters of no coordinate add 0 to a last slot that stays
+    0.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
+    most 1, so a child is cut when its norm exceeds the letters left after
+    it, and every leaf reached has norm 0."""
     if length == 0:
         yield Word(alphabet, tuple(prefix))
         return
     cancel = prefix[-1] ^ 1 if prefix else -1
-    for x in range(2 * alphabet.arity):
+    left = length - 1
+    for x, (k, d) in enumerate(steps):
         if x == cancel:
             continue
+        old = sums[k]
+        child = norm + abs(old + d) - abs(old)
+        if child > left:
+            continue
+        sums[k] = old + d
         prefix.append(x)
-        yield from _sphere_from(alphabet, length - 1, prefix)
+        yield from _sphere_from(alphabet, left, prefix, steps, sums, child)
         prefix.pop()
+        sums[k] = old
 
 
-def enumerate_sphere(alphabet: Alphabet, length: int) -> Iterator[Word]:
-    """Freely reduced words of exactly the given length, in lex order."""
+def _walk(
+    alphabet: Alphabet, lengths: range, coordinates: Sequence[int]
+) -> Iterator[Word]:
+    """The spheres of the given lengths, pruned by ``coordinates``."""
+    steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
+    for k, i in enumerate(coordinates):
+        if not 0 <= i < alphabet.arity:
+            raise ValueError(f"coordinate {i} out of range for arity {alphabet.arity}")
+        steps[2 * i], steps[2 * i + 1] = (k, 1), (k, -1)
+    sums = [0] * (len(coordinates) + 1)
+    for length in lengths:
+        yield from _sphere_from(alphabet, length, [], steps, sums, 0)
+
+
+def enumerate_sphere(
+    alphabet: Alphabet, length: int, coordinates: Sequence[int] = ()
+) -> Iterator[Word]:
+    """Freely reduced words of exactly the given length, in lex order;
+    see :func:`enumerate_ball` for ``coordinates``."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    yield from _sphere_from(alphabet, length, [])
+    return _walk(alphabet, range(length, length + 1), coordinates)
 
 
-def enumerate_ball(alphabet: Alphabet, r: int) -> Iterator[Word]:
-    """Every freely reduced word of length <= r, once, in length-lex order."""
+def enumerate_ball(
+    alphabet: Alphabet, r: int, coordinates: Sequence[int] = ()
+) -> Iterator[Word]:
+    """Every freely reduced word of length <= r, once, in length-lex order.
+
+    Given generator indices as ``coordinates``, only the words with
+    exponent sum 0 in each of them are yielded, in the same order: the
+    walk cuts every prefix whose sums are too far from 0 to return in the
+    letters left.  With ``()`` it yields the whole ball.
+    """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    for length in range(r + 1):
-        yield from _sphere_from(alphabet, length, [])
+    return _walk(alphabet, range(r + 1), coordinates)
 
 
 @dataclass(frozen=True)

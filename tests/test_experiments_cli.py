@@ -95,6 +95,24 @@ def test_load_group_from_file(tmp_path):
     assert group.oracle.is_trivial(w)
 
 
+def test_load_group_coordinates(tmp_path):
+    # built-ins and a file copy of E carry E's derived coordinates
+    assert load_group("E", 10_000).coordinates == (1, 2, 4, 5)
+    assert load_group("G", 10_000).coordinates == (1, 2, 4)
+    path = tmp_path / "e.pres"
+    path.write_text(serialize_presentation(builtin("E")))
+    assert load_group(f"file:{path}", 10_000).coordinates == (1, 2, 4, 5)
+    # a one-letter file has its letter as coordinate exactly when it is Z
+    for rels in ("", "rel y^3\n", "rel y^10\nrel y^4\n", "rel y^5 = y^2\n"):
+        path = tmp_path / "c.pres"
+        path.write_text("group C\ngens y\n" + rels)
+        group = load_group(f"file:{path}", 10_000)
+        assert (group.coordinates == (0,)) == (group.oracle.order is None), rels
+        assert group.coordinates in ((), (0,)), rels
+    assert load_group("Z", 10_000).coordinates == (0,)
+    assert load_group("Z/4", 10_000).coordinates == ()
+
+
 def test_load_group_cyclic_file(tmp_path):
     path = tmp_path / "c.pres"
     path.write_text("group C\ngens x\nrel x^10\nrel x^4\n")
@@ -132,6 +150,14 @@ def test_cli_wp_exit_codes(capsys):
     assert out["trivial"] is True
     assert main(["wp", "--group", "E", "--word", "t"]) == 1
     assert main(["wp", "--group", "E", "--word", "t )"]) == 2
+
+
+def test_cli_wp_syntax_error_column(capsys):
+    assert main(["wp", "--group", "E", "--word", "a   !"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '!' (col 5)\n"
+    # an error the parser gives no column keeps its message
+    assert main(["wp", "--group", "E", "--word", "a^"]) == 2
+    assert capsys.readouterr().err == "error: dangling '^'\n"
 
 
 def test_cli_ball_output(capsys, tmp_path):
@@ -268,7 +294,7 @@ def test_cli_deep_nesting_exit_2(capsys, tmp_path):
     deep = "(" * 1000 + "x" + ")" * 1000
     assert main(["wp", "--group", "E", "--word", deep.replace("x", "a")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: brackets nested deeper than 100\n", err
+    assert err == "error: brackets nested deeper than 100 (col 101)\n", err
     path = tmp_path / "deep.pres"
     path.write_text(f"group X\ngens x\nrel {deep}\n")
     assert main(["ball", "--group", f"file:{path}", "--radius", "1"]) == 2

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from markedgroups.hnn import (
     e_oracle,
     g_oracle,
     handle_for,
+    oracle_for,
 )
 from markedgroups.marked import (
     Agreement,
@@ -18,6 +20,7 @@ from markedgroups.marked import (
     condense,
     cong_r,
     escape_index,
+    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -25,7 +28,7 @@ from markedgroups.marked import (
     orbit_witness,
     relation_ball,
 )
-from markedgroups.presentations import ABCHS
+from markedgroups.presentations import ABCHS, builtin, zero_sum_coordinates
 from markedgroups.words import (
     Alphabet,
     Word,
@@ -119,6 +122,60 @@ def test_relation_ball_export_header():
     assert lines[1:] == ["1", "x1 x1", "x1^-1 x1^-1"]
 
 
+def marked_builtin(name):
+    return MarkedGroup(name, oracle_for(name), zero_sum_coordinates(builtin(name)))
+
+
+def _pruned_groups():
+    g = g_oracle()
+    h2_ext = condense(marked_G(g), handle_for("H2", g))
+    k_ext = condense(marked_G(g), orbit_witness(2, g)[1])
+    return [
+        (marked_builtin("B"), 5), (marked_builtin("ZxB"), 4),
+        (marked_builtin("G"), 5), (marked_builtin("E"), 4),
+        (marked_Z(), 6), (marked_Zmod(4), 6), (h2_ext, 3), (k_ext, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "group, r_max", _pruned_groups(), ids=lambda v: getattr(v, "name", v)
+)
+def test_relation_ball_pruned_equals_full_walk(group, r_max):
+    full = replace(group, coordinates=())
+    for r in range(r_max + 1):
+        assert relation_ball(group, r) == relation_ball(full, r), r
+
+
+def test_condense_coordinates():
+    g = g_oracle()
+    assert marked_G(g).coordinates == (1, 2, 4)
+    assert condense(marked_G(g), handle_for("H2", g)).coordinates == (1, 2, 4, 5)
+    assert marked_Z().coordinates == (0,) and marked_Zmod(3).coordinates == ()
+
+
+def test_relation_ball_keeps_trivial_word_with_odd_a_count():
+    # a^c = a a^b: this relator has three a's, so a filter on the parity of
+    # a would drop it; a is no coordinate of B, and the walk keeps it
+    w = parse_word("c^-1 a c b^-1 a^-1 b a^-1", builtin("B").alphabet)
+    assert sum(x >> 1 == 0 for x in w.letters) % 2 == 1
+    ball = relation_ball(marked_builtin("B"), 7)
+    assert w in ball.words
+
+
+@pytest.mark.parametrize(
+    "name, count, fingerprint",
+    [
+        ("G", 1503, "eb7c0ef75f21e9e16baee046c4626c21d1e2eddc83cfb93c9a3f2bd41729d41a"),
+        ("E", 1703, "cc3a61a18e0ff1a731de5b747095a89785945d92a0adf0b677a54e5f9a2b012f"),
+    ],
+    ids=["G", "E"],
+)
+def test_relation_ball_radius6_pinned(name, count, fingerprint):
+    # pinned from the full scan, before balls were pruned
+    ball = relation_ball(marked_builtin(name), 6)
+    assert (ball.count, ball.fingerprint) == (count, fingerprint)
+
+
 # -- agreement ---------------------------------------------------------------
 
 
@@ -135,6 +192,29 @@ def test_max_agreement_examples():
     assert max_agreement(marked_Z(), marked_Z(), 5) == Agreement(5, True)
     assert str(Agreement(5, True)) == ">= 5"
     assert max_agreement(marked_Zmod(2), marked_Zmod(3), 5) == Agreement(1, False)
+
+
+def test_max_agreement_pruned_equals_full_walk():
+    g = g_oracle()
+    e = marked_builtin("E")
+    pairs = [
+        (marked_Zmod(5), marked_Z(), 8),
+        (marked_Zmod(7), marked_Z(), 10),
+        (marked_Z(), marked_Z(), 5),
+        (marked_builtin("G"), marked_G(g), 3),
+        (e, condense(marked_G(g), handle_for("H2", g)), 3),
+        (e, replace(e, coordinates=(1, 5)), 3),
+        (
+            condense(marked_G(g), handle_for("H2", g)),
+            condense(marked_G(g), orbit_witness(0, g)[1]),
+            4,
+        ),
+    ]
+    for m1, m2, r_max in pairs:
+        full = max_agreement(
+            replace(m1, coordinates=()), replace(m2, coordinates=()), r_max
+        )
+        assert max_agreement(m1, m2, r_max) == full, (m1.name, m2.name)
 
 
 def test_cong_monotone():
@@ -171,6 +251,21 @@ def test_orbit_agreement_streams_the_ball():
         tracemalloc.stop()
     assert (orbit.ball_size, orbit.i, orbit.agree) == (911, 2, True)
     assert peak < 64 * 1024, peak
+
+
+def test_orbit_subgroups_lie_in_kernel_of_g_coordinates():
+    # h and a map to 0, so <h^2>, <ha>, A and their conjugates lie in the
+    # kernel of G's coordinates: the pruned orbit walks are exact
+    coordinates = marked_G(g_oracle()).coordinates
+    assert ABCHS.index("h") not in coordinates
+    assert ABCHS.index("a") not in coordinates
+    oracle = g_oracle()
+    for rho in range(4):
+        orbit = orbit_agreement(rho, oracle)
+        ball = list(enumerate_ball(ABCHS, rho))
+        assert orbit.i == escape_index(ball, oracle)
+        assert orbit.agree == chabauty_agree(orbit.h_point, orbit.k_point, ball)
+        assert orbit.ball_size == len(ball)
 
 
 def test_chabauty_agree_radius2_witness():

@@ -12,6 +12,7 @@ from markedgroups.presentations import (
     parse_presentation,
     same_relator_set,
     serialize_presentation,
+    zero_sum_coordinates,
 )
 from markedgroups.words import (
     Alphabet,
@@ -69,6 +70,33 @@ def test_builtin_relators_match_reference():
     assert same_relator_set(e, _reference_e())
     # [t, h^2], the same relator as (h^2)^t = h^2 up to rotation and inversion
     assert render_word(e.relators[-1]) == "t^-1 h^-1 h^-1 t h h"
+
+
+# The coordinates of the built-ins: b, c (B); b, c, h (ZxB); b, c, s (G);
+# b, c, s, t (E).  a dies with a^2; h survives in ZxB but not in G.
+_COORDINATES = {"B": (1, 2), "ZxB": (1, 2, 3), "G": (1, 2, 4), "E": (1, 2, 4, 5)}
+
+
+def test_zero_sum_coordinates_of_builtins():
+    for name, expected in _COORDINATES.items():
+        assert zero_sum_coordinates(builtin(name)) == expected, name
+
+
+def test_zero_sum_coordinates_are_exactly_the_zero_sums():
+    # counted here letter by letter: a coordinate has sum 0 in every
+    # relator, and every other generator has a relator where it does not
+    for name in _COORDINATES:
+        p = builtin(name)
+        coordinates = zero_sum_coordinates(p)
+        for i in range(p.alphabet.arity):
+            sums = []
+            for rel in p.relators:
+                total = 0
+                for x in rel.letters:
+                    if x // 2 == i:
+                        total += -1 if x % 2 else 1
+                sums.append(total)
+            assert (i in coordinates) == all(t == 0 for t in sums), (name, i)
 
 
 def test_g_relator_for_stable_letter():

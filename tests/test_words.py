@@ -193,6 +193,29 @@ def test_sphere_lengths():
             assert len(u) == r and u.is_reduced()
 
 
+def _sums(u, generator):
+    return sum(1 if x == 2 * generator else -1 if x == 2 * generator + 1 else 0
+               for x in u.letters)
+
+
+@pytest.mark.parametrize("coordinates", [(0,), (1,), (0, 1), (1, 0)])
+def test_ball_coordinates_filter_in_order(coordinates):
+    # the pruned walk yields exactly the zero-sum words of the full walk,
+    # in the same order, on every sphere and ball
+    for r in range(6):
+        full = list(enumerate_ball(AB, r))
+        expected = [u for u in full if all(_sums(u, i) == 0 for i in coordinates)]
+        assert list(enumerate_ball(AB, r, coordinates)) == expected
+        sphere = [u for u in expected if len(u) == r]
+        assert list(enumerate_sphere(AB, r, coordinates)) == sphere
+    assert list(enumerate_ball(AB, 4, ())) == list(enumerate_ball(AB, 4))
+
+
+def test_ball_coordinates_out_of_range():
+    with pytest.raises(ValueError):
+        list(enumerate_ball(AB, 2, (2,)))
+
+
 # -- grammar -----------------------------------------------------------------
 
 
