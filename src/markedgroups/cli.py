@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -52,7 +53,16 @@ class UsageError(SystemExit):
 
 class _Parser(argparse.ArgumentParser):
     """Raises argparse's errors as UsageError instead of printing a usage
-    block and exiting; subparsers inherit the class."""
+    block and exiting; subparsers inherit the class.
+
+    argparse takes an argument starting with '-' for an option unless it
+    looks like a negative number; a list such as ``-1,2`` counts as one
+    here, so ``--i -1,2`` reads as a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message: str):
         raise UsageError(message)
@@ -272,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--imax", type=int, default=10)
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--i", default=None, help="comma-separated index list")
+    p.add_argument(
+        "--i", default=None,
+        help="comma-separated index list, such as 1,2,3 or --i=-1,2 (default 1)",
+    )
     p.add_argument("--json", default=None)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(fn=cmd_experiment)

@@ -23,7 +23,13 @@ from .marked import (
     max_agreement,
     orbit_agreement,
 )
-from .presentations import ABCHS, ABCHST, builtin, conjugation_substitution
+from .presentations import (
+    ABCHS,
+    ABCHST,
+    builtin,
+    conjugation_substitution,
+    zero_sum_coordinates,
+)
 from .rewriting import RewriteRule, build_trace, run_trace
 from .words import (
     Alphabet,
@@ -32,6 +38,7 @@ from .words import (
     commutator,
     concat,
     enumerate_ball,
+    exponent_sums,
     free_reduce,
     gen,
     invert,
@@ -103,9 +110,10 @@ class ExperimentReport:
 
 def exp_zmod_limit(i_max: int) -> ExperimentReport:
     """Z/i and Z, marked by their canonical generator, agree at radius
-    exactly i-1; the bound is sharp because x^i dies only on one side."""
-    if i_max < 2:
-        raise ValueError("i_max must be at least 2")
+    exactly i-1; the bound is sharp because x^i dies only on one side.
+    The cost grows as i_max^3, so i_max is capped at 100."""
+    if not 2 <= i_max <= 100:
+        raise ValueError(f"i_max must be between 2 and 100, got {i_max}")
     report = ExperimentReport("zmod-limit", {"imax": i_max})
     z = marked_Z()
     for i in range(2, i_max + 1):
@@ -288,14 +296,20 @@ def exp_epsilon(
     i_list: Iterable[int], rho: int, *, budget: int = DEFAULT_BUDGET
 ) -> ExperimentReport:
     """For each i: the map is well defined, surjective, non-injective,
-    and its collision count on the radius-rho ball is reported."""
-    if rho > 2:
-        raise ValueError("rho must be at most 2")
+    and its collision count on the radius-rho ball is reported.
+
+    Only pairs whose images have equal exponent sums in E's coordinates
+    (b, c, s, t) are compared, since each sum is a homomorphism E -> Z
+    and so no other pair can collide.  rho is at most 3.
+    """
+    if rho > 3:
+        raise ValueError(f"rho must be at most 3, got {rho}")
     i_list = list(i_list)
     oracle = e_oracle(budget)
     for i in i_list:
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
+    coordinates = zero_sum_coordinates(e_pres)
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     ball = list(enumerate_ball(ABCHST, rho))
     for i in i_list:
@@ -374,10 +388,20 @@ def exp_epsilon(
             # sigma fixes a word letter for letter when it has no t; a pair
             # of fixed words has image equal to word, so it cannot collide
             fixed = [img.letters == u.letters for img, u in zip(images, ball)]
+            # images apart in a coordinate sum differ in E, so only pairs in
+            # one bucket are compared: q runs over the later members of p's
+            # bucket, in the order of the full double loop
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            later: list[tuple[list[int], int]] = []
+            for p, img in enumerate(images):
+                sums = exponent_sums(img)
+                bucket = buckets.setdefault(tuple(sums[k] for k in coordinates), [])
+                later.append((bucket, len(bucket) + 1))
+                bucket.append(p)
             count = 0
             example = None
-            for p in range(len(ball)):
-                for q in range(p + 1, len(ball)):
+            for p, (bucket, start) in enumerate(later):
+                for q in bucket[start:]:
                     if fixed[p] and fixed[q]:
                         continue
                     merged_image = free_reduce(

@@ -20,6 +20,7 @@ from .words import (
     check_budget,
     commutator,
     concat,
+    exponent_sums,
     free_reduce,
     gen,
     invert,
@@ -94,14 +95,10 @@ def zero_sum_coordinates(p: Presentation) -> tuple[int, ...]:
     to Z, so every trivial word has sum 0 in each of them; scans of a
     marked group use them to skip the rest (``MarkedGroup.coordinates``).
     """
-    arity = p.alphabet.arity
     nonzero: set[int] = set()
     for rel in p.relators:
-        sums = [0] * arity
-        for x in rel.letters:
-            sums[x >> 1] += -1 if x & 1 else 1
-        nonzero.update(i for i, total in enumerate(sums) if total)
-    return tuple(i for i in range(arity) if i not in nonzero)
+        nonzero.update(i for i, total in enumerate(exponent_sums(rel)) if total)
+    return tuple(i for i in range(p.alphabet.arity) if i not in nonzero)
 
 
 def hnn_presentation(

@@ -204,6 +204,14 @@ def exponent_sum(w: Word) -> int:
     return len(w.letters) - 2 * sum(x & 1 for x in w.letters)
 
 
+def exponent_sums(w: Word) -> list[int]:
+    """The exponent sum of each generator in w, by generator index."""
+    sums = [0] * w.alphabet.arity
+    for x in w.letters:
+        sums[x >> 1] += -1 if x & 1 else 1
+    return sums
+
+
 def sort_key(w: Word) -> tuple[int, tuple[Letter, ...]]:
     """Length-lex order; int order on letters is the enumeration order."""
     return (len(w.letters), w.letters)

@@ -9,13 +9,29 @@ import pytest
 
 from markedgroups.cli import load_group, main
 from markedgroups.experiments import (
+    epsilon_substitution,
     exp_continuity,
     exp_epsilon,
     exp_orbit,
     exp_zmod_limit,
 )
-from markedgroups.presentations import builtin, serialize_presentation
-from markedgroups.words import parse_word
+from markedgroups.hnn import e_oracle
+from markedgroups.presentations import (
+    ABCHST,
+    builtin,
+    serialize_presentation,
+    zero_sum_coordinates,
+)
+from markedgroups.words import (
+    concat,
+    enumerate_ball,
+    exponent_sums,
+    free_reduce,
+    invert,
+    parse_word,
+    render_word,
+    substitute,
+)
 
 
 # -- experiment reports ------------------------------------------------------
@@ -66,7 +82,63 @@ def test_exp_epsilon_passes():
     assert by_id["ball-injectivity-2"].witness["collisions"] == 0
     assert by_id["kernel-witness-2"].witness["trace_steps"] == 7
     with pytest.raises(ValueError):
-        exp_epsilon([1], 3)
+        exp_epsilon([1], 4)
+
+
+def full_pair_collisions(i, rho):
+    """The collision witness of the full double loop over the ball, and
+    the coordinate-sum bucket of each pair whose images merge trivially."""
+    oracle = e_oracle()
+    sigma = epsilon_substitution(i)
+    coordinates = zero_sum_coordinates(builtin("E"))
+    ball = list(enumerate_ball(ABCHST, rho))
+    images = [substitute(u, sigma) for u in ball]
+    fixed = [img.letters == u.letters for img, u in zip(images, ball)]
+    keys = [tuple(exponent_sums(img)[k] for k in coordinates) for img in images]
+    count, example, merged_pairs = 0, None, []
+    for p in range(len(ball)):
+        for q in range(p + 1, len(ball)):
+            if fixed[p] and fixed[q]:
+                continue
+            if not oracle.is_trivial(free_reduce(concat(images[p], invert(images[q])))):
+                continue
+            merged_pairs.append((keys[p], keys[q]))
+            if not oracle.is_trivial(free_reduce(concat(ball[p], invert(ball[q])))):
+                count += 1
+                if example is None:
+                    example = [render_word(ball[p]), render_word(ball[q])]
+    witness = {"i": i, "rho": rho, "ball_size": len(ball), "collisions": count}
+    if example is not None:
+        witness["example"] = example
+    return witness, merged_pairs
+
+
+@pytest.mark.parametrize("i", [-2, -1, 0, 1, 2])
+def test_exp_epsilon_buckets_match_full_loop(i):
+    for rho in (1, 2):
+        expected, merged_pairs = full_pair_collisions(i, rho)
+        report = exp_epsilon([i], rho)
+        assert report.checks[-1].witness == expected
+        # every pair that merges to a trivial image shares its bucket; at
+        # rho 2 there are such pairs, as h a and a h
+        assert merged_pairs or rho == 1
+        assert all(key_p == key_q for key_p, key_q in merged_pairs)
+
+
+def test_exp_epsilon_rho_3_finds_a_collision():
+    (check,) = [c for c in exp_epsilon([0], 3).checks if c.id == "ball-injectivity-0"]
+    # the full double loop over all 1,274,406 pairs gives the same count and
+    # first example, in about 26 s on 2 vCPU
+    assert check.witness["ball_size"] == 1597
+    assert check.witness["collisions"] == 96
+    assert check.witness["example"] == ["a h t", "t a h"]
+    u, v = (parse_word(w, ABCHST) for w in check.witness["example"])
+    oracle = e_oracle()
+    sigma = epsilon_substitution(0)
+    assert not oracle.is_trivial(free_reduce(concat(u, invert(v))))
+    assert oracle.is_trivial(
+        free_reduce(concat(substitute(u, sigma), invert(substitute(v, sigma))))
+    )
 
 
 def test_report_json_deterministic_without_timing():
@@ -209,6 +281,16 @@ def test_cli_experiment(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_epsilon_negative_index_list(capsys):
+    # a list starting with a negative index is a value, not an option
+    outputs = []
+    for argv in (["--i", "-1,2"], ["--i=-1,2"]):
+        assert main(["experiment", "epsilon", *argv, "--no-timing"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["params"]["i"] == [-1, 2]
+
+
 def test_cli_budget_exceeded(capsys):
     assert main(
         ["--budget", "6", "wp", "--group", "G", "--word", "s^-1 h^6 s"]
@@ -247,6 +329,7 @@ def test_cli_help_exits_0(capsys):
         [],
         ["condense", "--i", "1", "--radius", "2", "--workers", "4"],
         ["experiment", "orbit", "--workers", "2"],
+        ["experiment", "zmod-limit", "--imax", "101"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):
@@ -358,6 +441,10 @@ PINNED_OUTPUT = {
         "fbb25d4c69a2cfa751550d4e3d8851ad5bed4f88fe29cb6ee7d591ba0159160f",
     "experiment epsilon --i 1,2 --rho 1 --no-timing":
         "99303092235d9e35f01dae8d7b511775efff771103d6a515c12584ee0134741b",
+    "experiment epsilon --i 1,2,3,4,5,6,7,8 --rho 2 --no-timing":
+        "9077201621414e4e2a1a164d901c92606cd7a1a26ed7c25d88e830446edb8c63",
+    "experiment epsilon --i=-2,-1,0,1,2 --rho 2 --no-timing":
+        "2735fa128d1b367cf4f5e531b79ff38dc8c275df77f612a01b7ba5c63f18ccd4",
     "chabauty --rho 2":
         "93160d08c7bd35fb685c5b73f09e9b341ff661a32d37d3dd188213c432727944",
     "condense --i 1 --radius 3":
