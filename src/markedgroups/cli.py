@@ -7,6 +7,7 @@ every check passed, 1 means a negative verdict, 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from .hnn import BudgetExceededError, g_oracle, oracle_for
 from .marked import (
     CyclicOracle,
     MarkedGroup,
-    condensed_balls,
+    condensed_pair,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -184,9 +185,9 @@ def cmd_chabauty(args: argparse.Namespace) -> int:
 
 
 def cmd_condense(args: argparse.Namespace) -> int:
-    (extension_h, extension_k), (ball_h, ball_k) = condensed_balls(
-        args.i, args.radius, g_oracle(args.budget)
-    )
+    extension_h, extension_k = condensed_pair(args.i, g_oracle(args.budget))
+    ball_h = relation_ball(extension_h, args.radius)
+    ball_k = relation_ball(extension_k, args.radius)
     coincide = ball_h.fingerprint == ball_k.fingerprint
     _emit(
         {
@@ -217,13 +218,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
         report = exp_epsilon(i_list, args.rho, budget=args.budget)
-    text = report.to_json(include_timing=not args.no_timing)
-    print(text)
-    if args.json:
-        Path(args.json).write_text(text + "\n")
+    _emit(report.to_dict(include_timing=not args.no_timing), args.json)
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="markedgroups",

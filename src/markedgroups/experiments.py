@@ -11,17 +11,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from itertools import combinations
+from typing import Any, Iterable
 
 from .hnn import DEFAULT_BUDGET, e_oracle, g_oracle
 from .marked import (
-    condensed_balls,
+    condensed_pair,
     escape_index,
     marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,
     orbit_agreement,
+    relation_ball,
 )
 from .presentations import (
     ABCHS,
@@ -70,24 +72,28 @@ class Check:
 
 @dataclass
 class ExperimentReport:
+    """The checks of one experiment run, in order.  A check's ``ms`` is
+    the time since the previous check was added, or since the report was
+    made for the first check."""
+
     experiment: str
     params: dict[str, Any]
     checks: list[Check] = field(default_factory=list)
+    _since: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._since = time.perf_counter()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def run_check(
-        self,
-        check_id: str,
-        anchor: str,
-        fn: Callable[[], tuple[bool, dict[str, Any]]],
+    def check(
+        self, check_id: str, anchor: str, passed: bool, witness: dict[str, Any]
     ) -> Check:
-        start = time.perf_counter()
-        passed, witness = fn()
-        ms = (time.perf_counter() - start) * 1000.0
-        check = Check(check_id, anchor, passed, witness, ms)
+        now = time.perf_counter()
+        check = Check(check_id, anchor, passed, witness, (now - self._since) * 1000.0)
+        self._since = now
         self.checks.append(check)
         return check
 
@@ -114,22 +120,16 @@ def exp_zmod_limit(i_max: int) -> ExperimentReport:
     The cost grows as i_max^3, so i_max is capped at 100."""
     if not 2 <= i_max <= 100:
         raise ValueError(f"i_max must be between 2 and 100, got {i_max}")
-    report = ExperimentReport("zmod-limit", {"imax": i_max})
     z = marked_Z()
+    report = ExperimentReport("zmod-limit", {"imax": i_max})
     for i in range(2, i_max + 1):
-
-        def check(i: int = i) -> tuple[bool, dict[str, Any]]:
-            agreement = max_agreement(marked_Zmod(i), z, i + 1)
-            return (
-                agreement == (i - 1, False),
-                {"i": i, "agreement_radius": agreement.radius,
-                 "saturated": agreement.saturated, "expected": i - 1},
-            )
-
-        report.run_check(
+        agreement = max_agreement(marked_Zmod(i), z, i + 1)
+        report.check(
             f"zmod-{i}",
             f"Z/{i} and Z agree at radius exactly {i - 1}",
-            check,
+            agreement == (i - 1, False),
+            {"i": i, "agreement_radius": agreement.radius,
+             "saturated": agreement.saturated, "expected": i - 1},
         )
     return report
 
@@ -158,32 +158,26 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         "orbit", {"rho": rho, "i": i, "conjugator": render_word(orbit.conjugator)}
     )
 
-    report.run_check(
+    report.check(
         "chabauty-agree",
         "H and gHg^-1 intersect the radius-rho ball identically",
-        lambda: (orbit.agree, {"ball_size": orbit.ball_size, "i": i}),
+        orbit.agree,
+        {"ball_size": orbit.ball_size, "i": i},
     )
-    report.run_check(
+    report.check(
         "distinct-subgroup",
         "h a^(b^i) lies in gHg^-1 but not in H",
-        lambda: (
-            orbit.k_point(witness) and not orbit.h_point(witness),
-            {"witness": render_word(witness)},
-        ),
+        orbit.k_point(witness) and not orbit.h_point(witness),
+        {"witness": render_word(witness)},
     )
-
-    def conjugate_identity() -> tuple[bool, dict[str, Any]]:
-        sbi = free_reduce(gen(ABCHS, "s") * gen(ABCHS, "b") ** i)
-        lhs = free_reduce(
-            concat(invert(sbi), gen(ABCHS, "h") * gen(ABCHS, "h"), sbi)
-        )
-        ok = oracle.is_trivial(free_reduce(concat(lhs, invert(witness))))
-        return ok, {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"}
-
-    report.run_check(
+    # g = (s b^i)^-1, so (h^2)^(s b^i) = g h^2 g^-1
+    g = orbit.conjugator
+    conjugate = free_reduce(concat(g, gen(ABCHS, "h") ** 2, invert(g)))
+    report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
-        conjugate_identity,
+        oracle.is_trivial(free_reduce(concat(conjugate, invert(witness)))),
+        {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"},
     )
     return report
 
@@ -203,48 +197,36 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     # outside the kernel of G's coordinates no word is in A (orbit_agreement)
     i = escape_index(enumerate_ball(ABCHS, r, marked_G(oracle).coordinates), oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
-
-    def balls_coincide() -> tuple[bool, dict[str, Any]]:
-        _, (ball_h, ball_k) = condensed_balls(i, r, oracle)
-        return (
-            ball_h.fingerprint == ball_k.fingerprint,
-            {
-                "radius": r,
-                "count_h": ball_h.count,
-                "count_k": ball_k.count,
-                "fingerprint_h": ball_h.fingerprint,
-                "fingerprint_k": ball_k.fingerprint,
-            },
-        )
-
-    report.run_check(
+    extension_h, extension_k = condensed_pair(i, oracle)
+    ball_h, ball_k = relation_ball(extension_h, r), relation_ball(extension_k, r)
+    report.check(
         "relation-balls-coincide",
         "the two extensions have identical relation balls at radius r",
-        balls_coincide,
+        ball_h.fingerprint == ball_k.fingerprint,
+        {
+            "radius": r,
+            "count_h": ball_h.count,
+            "count_k": ball_k.count,
+            "fingerprint_h": ball_h.fingerprint,
+            "fingerprint_k": ball_k.fingerprint,
+        },
     )
 
-    def control_distinguish() -> tuple[bool, dict[str, Any]]:
-        # radius 0: only the two extensions are needed here
-        (extension_h, extension_k0), _ = condensed_balls(0, 0, oracle)
-        alphabet = extension_h.oracle.alphabet
-        ha = free_reduce(gen(alphabet, "h") * gen(alphabet, "a"))
-        w = commutator(ha, gen(alphabet, "t"))
-        trivial_k0 = extension_k0.oracle.is_trivial(w)
-        trivial_h = extension_h.oracle.is_trivial(w)
-        return (
-            trivial_k0 and not trivial_h and len(w) <= 8,
-            {
-                "word": render_word(w),
-                "length": len(w),
-                "trivial_in_E(G,<ha>)": trivial_k0,
-                "trivial_in_E(G,<h^2>)": trivial_h,
-            },
-        )
-
-    report.run_check(
+    extension_h, extension_k0 = condensed_pair(0, oracle)
+    alphabet = extension_h.oracle.alphabet
+    w = commutator(_witness_word(0, alphabet), gen(alphabet, "t"))
+    trivial_k0 = extension_k0.oracle.is_trivial(w)
+    trivial_h = extension_h.oracle.is_trivial(w)
+    report.check(
         "control-distinguish",
         "a word of length <= 8 separates the i=0 conjugate's extension",
-        control_distinguish,
+        trivial_k0 and not trivial_h and len(w) <= 8,
+        {
+            "word": render_word(w),
+            "length": len(w),
+            "trivial_in_E(G,<ha>)": trivial_k0,
+            "trivial_in_E(G,<h^2>)": trivial_h,
+        },
     )
     return report
 
@@ -310,123 +292,93 @@ def exp_epsilon(
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
     coordinates = zero_sum_coordinates(e_pres)
-    report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     ball = list(enumerate_ball(ABCHST, rho))
+    report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
+    s, b, t = (gen(ABCHST, name) for name in "sbt")
     for i in i_list:
         sigma = epsilon_substitution(i)
-
-        def well_defined(i: int = i, sigma=sigma) -> tuple[bool, dict[str, Any]]:
-            bad = [
-                render_word(rel)
-                for rel in e_pres.relators
-                if not oracle.is_trivial(substitute(rel, sigma))
-            ]
-            return not bad, {"i": i, "relators": len(e_pres.relators),
-                             "failing": bad}
-
-        report.run_check(
+        bad = [
+            render_word(rel)
+            for rel in e_pres.relators
+            if not oracle.is_trivial(substitute(rel, sigma))
+        ]
+        report.check(
             f"well-defined-{i}",
             "every relator maps to a trivial word",
-            well_defined,
+            not bad,
+            {"i": i, "relators": len(e_pres.relators), "failing": bad},
         )
 
-        def surjective(i: int = i, sigma=sigma) -> tuple[bool, dict[str, Any]]:
-            preimages: dict[str, str] = {}
-            ok = True
-            for name in ABCHST.names:
-                if name == "t":
-                    s = gen(ABCHST, "s")
-                    b = gen(ABCHST, "b")
-                    t = gen(ABCHST, "t")
-                    pre = free_reduce(concat(s, b ** i, t, invert(b ** i),
-                                             invert(s)))
-                else:
-                    pre = gen(ABCHST, name)
-                image = substitute(pre, sigma)
-                preimages[name] = render_word(pre)
-                # certified symbolically: the image freely reduces to the
-                # generator itself
-                if image.letters != gen(ABCHST, name).letters:
-                    ok = False
-            return ok, {"i": i, "preimages": preimages}
-
-        report.run_check(
+        preimages = {name: gen(ABCHST, name) for name in ABCHST.names}
+        preimages["t"] = free_reduce(concat(s, b ** i, t, invert(b ** i), invert(s)))
+        # certified symbolically: each image freely reduces to the generator
+        onto = all(
+            substitute(pre, sigma).letters == gen(ABCHST, name).letters
+            for name, pre in preimages.items()
+        )
+        report.check(
             f"surjective-{i}",
             "every generator has an explicit preimage",
-            surjective,
+            onto,
+            {"i": i,
+             "preimages": {name: render_word(pre) for name, pre in preimages.items()}},
         )
 
-        def kernel(i: int = i, sigma=sigma) -> tuple[bool, dict[str, Any]]:
-            witness = epsilon_kernel_word(i)
-            image = substitute(witness, sigma)
-            image_trivial = oracle.is_trivial(image)
-            witness_nontrivial = not oracle.is_trivial(witness)
-            start, rules, steps = epsilon_kernel_certificate(i)
-            certified = (
-                start.letters == image.letters
-                and not run_trace(start, rules, steps, e_pres).letters
-            )
-            return (
-                image_trivial and witness_nontrivial and certified,
-                {
-                    "i": i,
-                    "witness": render_word(witness),
-                    "image_trivial": image_trivial,
-                    "witness_nontrivial": witness_nontrivial,
-                    "trace_steps": len(steps),
-                },
-            )
-
-        report.run_check(
+        kernel_word = epsilon_kernel_word(i)
+        image = substitute(kernel_word, sigma)
+        image_trivial = oracle.is_trivial(image)
+        witness_nontrivial = not oracle.is_trivial(kernel_word)
+        start, rules, steps = epsilon_kernel_certificate(i)
+        certified = (
+            start.letters == image.letters
+            and not run_trace(start, rules, steps, e_pres).letters
+        )
+        report.check(
             f"kernel-witness-{i}",
             "[t, h a^(b^i)] maps to a trivial word but is non-trivial",
-            kernel,
+            image_trivial and witness_nontrivial and certified,
+            {
+                "i": i,
+                "witness": render_word(kernel_word),
+                "image_trivial": image_trivial,
+                "witness_nontrivial": witness_nontrivial,
+                "trace_steps": len(steps),
+            },
         )
 
-        def collisions(i: int = i, sigma=sigma) -> tuple[bool, dict[str, Any]]:
-            images = [substitute(u, sigma) for u in ball]
-            # sigma fixes a word letter for letter when it has no t; a pair
-            # of fixed words has image equal to word, so it cannot collide
-            fixed = [img.letters == u.letters for img, u in zip(images, ball)]
-            # images apart in a coordinate sum differ in E, so only pairs in
-            # one bucket are compared: q runs over the later members of p's
-            # bucket, in the order of the full double loop
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            later: list[tuple[list[int], int]] = []
-            for p, img in enumerate(images):
-                sums = exponent_sums(img)
-                bucket = buckets.setdefault(tuple(sums[k] for k in coordinates), [])
-                later.append((bucket, len(bucket) + 1))
-                bucket.append(p)
-            count = 0
-            example = None
-            for p, (bucket, start) in enumerate(later):
-                for q in bucket[start:]:
-                    if fixed[p] and fixed[q]:
-                        continue
-                    merged_image = free_reduce(
-                        concat(images[p], invert(images[q]))
-                    )
-                    if not oracle.is_trivial(merged_image):
-                        continue
-                    merged = free_reduce(concat(ball[p], invert(ball[q])))
-                    if not oracle.is_trivial(merged):
-                        count += 1
-                        if example is None:
-                            example = (
-                                render_word(ball[p]),
-                                render_word(ball[q]),
-                            )
-            witness: dict[str, Any] = {"i": i, "rho": rho,
-                                       "ball_size": len(ball),
-                                       "collisions": count}
-            if example is not None:
-                witness["example"] = list(example)
-            return True, witness  # reported, not asserted: no effective bound
-
-        report.run_check(
+        images = [substitute(u, sigma) for u in ball]
+        # sigma fixes a word letter for letter when it has no t; a pair
+        # of fixed words has image equal to word, so it cannot collide
+        fixed = [img.letters == u.letters for img, u in zip(images, ball)]
+        # images apart in a coordinate sum differ in E, so only pairs in
+        # one bucket are compared
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for p, img in enumerate(images):
+            sums = exponent_sums(img)
+            buckets.setdefault(tuple(sums[k] for k in coordinates), []).append(p)
+        count = 0
+        example = None
+        for bucket in buckets.values():
+            for p, q in combinations(bucket, 2):
+                if fixed[p] and fixed[q]:
+                    continue
+                merged_image = free_reduce(concat(images[p], invert(images[q])))
+                if not oracle.is_trivial(merged_image):
+                    continue
+                merged = free_reduce(concat(ball[p], invert(ball[q])))
+                if not oracle.is_trivial(merged):
+                    count += 1
+                    # the least pair is the one the full double loop meets first
+                    if example is None or (p, q) < example:
+                        example = (p, q)
+        witness: dict[str, Any] = {"i": i, "rho": rho, "ball_size": len(ball),
+                                   "collisions": count}
+        if example is not None:
+            witness["example"] = [render_word(ball[p]) for p in example]
+        report.check(
             f"ball-injectivity-{i}",
             "collision count of the self-map on the radius-rho ball",
-            collisions,
+            True,  # reported, not asserted: no effective bound
+            witness,
         )
     return report

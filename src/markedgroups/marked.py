@@ -297,14 +297,8 @@ def orbit_agreement(
     return OrbitAgreement(size, i, g, h_point, k_point, agree)
 
 
-def condensed_balls(
-    i: int, r: int, oracle: HnnOracle
-) -> tuple[tuple[MarkedGroup, MarkedGroup], tuple[RelationBall, RelationBall]]:
-    """The extensions of G over <h^2> and over its i-th conjugate, and
-    their radius-r relation balls."""
+def condensed_pair(i: int, oracle: HnnOracle) -> tuple[MarkedGroup, MarkedGroup]:
+    """The extensions of G over <h^2> and over its i-th conjugate."""
     g_marked = marked_G(oracle)
     _, k_point = orbit_witness(i, oracle)
-    left = condense(g_marked, handle_for("H2", oracle))
-    right = condense(g_marked, k_point)
-    balls = relation_ball(left, r), relation_ball(right, r)
-    return (left, right), balls
+    return condense(g_marked, handle_for("H2", oracle)), condense(g_marked, k_point)

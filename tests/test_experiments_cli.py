@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from markedgroups import experiments
 from markedgroups.cli import load_group, main
 from markedgroups.experiments import (
+    ExperimentReport,
     epsilon_substitution,
     exp_continuity,
     exp_epsilon,
@@ -139,6 +141,16 @@ def test_exp_epsilon_rho_3_finds_a_collision():
     assert oracle.is_trivial(
         free_reduce(concat(substitute(u, sigma), invert(substitute(v, sigma))))
     )
+
+
+def test_check_ms_is_time_since_previous_check(monkeypatch):
+    readings = iter([0.0, 0.005, 0.012])
+    monkeypatch.setattr(experiments.time, "perf_counter", lambda: next(readings))
+    report = ExperimentReport("clock", {})
+    report.check("first", "anchor", True, {})
+    report.check("second", "anchor", True, {})
+    assert [c.ms for c in report.checks] == pytest.approx([5.0, 7.0])
+    assert all("ms" not in c for c in report.to_dict(False)["checks"])
 
 
 def test_report_json_deterministic_without_timing():
@@ -435,8 +447,14 @@ def test_cli_experiment_budget(capsys, argv):
 # SHA-256 of stdout for fixed commands, so that a change to rendering, word
 # order or a verdict fails in the fast tests, not only in the benchmark.
 PINNED_OUTPUT = {
+    "experiment zmod-limit --imax 12 --no-timing":
+        "9294aacfefffcf047569301ac53a9fb9001a8b1d3e6e77f3524d3a2cd16abe18",
     "experiment continuity --radius 3 --no-timing":
         "ac89e3d73fd0f1b12c31b0ef840f93a9c17422e67946df97b1682051535c9995",
+    "experiment continuity --radius 4 --no-timing":
+        "3f4f2f5fe9c80c71038eae16cb87922c8e494256dede6dc52f1dcbeceffb25d9",
+    "experiment orbit --rho 3 --no-timing":
+        "1e4e08b4d6829779986ebaf882ebf980abff98cf15bb47d1ffa24cb020567b99",
     "experiment orbit --rho 2 --no-timing":
         "fbb25d4c69a2cfa751550d4e3d8851ad5bed4f88fe29cb6ee7d591ba0159160f",
     "experiment epsilon --i 1,2 --rho 1 --no-timing":
