@@ -46,22 +46,20 @@ from .hnn import (
     HnnOracle,
     SubgroupHandle,
     conjugate_handle,
-    e_oracle,
     g_oracle,
     handle_for,
     member_in_G,
-    oracle_for,
 )
 from .marked import (
     Agreement,
     CyclicOracle,
     MarkedGroup,
     RelationBall,
+    builtin_group,
     chabauty_agree,
     condense,
     cong_r,
     escape_index,
-    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,

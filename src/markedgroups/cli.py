@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,10 +22,11 @@ from .experiments import (
     exp_orbit,
     exp_zmod_limit,
 )
-from .hnn import BudgetExceededError, g_oracle, oracle_for
+from .hnn import BudgetExceededError
 from .marked import (
     CyclicOracle,
     MarkedGroup,
+    builtin_group,
     condensed_pair,
     marked_Z,
     marked_Zmod,
@@ -77,9 +79,7 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
     presentation (cyclic).  Coordinates come from the presentation.
     """
     if spec in ("B", "ZxB", "G", "E"):
-        return MarkedGroup(
-            spec, oracle_for(spec, budget), zero_sum_coordinates(builtin(spec))
-        )
+        return builtin_group(spec, budget)
     if spec == "Z":
         return marked_Z()
     if spec.startswith("Z/"):
@@ -88,17 +88,15 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
         return marked_Zmod(int(spec[2:]))
     if spec.startswith("file:"):
         pres = parse_presentation(Path(spec[5:]).read_text(), budget=budget)
-        coordinates = zero_sum_coordinates(pres)
         for name in ("B", "ZxB", "G", "E"):
             if same_relator_set(pres, builtin(name)):
-                return MarkedGroup(pres.name, oracle_for(name, budget), coordinates)
+                return replace(builtin_group(name, budget), name=pres.name)
         if pres.alphabet.arity == 1:
             order = 0
             for rel in pres.relators:
                 order = math.gcd(order, exponent_sum(rel))
-            return MarkedGroup(
-                pres.name, CyclicOracle(abs(order) or None, pres.alphabet), coordinates
-            )
+            oracle = CyclicOracle(abs(order) or None, pres.alphabet)
+            return MarkedGroup(pres.name, oracle, zero_sum_coordinates(pres))
         raise UsageError(
             f"no word-problem oracle for presentation {pres.name!r}; "
             "only the built-in families and cyclic groups are decidable here"
@@ -170,7 +168,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chabauty(args: argparse.Namespace) -> int:
-    orbit = orbit_agreement(args.rho, g_oracle(args.budget), args.i)
+    orbit = orbit_agreement(args.rho, builtin_group("G", args.budget), args.i)
     _emit(
         {
             "rho": args.rho,
@@ -185,7 +183,7 @@ def cmd_chabauty(args: argparse.Namespace) -> int:
 
 
 def cmd_condense(args: argparse.Namespace) -> int:
-    extension_h, extension_k = condensed_pair(args.i, g_oracle(args.budget))
+    extension_h, extension_k = condensed_pair(args.i, builtin_group("G", args.budget))
     ball_h = relation_ball(extension_h, args.radius)
     ball_k = relation_ball(extension_k, args.radius)
     coincide = ball_h.fingerprint == ball_k.fingerprint

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable
 
-from .hnn import DEFAULT_BUDGET, e_oracle, g_oracle
+from .hnn import DEFAULT_BUDGET
 from .marked import (
+    builtin_group,
     condensed_pair,
     escape_index,
-    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -30,7 +30,6 @@ from .presentations import (
     ABCHST,
     builtin,
     conjugation_substitution,
-    zero_sum_coordinates,
 )
 from .rewriting import RewriteRule, build_trace, run_trace
 from .words import (
@@ -150,8 +149,8 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     of H = <h^2> that meets F exactly as H does yet differs from H."""
     if rho not in (1, 2, 3):
         raise ValueError("rho must be 1, 2 or 3")
-    oracle = g_oracle(budget)
-    orbit = orbit_agreement(rho, oracle)
+    group = builtin_group("G", budget)
+    orbit = orbit_agreement(rho, group)
     i = orbit.i
     witness = _witness_word(i)
     report = ExperimentReport(
@@ -176,7 +175,7 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
-        oracle.is_trivial(free_reduce(concat(conjugate, invert(witness)))),
+        group.oracle.is_trivial(free_reduce(concat(conjugate, invert(witness)))),
         {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"},
     )
     return report
@@ -193,11 +192,11 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     short explicit word."""
     if r not in (2, 3, 4):
         raise ValueError("r must be 2, 3 or 4")
-    oracle = g_oracle(budget)
+    group = builtin_group("G", budget)
     # outside the kernel of G's coordinates no word is in A (orbit_agreement)
-    i = escape_index(enumerate_ball(ABCHS, r, marked_G(oracle).coordinates), oracle)
+    i = escape_index(enumerate_ball(ABCHS, r, group.coordinates), group.oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
-    extension_h, extension_k = condensed_pair(i, oracle)
+    extension_h, extension_k = condensed_pair(i, group)
     ball_h, ball_k = relation_ball(extension_h, r), relation_ball(extension_k, r)
     report.check(
         "relation-balls-coincide",
@@ -212,7 +211,7 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         },
     )
 
-    extension_h, extension_k0 = condensed_pair(0, oracle)
+    extension_h, extension_k0 = condensed_pair(0, group)
     alphabet = extension_h.oracle.alphabet
     w = commutator(_witness_word(0, alphabet), gen(alphabet, "t"))
     trivial_k0 = extension_k0.oracle.is_trivial(w)
@@ -287,11 +286,11 @@ def exp_epsilon(
     if rho > 3:
         raise ValueError(f"rho must be at most 3, got {rho}")
     i_list = list(i_list)
-    oracle = e_oracle(budget)
+    e = builtin_group("E", budget)
+    oracle, coordinates = e.oracle, e.coordinates
     for i in i_list:
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
-    coordinates = zero_sum_coordinates(e_pres)
     ball = list(enumerate_ball(ABCHST, rho))
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     s, b, t = (gen(ABCHST, name) for name in "sbt")

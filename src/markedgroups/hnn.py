@@ -2,13 +2,14 @@
 
 The engine is generic: a base word-problem oracle plus the associated
 isomorphism in each direction (``HnnOracle``'s ``left`` and ``right``
-maps) yield a complete word-problem oracle for the extension.  It is instantiated twice, for
+maps) yield a complete word-problem oracle for the extension.  The tower is
 
     <h> x B --(stable s, h^2 <-> ha)--> G --(stable t, identity on h^2)--> E.
 
-The second step is the general one: the stable letter commutes with a
-subgroup, so both maps are the subgroup handle's ``contains``, and
-``marked.condense`` passes them the same way for any handle.
+``g_oracle`` builds the first step here.  The second is the general one:
+the stable letter commutes with a subgroup, so both maps are the subgroup
+handle's ``contains``.  ``marked.condense`` builds it for any handle, and
+``marked.builtin_group`` builds E as condense(G, <h^2>).
 
 Convention: a pinch t^-1 z t with z in the left associated subgroup is
 replaced by z's image on the right, and t z t^-1 with z in the right
@@ -30,7 +31,7 @@ from .baumslag import (
     member_H2,
     member_HA,
 )
-from .presentations import ABC, ABCH
+from .presentations import ABCH
 from .words import (
     DEFAULT_BUDGET,
     Alphabet,
@@ -201,7 +202,7 @@ def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
 
 
 def member_in_G(
-    w: Word, test: Callable[[BaseElement], T], oracle: Optional[HnnOracle] = None
+    w: Word, test: Callable[[BaseElement], T], oracle: HnnOracle
 ) -> Optional[T]:
     """test(z) for the element z of <h> x B equal to w in G, or None.
 
@@ -209,7 +210,7 @@ def member_in_G(
     hence outside every subgroup of it; otherwise membership is decided
     in <h> x B.
     """
-    z = (oracle or g_oracle())._base_word(w)
+    z = oracle._base_word(w)
     return None if z is None else test(eval_base(z))
 
 
@@ -251,13 +252,12 @@ def _a_word(alphabet: Alphabet, z: BaseElement) -> Word:
     return free_reduce(concat(*parts))
 
 
-def handle_for(name: str, oracle: Optional[HnnOracle] = None) -> SubgroupHandle:
+def handle_for(name: str, oracle: HnnOracle) -> SubgroupHandle:
     """The handle for H2 = <h^2>, HA = <ha> or A = <h, a^(b^i)> in G.
 
     Canonical words: h^{2k} for H2, (ha)^k for HA, and for A the word of
     ``_a_word``.
     """
-    oracle = oracle or g_oracle()
     alphabet = oracle.alphabet
 
     def h2(z: BaseElement) -> Optional[Word]:
@@ -293,22 +293,3 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(
         f"conj({render_word(g)}, {inner.label})", contains, inner.alphabet
     )
-
-
-def e_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
-    """The word-problem oracle for E (alphabet a, b, c, h, s, t)."""
-    g = g_oracle(budget)
-    h2 = handle_for("H2", g)
-    return HnnOracle(g, h2.contains, h2.contains, "t", budget=budget)
-
-
-def oracle_for(name: str, budget: int = DEFAULT_BUDGET) -> GroupOracle:
-    if name == "B":
-        return BaseOracle(ABC)
-    if name == "ZxB":
-        return BaseOracle(ABCH)
-    if name == "G":
-        return g_oracle(budget)
-    if name == "E":
-        return e_oracle(budget)
-    raise KeyError(f"no built-in oracle named {name!r}")

@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .baumslag import PolyFrac, member_A, monomial, span_membership
 from .hnn import (
     DEFAULT_BUDGET,
+    BaseOracle,
     GroupOracle,
     HnnOracle,
     SubgroupHandle,
@@ -23,7 +24,7 @@ from .hnn import (
     handle_for,
     member_in_G,
 )
-from .presentations import builtin, zero_sum_coordinates
+from .presentations import ABC, ABCH, builtin, zero_sum_coordinates
 from .words import (
     Alphabet,
     Word,
@@ -97,9 +98,21 @@ def marked_Zmod(n: int) -> MarkedGroup:
     return MarkedGroup(f"Z/{n}", CyclicOracle(n))
 
 
-def marked_G(oracle: HnnOracle) -> MarkedGroup:
-    """G over the given oracle, with the coordinates of its presentation."""
-    return MarkedGroup("G", oracle, zero_sum_coordinates(builtin("G")))
+def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
+    """B, ZxB, G or E with the coordinates of its presentation; E is the
+    paper's condense(G, <h^2>), whose stable letter t commutes with h^2."""
+    if name == "E":
+        g = builtin_group("G", budget)
+        return replace(condense(g, handle_for("H2", g.oracle)), name="E")
+    if name == "B":
+        oracle = BaseOracle(ABC)
+    elif name == "ZxB":
+        oracle = BaseOracle(ABCH)
+    elif name == "G":
+        oracle = g_oracle(budget)
+    else:
+        raise KeyError(f"no built-in group named {name!r}")
+    return MarkedGroup(name, oracle, zero_sum_coordinates(builtin(name)))
 
 
 @dataclass(frozen=True)
@@ -223,9 +236,7 @@ def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
 # ---------------------------------------------------------------------------
 
 
-def escape_index(
-    finite_set: Iterable[Word], oracle: Optional[HnnOracle] = None
-) -> int:
+def escape_index(finite_set: Iterable[Word], oracle: HnnOracle) -> int:
     """Smallest index i (0, 1, -1, 2, -2, ...) such that the monomial x^i
     escapes the GF(2)-span of the module parts of the set's intersection
     with the subgroup A.
@@ -246,9 +257,7 @@ def escape_index(
         i += 1
 
 
-def orbit_witness(
-    i: int, oracle: Optional[HnnOracle] = None
-) -> tuple[Word, SubgroupHandle]:
+def orbit_witness(i: int, oracle: HnnOracle) -> tuple[Word, SubgroupHandle]:
     """The conjugator g = (s b^i)^-1 and the handle for g H g^-1.
 
     The conjugate subgroup is generated by h a^{b^i}; its square is h^2,
@@ -256,7 +265,6 @@ def orbit_witness(
     BudgetExceededError before building s b^i when it has more letters
     than the oracle's budget.
     """
-    oracle = oracle or g_oracle()
     check_budget(abs(i) + 1, oracle.budget)
     alphabet = oracle.alphabet
     sbi = free_reduce(gen(alphabet, "s") * gen(alphabet, "b") ** i)
@@ -277,28 +285,27 @@ class OrbitAgreement(NamedTuple):
 
 
 def orbit_agreement(
-    rho: int, oracle: HnnOracle, i: Optional[int] = None
+    rho: int, g: MarkedGroup, i: Optional[int] = None
 ) -> OrbitAgreement:
-    """Compare <h^2> with its i-th conjugate on the radius-rho ball of G;
+    """Compare <h^2> with its i-th conjugate on the radius-rho ball of g = G;
     i defaults to the escape index of that ball.  The ball is walked, not
     kept: once for the escape index, when i is not given, and once for the
     comparison.  Both walks skip the words with a non-zero exponent sum in
     G's coordinates: h and a are not coordinates, so <h^2>, <ha>, A and,
     the kernel being normal, their conjugates meet no such word."""
-    size = ball_size(oracle.alphabet.arity, rho)
-    coordinates = marked_G(oracle).coordinates
+    oracle = g.oracle
+    size = ball_size(g.arity, rho)
     if i is None:
-        i = escape_index(enumerate_ball(oracle.alphabet, rho, coordinates), oracle)
-    g, k_point = orbit_witness(i, oracle)
+        i = escape_index(enumerate_ball(oracle.alphabet, rho, g.coordinates), oracle)
+    conjugator, k_point = orbit_witness(i, oracle)
     h_point = handle_for("H2", oracle)
     agree = chabauty_agree(
-        h_point, k_point, enumerate_ball(oracle.alphabet, rho, coordinates)
+        h_point, k_point, enumerate_ball(oracle.alphabet, rho, g.coordinates)
     )
-    return OrbitAgreement(size, i, g, h_point, k_point, agree)
+    return OrbitAgreement(size, i, conjugator, h_point, k_point, agree)
 
 
-def condensed_pair(i: int, oracle: HnnOracle) -> tuple[MarkedGroup, MarkedGroup]:
+def condensed_pair(i: int, g: MarkedGroup) -> tuple[MarkedGroup, MarkedGroup]:
     """The extensions of G over <h^2> and over its i-th conjugate."""
-    g_marked = marked_G(oracle)
-    _, k_point = orbit_witness(i, oracle)
-    return condense(g_marked, handle_for("H2", oracle)), condense(g_marked, k_point)
+    _, k_point = orbit_witness(i, g.oracle)
+    return condense(g, handle_for("H2", g.oracle)), condense(g, k_point)

@@ -274,10 +274,18 @@ def _sphere_from(
         sums[k] = old
 
 
+# _sphere_from recurses once per letter, and a one-letter alphabet hits
+# Python's recursion limit near length 985; this keeps well below it.  The
+# cap is checked when a walk starts, so a scan that stops short never meets it.
+_MAX_LENGTH = 500
+
+
 def _walk(
     alphabet: Alphabet, lengths: range, coordinates: Sequence[int]
 ) -> Iterator[Word]:
     """The spheres of the given lengths, pruned by ``coordinates``."""
+    if lengths[-1] > _MAX_LENGTH:
+        raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
     for k, i in enumerate(coordinates):
         if not 0 <= i < alphabet.arity:

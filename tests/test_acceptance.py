@@ -13,10 +13,11 @@ from markedgroups.experiments import (
     exp_epsilon,
     exp_orbit,
 )
-from markedgroups.hnn import e_oracle, g_oracle, handle_for, oracle_for
+from markedgroups.hnn import g_oracle, handle_for
 from markedgroups.marked import (
     Agreement,
     MarkedGroup,
+    builtin_group,
     chabauty_agree,
     condense,
     escape_index,
@@ -50,7 +51,7 @@ def test_criterion_1_relator_suite():
     ok = True
     for name, count in expected.items():
         pres = builtin(name)
-        oracle = oracle_for(name)
+        oracle = builtin_group(name).oracle
         ok = ok and len(pres.relators) == count
         ok = ok and all(oracle.is_trivial(rel) for rel in pres.relators)
     report(1, "built-in relators trivial with expected counts", ok)
@@ -125,7 +126,7 @@ def test_criterion_5_extension_relation_balls():
 
 
 def test_criterion_6_self_map_suite():
-    oracle = e_oracle()
+    oracle = builtin_group("E").oracle
     e_pres = builtin("E")
     ok = True
     for i in (1, 2, 3):
@@ -159,7 +160,7 @@ def test_criterion_6_self_map_suite():
 
 
 def test_criterion_7_oracle_properties():
-    oracle = e_oracle()
+    oracle = builtin_group("E").oracle
     relators = builtin("E").relators
     rng = random.Random(20260824)
     ok = True

@@ -17,7 +17,7 @@ from markedgroups.experiments import (
     exp_orbit,
     exp_zmod_limit,
 )
-from markedgroups.hnn import e_oracle
+from markedgroups.marked import builtin_group
 from markedgroups.presentations import (
     ABCHST,
     builtin,
@@ -90,7 +90,7 @@ def test_exp_epsilon_passes():
 def full_pair_collisions(i, rho):
     """The collision witness of the full double loop over the ball, and
     the coordinate-sum bucket of each pair whose images merge trivially."""
-    oracle = e_oracle()
+    oracle = builtin_group("E").oracle
     sigma = epsilon_substitution(i)
     coordinates = zero_sum_coordinates(builtin("E"))
     ball = list(enumerate_ball(ABCHST, rho))
@@ -135,7 +135,7 @@ def test_exp_epsilon_rho_3_finds_a_collision():
     assert check.witness["collisions"] == 96
     assert check.witness["example"] == ["a h t", "t a h"]
     u, v = (parse_word(w, ABCHST) for w in check.witness["example"])
-    oracle = e_oracle()
+    oracle = builtin_group("E").oracle
     sigma = epsilon_substitution(0)
     assert not oracle.is_trivial(free_reduce(concat(u, invert(v))))
     assert oracle.is_trivial(
@@ -351,6 +351,30 @@ def test_cli_bad_arguments_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "ball --group Z/4 --radius 1200",
+        "ball --group Z --radius 2500",
+        "compare --group Z/4 --other Z/4 --max-radius 1500",
+    ],
+)
+def test_cli_long_radius_exit_2(capsys, command):
+    # the walk recurses once per letter, so radii above 500 are refused
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius must be at most 500, got "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_radius_cap(capsys):
+    assert main(["ball", "--group", "Z/4", "--radius", "500"]) == 0
+    assert capsys.readouterr().out.startswith("# group=Z/4 radius=500 count=251 ")
+    # a compare that stops at an earlier disagreement never meets the cap
+    assert main("compare --group Z/5 --other Z --max-radius 1500".split()) == 0
+    assert json.loads(capsys.readouterr().out)["agreement_radius"] == 4
+
+
 @pytest.mark.parametrize("word", ["a^1000000000", "(a^9999)^(b^9999)"])
 def test_cli_parse_budget(capsys, word):
     start = time.perf_counter()
@@ -469,6 +493,12 @@ PINNED_OUTPUT = {
         "3c267e3fc60821539f25ae30111ccb523922853c4e03bb4d4b636c0fe6efa489",
     "ball --group G --radius 4":
         "e8651a1b12ac564b429a8abcf8699c286e3bb410a8bd7bb117bb7f755a7804ec",
+    "ball --group E --radius 5":
+        "0c427b66108483419e7336c59ace21c91b3d43e424f71a0211ad011176a0d626",
+    "wp --group E --word [t,h^2]":
+        "460d8fff07a968685514ddf589e9ed33328ff42c7317d2f4c38d933d2b9e34c0",
+    "ball --group ZxB --radius 4":
+        "64cc56f88fc1c27de6ea9d0630621881ffae5fdff2a4f018502ea5b2ee05037c",
 }
 
 

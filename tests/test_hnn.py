@@ -11,13 +11,12 @@ from markedgroups.hnn import (
     HnnOracle,
     UndecidableSpecError,
     conjugate_handle,
-    e_oracle,
     g_oracle,
     handle_for,
     member_in_G,
 )
 from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
-from markedgroups.marked import CyclicOracle
+from markedgroups.marked import CyclicOracle, builtin_group
 from markedgroups.presentations import ABC, ABCH, ABCHS, ABCHST, builtin
 from markedgroups.words import (
     Alphabet,
@@ -43,7 +42,7 @@ def ew(text):
 
 
 G = g_oracle()
-E = e_oracle()
+E = builtin_group("E").oracle
 
 
 # -- Britton reduction in G --------------------------------------------------
@@ -75,19 +74,19 @@ def test_e_oracle_relators():
 
 
 def test_member_H2_in_G_examples():
-    assert member_in_G(gw("h^4"), member_H2) == 2
-    assert member_in_G(gw("s^-1 h^2 s s^-1 h^2 s"), member_H2) == 1  # (ha)^2 = h^2
-    assert member_in_G(gw("h a"), member_H2) is None
-    assert member_in_G(gw("s"), member_H2) is None
+    assert member_in_G(gw("h^4"), member_H2, G) == 2
+    assert member_in_G(gw("s^-1 h^2 s s^-1 h^2 s"), member_H2, G) == 1  # (ha)^2 = h^2
+    assert member_in_G(gw("h a"), member_H2, G) is None
+    assert member_in_G(gw("s"), member_H2, G) is None
 
 
 def test_member_HA_and_A_in_G():
-    assert member_in_G(gw("h a"), member_HA) == 1
-    assert member_in_G(gw("(h^2)^s"), member_HA) == 1  # reduces to ha
-    assert member_in_G(gw("h^2"), member_HA) == 2
-    assert member_in_G(gw("h^3 a^b a^(b^-2)"), member_A)
-    assert not member_in_G(gw("b"), member_A)
-    assert not member_in_G(gw("s"), member_A)
+    assert member_in_G(gw("h a"), member_HA, G) == 1
+    assert member_in_G(gw("(h^2)^s"), member_HA, G) == 1  # reduces to ha
+    assert member_in_G(gw("h^2"), member_HA, G) == 2
+    assert member_in_G(gw("h^3 a^b a^(b^-2)"), member_A, G)
+    assert not member_in_G(gw("b"), member_A, G)
+    assert not member_in_G(gw("s"), member_A, G)
 
 
 def test_transport_canonical_forms():
@@ -103,21 +102,21 @@ def test_transport_canonical_forms():
 
 
 def test_handle_examples():
-    h2 = handle_for("H2")
+    h2 = handle_for("H2", G)
     assert h2(gw("h^2")) and not h2(gw("h a"))
-    ha = handle_for("HA")
+    ha = handle_for("HA", G)
     assert ha(gw("h a")) and ha(gw("h^2")) and not ha(gw("a^b"))
-    sub_a = handle_for("A")
+    sub_a = handle_for("A", G)
     assert sub_a(gw("h a^(b^3)")) and not sub_a(gw("c"))
     with pytest.raises(UndecidableSpecError):
-        handle_for("mystery")
+        handle_for("mystery", G)
 
 
 def test_handle_canonical_words():
     # equal members give the same word, and that word equals the member
-    assert render_word(handle_for("H2").contains(gw("(h a)^2"))) == "h h"
-    assert render_word(handle_for("HA").contains(gw("(h^2)^s h^2"))) == "h h h a"
-    sub_a = handle_for("A")
+    assert render_word(handle_for("H2", G).contains(gw("(h a)^2"))) == "h h"
+    assert render_word(handle_for("HA", G).contains(gw("(h^2)^s h^2"))) == "h h h a"
+    sub_a = handle_for("A", G)
     for u, v in (
         ("h^3 a^b a^(b^-2)", "a^(b^-2) h a^b h^2"),
         ("a^c", "a a^b"),
@@ -126,7 +125,7 @@ def test_handle_canonical_words():
         rep = sub_a.contains(gw(u))
         assert rep is not None and rep == sub_a.contains(gw(v)), u
         assert G.is_trivial(free_reduce(concat(rep, invert(gw(u))))), u
-    k = conjugate_handle(invert(gw("s b")), handle_for("H2"))
+    k = conjugate_handle(invert(gw("s b")), handle_for("H2", G))
     for text in ("h a^b", "(h a^b)^3", "h^-2"):
         rep = k.contains(gw(text))
         assert G.is_trivial(free_reduce(concat(rep, invert(gw(text))))), text
@@ -136,15 +135,15 @@ def test_handle_canonical_words():
 def test_conjugate_handle_h_ab():
     # g = (s b)^-1 conjugates <h^2> to <h a^b>
     g = invert(gw("s b"))
-    k = conjugate_handle(g, handle_for("H2"))
+    k = conjugate_handle(g, handle_for("H2", G))
     assert k(gw("h a^b"))
     assert k(gw("h^2")) and k(gw("h^4"))
     assert not k(gw("h a"))
 
 
 def test_trivial_conjugator_handle():
-    k = conjugate_handle(gw("1"), handle_for("H2"))
-    h2 = handle_for("H2")
+    k = conjugate_handle(gw("1"), handle_for("H2", G))
+    h2 = handle_for("H2", G)
     rng = random.Random(11)
     for _ in range(20):
         letters = tuple(
@@ -284,7 +283,7 @@ def test_tower_consistency():
     # w is in <h^2> <=> [w, t] dies in E
     for text in ("h^2", "h^4", "h a", "h", "s^-1 h^2 s", "a", "h^-2"):
         w = gw(text)
-        in_h2 = member_in_G(w, member_H2) is not None
+        in_h2 = member_in_G(w, member_H2, G) is not None
         lifted = Word(ABCHST, w.letters)
         comm = free_reduce(
             concat(

@@ -6,21 +6,20 @@ import pytest
 
 from markedgroups.hnn import (
     DEFAULT_BUDGET,
+    HnnOracle,
     SubgroupHandle,
-    e_oracle,
     g_oracle,
     handle_for,
-    oracle_for,
 )
 from markedgroups.marked import (
     Agreement,
     CyclicOracle,
     MarkedGroup,
+    builtin_group,
     chabauty_agree,
     condense,
     cong_r,
     escape_index,
-    marked_G,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -40,6 +39,7 @@ from markedgroups.words import (
 )
 
 G_MARKED = MarkedGroup("G", g_oracle())
+G = G_MARKED.oracle
 
 
 def gw(text):
@@ -77,7 +77,7 @@ class CountingOracle:
 @pytest.mark.parametrize(
     "group, r, calls",
     [(marked_Z(), r, r + 1) for r in range(5)]
-    + [(MarkedGroup("E", e_oracle()), 2, 73)],
+    + [(MarkedGroup("E", builtin_group("E").oracle), 2, 73)],
 )
 def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
     counting = CountingOracle(group.oracle)
@@ -87,7 +87,7 @@ def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
 
 
 def test_relation_ball_e_radius2():
-    e_marked = MarkedGroup("E", condense(G_MARKED, handle_for("H2")).oracle)
+    e_marked = MarkedGroup("E", condense(G_MARKED, handle_for("H2", G)).oracle)
     ball = relation_ball(e_marked, 2)
     assert [render_canonical(w) for w in ball.words] == [
         "1", "x1 x1", "x1^-1 x1^-1"
@@ -122,17 +122,13 @@ def test_relation_ball_export_header():
     assert lines[1:] == ["1", "x1 x1", "x1^-1 x1^-1"]
 
 
-def marked_builtin(name):
-    return MarkedGroup(name, oracle_for(name), zero_sum_coordinates(builtin(name)))
-
-
 def _pruned_groups():
-    g = g_oracle()
-    h2_ext = condense(marked_G(g), handle_for("H2", g))
-    k_ext = condense(marked_G(g), orbit_witness(2, g)[1])
+    g = builtin_group("G")
+    h2_ext = condense(g, handle_for("H2", g.oracle))
+    k_ext = condense(g, orbit_witness(2, g.oracle)[1])
     return [
-        (marked_builtin("B"), 5), (marked_builtin("ZxB"), 4),
-        (marked_builtin("G"), 5), (marked_builtin("E"), 4),
+        (builtin_group("B"), 5), (builtin_group("ZxB"), 4),
+        (builtin_group("G"), 5), (builtin_group("E"), 4),
         (marked_Z(), 6), (marked_Zmod(4), 6), (h2_ext, 3), (k_ext, 3),
     ]
 
@@ -146,10 +142,27 @@ def test_relation_ball_pruned_equals_full_walk(group, r_max):
         assert relation_ball(group, r) == relation_ball(full, r), r
 
 
+@pytest.mark.parametrize("name", ["B", "ZxB", "G", "E"])
+def test_builtin_group(name):
+    group = builtin_group(name)
+    pres = builtin(name)
+    assert group.name == name
+    assert group.marking == pres.alphabet.names
+    assert group.coordinates == zero_sum_coordinates(pres)
+    assert all(group.oracle.is_trivial(rel) for rel in pres.relators)
+
+
+def test_builtin_group_budget_and_unknown_name():
+    e = builtin_group("E", 50)
+    assert e.oracle.budget == 50 and e.oracle.base.budget == 50
+    with pytest.raises(KeyError):
+        builtin_group("F")
+
+
 def test_condense_coordinates():
-    g = g_oracle()
-    assert marked_G(g).coordinates == (1, 2, 4)
-    assert condense(marked_G(g), handle_for("H2", g)).coordinates == (1, 2, 4, 5)
+    g = builtin_group("G")
+    assert g.coordinates == (1, 2, 4)
+    assert condense(g, handle_for("H2", g.oracle)).coordinates == (1, 2, 4, 5)
     assert marked_Z().coordinates == (0,) and marked_Zmod(3).coordinates == ()
 
 
@@ -158,7 +171,7 @@ def test_relation_ball_keeps_trivial_word_with_odd_a_count():
     # a would drop it; a is no coordinate of B, and the walk keeps it
     w = parse_word("c^-1 a c b^-1 a^-1 b a^-1", builtin("B").alphabet)
     assert sum(x >> 1 == 0 for x in w.letters) % 2 == 1
-    ball = relation_ball(marked_builtin("B"), 7)
+    ball = relation_ball(builtin_group("B"), 7)
     assert w in ball.words
 
 
@@ -172,7 +185,7 @@ def test_relation_ball_keeps_trivial_word_with_odd_a_count():
 )
 def test_relation_ball_radius6_pinned(name, count, fingerprint):
     # pinned from the full scan, before balls were pruned
-    ball = relation_ball(marked_builtin(name), 6)
+    ball = relation_ball(builtin_group(name), 6)
     assert (ball.count, ball.fingerprint) == (count, fingerprint)
 
 
@@ -195,18 +208,18 @@ def test_max_agreement_examples():
 
 
 def test_max_agreement_pruned_equals_full_walk():
-    g = g_oracle()
-    e = marked_builtin("E")
+    g = builtin_group("G")
+    e = builtin_group("E")
     pairs = [
         (marked_Zmod(5), marked_Z(), 8),
         (marked_Zmod(7), marked_Z(), 10),
         (marked_Z(), marked_Z(), 5),
-        (marked_builtin("G"), marked_G(g), 3),
-        (e, condense(marked_G(g), handle_for("H2", g)), 3),
+        (builtin_group("G"), g, 3),
+        (e, condense(g, handle_for("H2", g.oracle)), 3),
         (e, replace(e, coordinates=(1, 5)), 3),
         (
-            condense(marked_G(g), handle_for("H2", g)),
-            condense(marked_G(g), orbit_witness(0, g)[1]),
+            condense(g, handle_for("H2", g.oracle)),
+            condense(g, orbit_witness(0, g.oracle)[1]),
             4,
         ),
     ]
@@ -227,25 +240,25 @@ def test_cong_monotone():
 
 
 def test_chabauty_agree_examples():
-    h = handle_for("H2")
+    h = handle_for("H2", G)
     assert chabauty_agree(h, h, list(enumerate_ball(ABCHS, 1)))
-    ha_point = handle_for("HA")
+    ha_point = handle_for("HA", G)
     assert not chabauty_agree(h, ha_point, [gw("h a")])
 
 
 def test_chabauty_agree_alphabet_guard():
     whole_z = SubgroupHandle("all", lambda w: w, marked_Z().oracle.alphabet)
     with pytest.raises(ValueError):
-        chabauty_agree(handle_for("H2"), whole_z, [])
+        chabauty_agree(handle_for("H2", G), whole_z, [])
 
 
 def test_orbit_agreement_streams_the_ball():
     # the radius-3 ball of G has 911 words; walking it instead of listing
     # it keeps the peak far below the 144 KiB that a list of the ball takes
-    oracle = g_oracle()
+    g = builtin_group("G")
     tracemalloc.start()
     try:
-        orbit = orbit_agreement(3, oracle)
+        orbit = orbit_agreement(3, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,34 +269,38 @@ def test_orbit_agreement_streams_the_ball():
 def test_orbit_subgroups_lie_in_kernel_of_g_coordinates():
     # h and a map to 0, so <h^2>, <ha>, A and their conjugates lie in the
     # kernel of G's coordinates: the pruned orbit walks are exact
-    coordinates = marked_G(g_oracle()).coordinates
+    g = builtin_group("G")
+    coordinates = g.coordinates
     assert ABCHS.index("h") not in coordinates
     assert ABCHS.index("a") not in coordinates
-    oracle = g_oracle()
     for rho in range(4):
-        orbit = orbit_agreement(rho, oracle)
+        orbit = orbit_agreement(rho, g)
         ball = list(enumerate_ball(ABCHS, rho))
-        assert orbit.i == escape_index(ball, oracle)
+        assert orbit.i == escape_index(ball, g.oracle)
         assert orbit.agree == chabauty_agree(orbit.h_point, orbit.k_point, ball)
         assert orbit.ball_size == len(ball)
 
 
 def test_chabauty_agree_radius2_witness():
     finite_set = list(enumerate_ball(ABCHS, 2))
-    i = escape_index(finite_set)
-    _, k = orbit_witness(i)
-    assert chabauty_agree(handle_for("H2"), k, finite_set)
+    i = escape_index(finite_set, G)
+    _, k = orbit_witness(i, G)
+    assert chabauty_agree(handle_for("H2", G), k, finite_set)
 
 
 # -- condense ----------------------------------------------------------------
 
 
-def test_condense_g_h2_is_e():
-    from markedgroups.hnn import e_oracle
+def reference_e():
+    """E's oracle built directly over G, independent of condense."""
+    h2 = handle_for("H2", G)
+    return HnnOracle(G, h2.contains, h2.contains, "t")
 
-    extension = condense(G_MARKED, handle_for("H2"))
+
+def test_condense_g_h2_is_e():
+    extension = condense(G_MARKED, handle_for("H2", G))
     assert extension.marking == ("a", "b", "c", "h", "s", "t")
-    e = e_oracle()
+    e = reference_e()
     for w in enumerate_ball(extension.oracle.alphabet, 3):
         assert extension.oracle.is_trivial(w) == e.is_trivial(
             Word(e.alphabet, w.letters)
@@ -291,13 +308,13 @@ def test_condense_g_h2_is_e():
 
 
 def test_e_relation_ball_pinned_and_built_by_condense():
-    e = e_oracle()
+    e = reference_e()
     ball = relation_ball(MarkedGroup("E", e), 4)
     assert ball.count == 65
     assert ball.fingerprint == (
         "5e6d3f74fd70bce345e9c616509fe00543474dca4c138890f0d338b11eb87a80"
     )
-    condensed = condense(G_MARKED, handle_for("H2")).oracle
+    condensed = builtin_group("E").oracle
     rng = random.Random(29)
     for _ in range(200):
         letters = tuple(
@@ -309,12 +326,12 @@ def test_e_relation_ball_pinned_and_built_by_condense():
 
 
 def test_condense_distinguished_by_commutator():
-    _, k = orbit_witness(1)
-    ext_h = condense(G_MARKED, handle_for("H2"))
+    _, k = orbit_witness(1, G)
+    ext_h = condense(G_MARKED, handle_for("H2", G))
     ext_k = condense(G_MARKED, k)
     z = parse_word("h a^b", ABCHS)
     comm = parse_word("[h a^b, t]", ext_h.oracle.alphabet)
-    assert k(z) and not handle_for("H2")(z)
+    assert k(z) and not handle_for("H2", G)(z)
     assert ext_k.oracle.is_trivial(comm)
     assert not ext_h.oracle.is_trivial(comm)
 
@@ -347,36 +364,36 @@ def test_condense_keeps_budget():
 
 def test_condense_alphabet_guard():
     with pytest.raises(ValueError):
-        condense(marked_Z(), handle_for("H2"))
+        condense(marked_Z(), handle_for("H2", G))
 
 
 # -- escape index and orbit witness -----------------------------------------
 
 
 def test_escape_index_examples():
-    assert escape_index([gw("a"), gw("h")]) == 1
-    assert escape_index([]) == 0
+    assert escape_index([gw("a"), gw("h")], G) == 1
+    assert escape_index([], G) == 0
     assert escape_index(
-        [gw("a"), gw("a^b"), gw("a^(b^-1)"), gw("h")]
+        [gw("a"), gw("a^b"), gw("a^(b^-1)"), gw("h")], G
     ) == 2
 
 
 def test_escape_index_ball_values():
-    assert escape_index(list(enumerate_ball(ABCHS, 1))) == 1
-    assert escape_index(list(enumerate_ball(ABCHS, 2))) == 1
-    assert escape_index(list(enumerate_ball(ABCHS, 3))) == 2
+    assert escape_index(list(enumerate_ball(ABCHS, 1)), G) == 1
+    assert escape_index(list(enumerate_ball(ABCHS, 2)), G) == 1
+    assert escape_index(list(enumerate_ball(ABCHS, 3)), G) == 2
 
 
 def test_escape_index_positive_tie_break():
     # span {x} leaves both 1 and -1 escaping; i=0 wins, then +|i| before -|i|
-    assert escape_index([gw("a^b")]) == 0
-    assert escape_index([gw("a"), gw("a^b a^(b^-1)")]) == 1
+    assert escape_index([gw("a^b")], G) == 0
+    assert escape_index([gw("a"), gw("a^b a^(b^-1)")], G) == 1
 
 
 def test_orbit_witness_claims():
     oracle = g_oracle()
     for i in (0, 1, 2, -1):
-        g, k = orbit_witness(i)
+        g, k = orbit_witness(i, oracle)
         # g = (s b^i)^-1
         expected = invert(free_reduce(gw("s") * gw("b") ** i))
         assert g == expected
@@ -386,7 +403,7 @@ def test_orbit_witness_claims():
         assert oracle.is_trivial(lhs * invert(witness))
         # the witness generates: in K, not in H2, and its square is h^2
         assert k(witness)
-        assert not handle_for("H2")(witness)
+        assert not handle_for("H2", G)(witness)
         assert oracle.is_trivial(
             witness * witness * invert(gw("h^2"))
         )

@@ -1,6 +1,7 @@
 import pytest
 
-from markedgroups.hnn import g_oracle, oracle_for
+from markedgroups.hnn import g_oracle
+from markedgroups.marked import builtin_group
 from markedgroups.presentations import (
     AlphabetConflictError,
     InvalidConjugatorError,
@@ -58,7 +59,7 @@ def test_builtin_shapes():
 def test_builtin_relators_trivial_under_oracles():
     # cross-module consistency: every built-in relator dies in its group
     for name in ("B", "ZxB", "G", "E"):
-        oracle = oracle_for(name)
+        oracle = builtin_group(name).oracle
         for rel in builtin(name).relators:
             assert oracle.is_trivial(rel), render_word(rel)
 
