@@ -38,6 +38,7 @@ from .words import (
     check_budget,
     commutator,
     concat,
+    conjugate,
     enumerate_ball,
     exponent_sums,
     free_reduce,
@@ -141,7 +142,7 @@ def exp_zmod_limit(i_max: int) -> ExperimentReport:
 def _witness_word(i: int, alphabet: Alphabet = ABCHS) -> Word:
     """h a^{b^i}, over the alphabet of G unless another is given."""
     a, b, h = (gen(alphabet, name) for name in "abh")
-    return free_reduce(concat(h, invert(b ** i), a, b ** i))
+    return h * conjugate(a, b ** i)
 
 
 def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
@@ -171,11 +172,11 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     )
     # g = (s b^i)^-1, so (h^2)^(s b^i) = g h^2 g^-1
     g = orbit.conjugator
-    conjugate = free_reduce(concat(g, gen(ABCHS, "h") ** 2, invert(g)))
+    image = conjugate(gen(ABCHS, "h") ** 2, invert(g))
     report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
-        group.oracle.is_trivial(free_reduce(concat(conjugate, invert(witness)))),
+        group.oracle.is_trivial(free_reduce(concat(image, invert(witness)))),
         {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"},
     )
     return report
@@ -239,7 +240,7 @@ def epsilon_substitution(i: int):
     """The endomorphism of E fixing a, b, c, h, s and sending t to
     t^(s b^i)."""
     e_pres = builtin("E")
-    g = free_reduce(gen(ABCHST, "s") * gen(ABCHST, "b") ** i)
+    g = gen(ABCHST, "s") * gen(ABCHST, "b") ** i
     return conjugation_substitution(e_pres, g, "t")
 
 
@@ -309,7 +310,7 @@ def exp_epsilon(
         )
 
         preimages = {name: gen(ABCHST, name) for name in ABCHST.names}
-        preimages["t"] = free_reduce(concat(s, b ** i, t, invert(b ** i), invert(s)))
+        preimages["t"] = conjugate(t, invert(s * b ** i))
         # certified symbolically: each image freely reduces to the generator
         onto = all(
             substitute(pre, sigma).letters == gen(ABCHST, name).letters

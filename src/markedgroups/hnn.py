@@ -39,6 +39,7 @@ from .words import (
     Word,
     check_alphabet,
     concat,
+    conjugate,
     free_reduce,
     gen,
     invert,
@@ -287,8 +288,8 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     g_inv = invert(g)
 
     def contains(z: Word) -> Optional[Word]:
-        rep = inner.contains(free_reduce(concat(g_inv, z, g)))
-        return None if rep is None else free_reduce(concat(g, rep, g_inv))
+        rep = inner.contains(conjugate(z, g))
+        return None if rep is None else conjugate(rep, g_inv)
 
     return SubgroupHandle(
         f"conj({render_word(g)}, {inner.label})", contains, inner.alphabet

@@ -34,13 +34,11 @@ from .words import (
     enumerate_ball,
     enumerate_sphere,
     exponent_sum,
-    free_reduce,
     gen,
     invert,
     invert_letters,
     render_canonical,
     sort_key,
-    transfer,
 )
 
 
@@ -141,19 +139,17 @@ def _fingerprint(words: Sequence[Word]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
-    """Exactly the trivial words of length <= r, in deterministic order.
+def _trivial_sphere(m: MarkedGroup, length: int) -> list[Word]:
+    """The trivial words of the given length, in walk order.
 
-    The scan walks only the words with exponent sum 0 in each of m's
-    coordinates, since no other word is trivial, and tests only one of
-    each pair {w, w^-1}, since triviality is inversion invariant; it runs
-    in one thread.
+    The walk covers only the words with exponent sum 0 in each of m's
+    coordinates, since no other word is trivial in m, and tests one word
+    of each pair {w, w^-1}, since triviality is inversion invariant; a
+    trivial word is followed by its inverse when that differs.
     """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
     oracle = m.oracle
     trivial: list[Word] = []
-    for w in enumerate_ball(oracle.alphabet, r, m.coordinates):
+    for w in enumerate_sphere(oracle.alphabet, length, m.coordinates):
         inverse = invert_letters(w.letters)
         if inverse < w.letters:
             continue  # tested as its inverse, which has the same length
@@ -161,6 +157,18 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
             trivial.append(w)
             if inverse != w.letters:
                 trivial.append(Word(w.alphabet, inverse))
+    return trivial
+
+
+def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
+    """Exactly the trivial words of length <= r, in deterministic order:
+    the spheres of ``_trivial_sphere``, sorted length-lex.  The largest
+    sphere is walked first, so a radius past the walk's cap is refused
+    before any work; the scan runs in one thread.
+    """
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    trivial = [w for n in range(r, -1, -1) for w in _trivial_sphere(m, n)]
     trivial.sort(key=sort_key)
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 
@@ -183,22 +191,19 @@ class Agreement(NamedTuple):
 def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """Largest r <= r_max at which the relation balls coincide.
 
-    Scans sphere by sphere; a disagreement at radius r rules out all
-    larger radii by monotonicity.  Only words with exponent sum 0 in the
-    coordinates both markings share are tested: any other word is
-    non-trivial on both sides.
+    Compares the trivial words of each sphere, radius by radius; a
+    disagreement at radius r rules out all larger radii by monotonicity.
+    Each marking's sphere is pruned by its own coordinates, which is
+    exact: a word outside them is non-trivial in that marking.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")
     if r_max < 0:
         raise ValueError("radius must be non-negative")
-    a1 = m1.oracle.alphabet
-    a2 = m2.oracle.alphabet
-    shared = tuple(i for i in m1.coordinates if i in m2.coordinates)
     for r in range(1, r_max + 1):
-        for w in enumerate_sphere(a1, r, shared):
-            if m1.oracle.is_trivial(w) != m2.oracle.is_trivial(transfer(w, a2)):
-                return Agreement(r - 1, False)
+        trivial1 = {w.letters for w in _trivial_sphere(m1, r)}
+        if trivial1 != {w.letters for w in _trivial_sphere(m2, r)}:
+            return Agreement(r - 1, False)
     return Agreement(r_max, True)
 
 
@@ -267,8 +272,7 @@ def orbit_witness(i: int, oracle: HnnOracle) -> tuple[Word, SubgroupHandle]:
     """
     check_budget(abs(i) + 1, oracle.budget)
     alphabet = oracle.alphabet
-    sbi = free_reduce(gen(alphabet, "s") * gen(alphabet, "b") ** i)
-    g = invert(sbi)
+    g = invert(gen(alphabet, "s") * gen(alphabet, "b") ** i)
     handle = conjugate_handle(g, handle_for("H2", oracle))
     return g, replace(handle, label=f"conj(sb^{i}, H2)")
 

@@ -20,6 +20,7 @@ from .words import (
     check_budget,
     commutator,
     concat,
+    conjugate,
     exponent_sums,
     free_reduce,
     gen,
@@ -64,28 +65,22 @@ def make_presentation(
     return Presentation(name, alphabet, reduced)
 
 
-def cyclic_rotations(w: Word) -> set[tuple]:
-    """Letter tuples of all cyclic rotations of w."""
-    letters = w.letters
-    return {letters[k:] + letters[:k] for k in range(max(len(letters), 1))}
-
-
-def relator_closure(relators: Iterable[Word]) -> set[tuple]:
-    """All cyclic rotations of the relators and their inverses."""
-    out: set[tuple] = set()
-    for rel in relators:
-        out |= cyclic_rotations(rel)
-        out |= cyclic_rotations(invert(rel))
-    return out
+def relator_class(w: Word) -> tuple[int, ...]:
+    """The least letter tuple among the cyclic rotations of w and of w^-1:
+    two words have the same class iff one is a rotation of the other or
+    of its inverse."""
+    return min(
+        letters[k:] + letters[:k]
+        for letters in (w.letters, invert(w).letters)
+        for k in range(max(len(letters), 1))
+    )
 
 
 def same_relator_set(p: Presentation, q: Presentation) -> bool:
-    """Equality of presentations up to cyclic rotation and inversion of
-    relators (generators must match exactly)."""
-    if p.alphabet != q.alphabet or len(p.relators) != len(q.relators):
-        return False
-    qrels = relator_closure(q.relators)
-    return all(r.letters in qrels for r in p.relators)
+    """Equality of presentations relator for relator, up to cyclic
+    rotation and inversion of each (generators must match exactly)."""
+    p_classes, q_classes = (sorted(map(relator_class, x.relators)) for x in (p, q))
+    return p.alphabet == q.alphabet and p_classes == q_classes
 
 
 def zero_sum_coordinates(p: Presentation) -> tuple[int, ...]:
@@ -146,11 +141,7 @@ def conjugation_substitution(
     images = []
     for i, name in enumerate(p_e.alphabet.names):
         if i == stable_idx:
-            images.append(
-                free_reduce(
-                    concat(invert(g_lifted), gen(p_e.alphabet, stable), g_lifted)
-                )
-            )
+            images.append(conjugate(gen(p_e.alphabet, stable), g_lifted))
         else:
             images.append(gen(p_e.alphabet, name))
     return Substitution(p_e.alphabet, p_e.alphabet, tuple(images))

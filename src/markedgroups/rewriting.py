@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .presentations import Presentation, relator_closure
-from .words import Word, concat, free_reduce, invert, render_word
+from .presentations import Presentation, relator_class
+from .words import Word, free_reduce, invert, render_word
 
 
 class InvalidTraceError(ValueError):
@@ -40,10 +40,9 @@ def validate_rules(
     rules: Sequence[RewriteRule], presentation: Presentation
 ) -> None:
     """Every rule must be derived from a relator of the presentation."""
-    closure = relator_closure(presentation.relators)
+    classes = {relator_class(rel) for rel in presentation.relators}
     for rule in rules:
-        w = free_reduce(concat(rule.lhs, invert(rule.rhs)))
-        if w.letters not in closure:
+        if relator_class(rule.lhs * invert(rule.rhs)) not in classes:
             raise InvalidTraceError(
                 f"rule {rule.name} ({render_word(rule.lhs)} -> "
                 f"{render_word(rule.rhs)}) is not relator-derived"

@@ -192,13 +192,6 @@ def check_budget(
         )
 
 
-def transfer(w: Word, alphabet: Alphabet) -> Word:
-    """The same letter sequence read over another alphabet of equal arity."""
-    if alphabet.arity != w.alphabet.arity:
-        raise ValueError("alphabet arity mismatch")
-    return Word(alphabet, w.letters)
-
-
 def exponent_sum(w: Word) -> int:
     """The image of w in Z when every generator maps to 1."""
     return len(w.letters) - 2 * sum(x & 1 for x in w.letters)
@@ -417,11 +410,7 @@ def parse_word(
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
     tokens = _Tokens(text, alphabet, line, budget)
-    letters = _parse_sequence(tokens, stop=())
-    extra = tokens.peek()
-    if extra is not None:
-        raise WordSyntaxError(f"unexpected token {extra[1]!r}", line, extra[2] + 1)
-    return Word(alphabet, tuple(letters))
+    return Word(alphabet, tuple(_parse_sequence(tokens, stop=())))
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:

@@ -225,6 +225,22 @@ def test_load_group_undecidable_file(tmp_path):
         load_group(f"file:{path}", 10_000)
 
 
+# a^2 written twice, once inverted, and [b, c] twice in place of B's other
+# two relators: <a, b, c | a^2, [b, c]>, in which [a, a^b] is not trivial
+NOT_B = "group NotB\ngens a b c\nrel a a\nrel a^-1 a^-1\nrel [b, c]\nrel [c, b]\n"
+
+
+def test_cli_file_matching_builtin_only_up_to_closure_exits_2(capsys, tmp_path):
+    path = tmp_path / "notb.pres"
+    path.write_text(NOT_B)
+    assert main(["wp", "--group", f"file:{path}", "--word", "[a,a^b]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: no word-problem oracle for presentation 'NotB'"
+    ), captured.err
+
+
 # -- CLI entry point ---------------------------------------------------------
 
 
@@ -357,6 +373,7 @@ def test_cli_bad_arguments_exit_2(capsys, argv):
         "ball --group Z/4 --radius 1200",
         "ball --group Z --radius 2500",
         "compare --group Z/4 --other Z/4 --max-radius 1500",
+        "ball --group E --radius 600",  # refused before any sphere is walked
     ],
 )
 def test_cli_long_radius_exit_2(capsys, command):

@@ -207,6 +207,25 @@ def test_max_agreement_examples():
     assert max_agreement(marked_Zmod(2), marked_Zmod(3), 5) == Agreement(1, False)
 
 
+@pytest.mark.parametrize(
+    "m1, m2, r_max, calls",
+    [
+        (builtin_group("E"), builtin_group("E"), 4, (296, 296)),
+        # Z/7 has no coordinate; Z's prunes every non-empty sphere
+        (marked_Zmod(7), marked_Z(), 10, (7, 0)),
+    ],
+    ids=["E-E", "Z7-Z"],
+)
+def test_max_agreement_tests_one_word_per_inverse_pair(m1, m2, r_max, calls):
+    counting1 = CountingOracle(m1.oracle)
+    counting2 = CountingOracle(m2.oracle)
+    agreement = max_agreement(
+        replace(m1, oracle=counting1), replace(m2, oracle=counting2), r_max
+    )
+    assert (counting1.calls, counting2.calls) == calls
+    assert agreement == max_agreement(m1, m2, r_max)
+
+
 def test_max_agreement_pruned_equals_full_walk():
     g = builtin_group("G")
     e = builtin_group("E")

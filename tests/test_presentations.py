@@ -11,12 +11,14 @@ from markedgroups.presentations import (
     hnn_presentation,
     make_presentation,
     parse_presentation,
+    relator_class,
     same_relator_set,
     serialize_presentation,
     zero_sum_coordinates,
 )
 from markedgroups.words import (
     Alphabet,
+    Word,
     WordSyntaxError,
     gen,
     parse_word,
@@ -71,6 +73,41 @@ def test_builtin_relators_match_reference():
     assert same_relator_set(e, _reference_e())
     # [t, h^2], the same relator as (h^2)^t = h^2 up to rotation and inversion
     assert render_word(e.relators[-1]) == "t^-1 h^-1 h^-1 t h h"
+
+
+def test_same_relator_set_matches_relator_for_relator():
+    # every relator lies in B's rotation/inversion closure and the count is
+    # B's, but a^2 is there twice and B's last two relators are missing
+    not_b = parse_presentation(
+        "gens a b c\nrel a a\nrel a^-1 a^-1\nrel [b, c]\nrel [c, b]\n"
+    )
+    assert not same_relator_set(not_b, builtin("B"))
+    # E's relators permuted, each rotated and every other one inverted
+    e = builtin("E")
+    moved = []
+    for k, rel in enumerate(reversed(e.relators)):
+        cut = k % len(rel)
+        rotated = Word(e.alphabet, rel.letters[cut:] + rel.letters[:cut])
+        moved.append(~rotated if k % 2 else rotated)
+    copy = Presentation("E'", e.alphabet, tuple(moved))
+    assert [r.letters for r in copy.relators] != [r.letters for r in e.relators]
+    assert same_relator_set(copy, e) and same_relator_set(e, copy)
+    assert not same_relator_set(copy, builtin("G"))
+
+
+def test_relator_class():
+    alphabet = Alphabet(("a", "b"))
+    w = parse_word("a b a^-1 b^-1 b^-1", alphabet)
+    cls = relator_class(w)
+    for k in range(len(w)):
+        rotated = Word(alphabet, w.letters[k:] + w.letters[:k])
+        assert relator_class(rotated) == relator_class(~rotated) == cls
+    # the least of the ten: a b ... beats the inverse's rotation a b^-1 ...
+    assert cls == w.letters
+    assert relator_class(parse_word("a b", alphabet)) != relator_class(
+        parse_word("a b^-1", alphabet)
+    )
+    assert relator_class(parse_word("1", alphabet)) == ()
 
 
 # The coordinates of the built-ins: b, c (B); b, c, h (ZxB); b, c, s (G);
