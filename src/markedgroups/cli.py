@@ -212,7 +212,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         report = exp_continuity(args.radius, budget=args.budget)
     elif name == "epsilon":
         try:
-            i_list = [int(part) for part in args.i.split(",")] if args.i else [1]
+            i_list = [int(part) for part in args.i.split(",")]
         except ValueError:
             raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
         report = exp_epsilon(i_list, args.rho, budget=args.budget)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument(
-        "--i", default=None,
+        "--i", default="1",
         help="comma-separated index list, such as 1,2,3 or --i=-1,2 (default 1)",
     )
     p.add_argument("--json", default=None)

@@ -24,7 +24,7 @@ from .hnn import (
     handle_for,
     member_in_G,
 )
-from .presentations import ABC, ABCH, builtin, zero_sum_coordinates
+from .presentations import ABC, ABCH, builtin, relator_class, zero_sum_coordinates
 from .words import (
     Alphabet,
     Word,
@@ -32,13 +32,14 @@ from .words import (
     check_alphabet,
     check_budget,
     enumerate_ball,
-    enumerate_sphere,
     exponent_sum,
     gen,
     invert,
     invert_letters,
     render_canonical,
+    rotations,
     sort_key,
+    _walk,
 )
 
 
@@ -140,36 +141,56 @@ def _fingerprint(words: Sequence[Word]) -> str:
 
 
 def _trivial_sphere(m: MarkedGroup, length: int) -> list[Word]:
-    """The trivial words of the given length, in walk order.
+    """The trivial class representatives of the given length, in walk order.
 
-    The walk covers only the words with exponent sum 0 in each of m's
-    coordinates, since no other word is trivial in m, and tests one word
-    of each pair {w, w^-1}, since triviality is inversion invariant; a
-    trivial word is followed by its inverse when that differs.
+    Triviality is invariant under ``rotations``, so one call decides a
+    class; its representative is ``relator_class``, cyclically reduced.
+    After first letter f the walk takes only letters x with x >= f and
+    x ^ 1 >= f, since any other begins a smaller rotation, and only words
+    with exponent sum 0 in each of m's coordinates, since no other word
+    is trivial in m.
     """
     oracle = m.oracle
+    n = 2 * oracle.alphabet.arity
+    follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
     trivial: list[Word] = []
-    for w in enumerate_sphere(oracle.alphabet, length, m.coordinates):
-        inverse = invert_letters(w.letters)
-        if inverse < w.letters:
-            continue  # tested as its inverse, which has the same length
+    for w in _walk(oracle.alphabet, range(length, length + 1), m.coordinates, follow):
+        v = w.letters
+        if v and (v[-1] == v[0] ^ 1 or relator_class(w) != v):
+            continue  # not cyclically reduced, or not least in its class
         if oracle.is_trivial(w):
             trivial.append(w)
-            if inverse != w.letters:
-                trivial.append(Word(w.alphabet, inverse))
     return trivial
 
 
 def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
-    """Exactly the trivial words of length <= r, in deterministic order:
-    the spheres of ``_trivial_sphere``, sorted length-lex.  The largest
-    sphere is walked first, so a radius past the walk's cap is refused
-    before any work; the scan runs in one thread.
+    """Exactly the trivial words of length <= r, sorted length-lex.
+
+    Every freely reduced word is uniquely u c u^-1, reduced as written,
+    with c cyclically reduced (Lyndon-Schupp, Ch. I), and is trivial iff
+    c is.  So the ball is every such word with c in a trivial class of
+    ``_trivial_sphere``, each made once.  The largest sphere is walked
+    first, so a radius past the walk's cap is refused before any work.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    trivial = [w for n in range(r, -1, -1) for w in _trivial_sphere(m, n)]
-    trivial.sort(key=sort_key)
+    alphabet = m.oracle.alphabet
+    classes = [w.letters for n in range(r, -1, -1) for w in _trivial_sphere(m, n)]
+    conjugators = [
+        (u.letters, invert_letters(u.letters))
+        for u in enumerate_ball(alphabet, max(r - 1, 0) // 2)
+    ]
+    ball: list[tuple[int, ...]] = []
+    for v in classes:
+        if not v:
+            ball.append(v)
+            continue
+        for c in rotations(v):
+            size = ball_size(alphabet.arity, (r - len(c)) // 2)
+            for u, u_inverse in conjugators[:size]:
+                if not u or u[-1] not in (c[0] ^ 1, c[-1]):
+                    ball.append(u + c + u_inverse)
+    trivial = sorted((Word(alphabet, w) for w in ball), key=sort_key)
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 
 
@@ -191,10 +212,10 @@ class Agreement(NamedTuple):
 def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """Largest r <= r_max at which the relation balls coincide.
 
-    Compares the trivial words of each sphere, radius by radius; a
-    disagreement at radius r rules out all larger radii by monotonicity.
-    Each marking's sphere is pruned by its own coordinates, which is
-    exact: a word outside them is non-trivial in that marking.
+    Compares the trivial class representatives of each sphere, radius by
+    radius: the ball of radius r is the conjugation closure of those of
+    length <= r.  Each marking's sphere is pruned by its own coordinates,
+    which is exact: a word outside them is non-trivial in that marking.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")

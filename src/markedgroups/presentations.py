@@ -27,6 +27,7 @@ from .words import (
     invert,
     parse_word,
     render_word,
+    rotations,
 )
 
 
@@ -69,11 +70,7 @@ def relator_class(w: Word) -> tuple[int, ...]:
     """The least letter tuple among the cyclic rotations of w and of w^-1:
     two words have the same class iff one is a rotation of the other or
     of its inverse."""
-    return min(
-        letters[k:] + letters[:k]
-        for letters in (w.letters, invert(w).letters)
-        for k in range(max(len(letters), 1))
-    )
+    return min(rotations(w.letters))
 
 
 def same_relator_set(p: Presentation, q: Presentation) -> bool:

@@ -162,6 +162,15 @@ def invert(w: Word) -> Word:
     return Word(w.alphabet, invert_letters(w.letters))
 
 
+def rotations(letters: tuple[Letter, ...]) -> set[tuple[Letter, ...]]:
+    """The distinct cyclic rotations of a letter tuple and of its inverse."""
+    return {
+        s[k:] + s[:k]
+        for s in (letters, invert_letters(letters))
+        for k in range(max(len(letters), 1))
+    }
+
+
 def conjugate(x: Word, y: Word) -> Word:
     """x^y = y^-1 x y, freely reduced."""
     return free_reduce(concat(invert(y), x, y))
@@ -241,28 +250,34 @@ def _sphere_from(
     steps: Sequence[tuple[int, int]],
     sums: list[int],
     norm: int,
+    follow: Sequence[Sequence[Letter]],
 ) -> Iterator[Word]:
     """The words of ``length`` more letters after ``prefix`` whose
     coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
     ``sums[k]``; letters of no coordinate add 0 to a last slot that stays
     0.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
     most 1, so a child is cut when its norm exceeds the letters left after
-    it, and every leaf reached has norm 0."""
+    it, and every leaf reached has norm 0.  Every letter of a word, its
+    first included, lies in ``follow[first]``."""
     if length == 0:
         yield Word(alphabet, tuple(prefix))
         return
-    cancel = prefix[-1] ^ 1 if prefix else -1
+    if prefix:
+        cancel, letters = prefix[-1] ^ 1, follow[prefix[0]]
+    else:
+        cancel, letters = -1, [f for f, allowed in enumerate(follow) if f in allowed]
     left = length - 1
-    for x, (k, d) in enumerate(steps):
+    for x in letters:
         if x == cancel:
             continue
+        k, d = steps[x]
         old = sums[k]
         child = norm + abs(old + d) - abs(old)
         if child > left:
             continue
         sums[k] = old + d
         prefix.append(x)
-        yield from _sphere_from(alphabet, left, prefix, steps, sums, child)
+        yield from _sphere_from(alphabet, left, prefix, steps, sums, child, follow)
         prefix.pop()
         sums[k] = old
 
@@ -274,9 +289,12 @@ _MAX_LENGTH = 500
 
 
 def _walk(
-    alphabet: Alphabet, lengths: range, coordinates: Sequence[int]
+    alphabet: Alphabet, lengths: range, coordinates: Sequence[int],
+    follow: Sequence[Sequence[Letter]] | None = None,
 ) -> Iterator[Word]:
-    """The spheres of the given lengths, pruned by ``coordinates``."""
+    """The spheres of the given lengths, pruned by ``coordinates`` and by
+    ``follow``, the letters allowed after each first letter (all of them
+    by default)."""
     if lengths[-1] > _MAX_LENGTH:
         raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
@@ -284,9 +302,11 @@ def _walk(
         if not 0 <= i < alphabet.arity:
             raise ValueError(f"coordinate {i} out of range for arity {alphabet.arity}")
         steps[2 * i], steps[2 * i + 1] = (k, 1), (k, -1)
+    if follow is None:
+        follow = [range(len(steps))] * len(steps)
     sums = [0] * (len(coordinates) + 1)
     for length in lengths:
-        yield from _sphere_from(alphabet, length, [], steps, sums, 0)
+        yield from _sphere_from(alphabet, length, [], steps, sums, 0, follow)
 
 
 def enumerate_sphere(

@@ -358,6 +358,7 @@ def test_cli_help_exits_0(capsys):
         ["condense", "--i", "1", "--radius", "2", "--workers", "4"],
         ["experiment", "orbit", "--workers", "2"],
         ["experiment", "zmod-limit", "--imax", "101"],
+        ["experiment", "epsilon", "--i", "", "--rho", "1"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):

@@ -32,6 +32,7 @@ from markedgroups.words import (
     Alphabet,
     Word,
     enumerate_ball,
+    enumerate_sphere,
     free_reduce,
     invert,
     parse_word,
@@ -77,7 +78,7 @@ class CountingOracle:
 @pytest.mark.parametrize(
     "group, r, calls",
     [(marked_Z(), r, r + 1) for r in range(5)]
-    + [(MarkedGroup("E", builtin_group("E").oracle), 2, 73)],
+    + [(MarkedGroup("E", builtin_group("E").oracle), 2, 43)],
 )
 def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
     counting = CountingOracle(group.oracle)
@@ -140,6 +141,30 @@ def test_relation_ball_pruned_equals_full_walk(group, r_max):
     full = replace(group, coordinates=())
     for r in range(r_max + 1):
         assert relation_ball(group, r) == relation_ball(full, r), r
+
+
+@pytest.mark.parametrize(
+    "group, r_max",
+    [
+        (builtin_group("B"), 6), (builtin_group("ZxB"), 5),
+        (builtin_group("G"), 6), (builtin_group("E"), 5),
+        (marked_Z(), 8), (marked_Zmod(4), 8),
+        *((group, 4) for group, _ in _pruned_groups()[-2:]),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_relation_ball_equals_brute_force(group, r_max):
+    # the class walk and its conjugation closure against testing every word
+    # of the pruned ball, with no inverse or class skip
+    oracle = group.oracle
+    brute = [
+        w.letters for w in enumerate_ball(oracle.alphabet, r_max, group.coordinates)
+        if oracle.is_trivial(w)
+    ]
+    for r in range(r_max + 1):
+        ball = [w.letters for w in relation_ball(group, r).words]
+        assert len(set(ball)) == len(ball), r  # the closure makes no word twice
+        assert ball == [w for w in brute if len(w) <= r], r
 
 
 @pytest.mark.parametrize("name", ["B", "ZxB", "G", "E"])
@@ -210,7 +235,7 @@ def test_max_agreement_examples():
 @pytest.mark.parametrize(
     "m1, m2, r_max, calls",
     [
-        (builtin_group("E"), builtin_group("E"), 4, (296, 296)),
+        (builtin_group("E"), builtin_group("E"), 4, (63, 63)),
         # Z/7 has no coordinate; Z's prunes every non-empty sphere
         (marked_Zmod(7), marked_Z(), 10, (7, 0)),
     ],
@@ -226,10 +251,10 @@ def test_max_agreement_tests_one_word_per_inverse_pair(m1, m2, r_max, calls):
     assert agreement == max_agreement(m1, m2, r_max)
 
 
-def test_max_agreement_pruned_equals_full_walk():
+def _agreement_pairs():
     g = builtin_group("G")
     e = builtin_group("E")
-    pairs = [
+    return [
         (marked_Zmod(5), marked_Z(), 8),
         (marked_Zmod(7), marked_Z(), 10),
         (marked_Z(), marked_Z(), 5),
@@ -242,11 +267,36 @@ def test_max_agreement_pruned_equals_full_walk():
             4,
         ),
     ]
-    for m1, m2, r_max in pairs:
+
+
+def test_max_agreement_pruned_equals_full_walk():
+    for m1, m2, r_max in _agreement_pairs():
         full = max_agreement(
             replace(m1, coordinates=()), replace(m2, coordinates=()), r_max
         )
         assert max_agreement(m1, m2, r_max) == full, (m1.name, m2.name)
+
+
+def _brute_force_agreement(m1, m2, r_max):
+    # compares every trivial word of each sphere, each word tested
+    def sphere(m, r):
+        alphabet = m.oracle.alphabet
+        words = enumerate_sphere(alphabet, r, m.coordinates)
+        return {w.letters for w in words if m.oracle.is_trivial(w)}
+
+    for r in range(1, r_max + 1):
+        if sphere(m1, r) != sphere(m2, r):
+            return Agreement(r - 1, False)
+    return Agreement(r_max, True)
+
+
+def test_max_agreement_equals_brute_force():
+    pairs = _agreement_pairs() + [
+        (marked_Zmod(i), marked_Z(), 14) for i in range(1, 13)
+    ]
+    for m1, m2, r_max in pairs:
+        expected = _brute_force_agreement(m1, m2, r_max)
+        assert max_agreement(m1, m2, r_max) == expected, (m1.name, m2.name)
 
 
 def test_cong_monotone():
