@@ -18,39 +18,15 @@ from typing import Optional
 
 from .words import Word
 
-_ONE_PLUS_X = 0b11
-
-
-def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result
-
-
-def gf2_divmod(a: int, b: int) -> tuple[int, int]:
-    """Polynomial division with remainder over GF(2); b must be non-zero."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    deg_b = b.bit_length() - 1
-    quotient = 0
-    while a.bit_length() - 1 >= deg_b and a:
-        shift = a.bit_length() - 1 - deg_b
-        quotient |= 1 << shift
-        a ^= b << shift
-    return quotient, a
-
-
-def gf2_pow_one_plus_x(k: int) -> int:
-    """(1+x)^k over GF(2), k >= 0."""
-    result = 1
-    for _ in range(k):
-        result = gf2_mul(result, _ONE_PLUS_X)
-    return result
+def _times_one_plus_x_power(num: int, k: int) -> int:
+    """num (1+x)^k for k >= 0: over GF(2), (1+x)^(2^j) = 1 + x^(2^j)."""
+    shift = 1
+    while k:
+        if k & 1:
+            num ^= num << shift
+        k >>= 1
+        shift <<= 1
+    return num
 
 
 @dataclass(frozen=True)
@@ -59,7 +35,8 @@ class PolyFrac:
 
     Value = num / (x^xpow (1+x)^ypow).  Canonical form: num = 0 forces
     xpow = ypow = 0; xpow > 0 forces a non-zero constant term; ypow > 0
-    forces num not divisible by 1+x (checked by exact division).
+    forces num not divisible by 1+x, that is an odd number of terms
+    (1+x divides num iff num vanishes at x = 1).
     """
 
     num: int
@@ -75,7 +52,7 @@ class PolyFrac:
         else:
             if self.xpow > 0 and not (self.num & 1):
                 raise ValueError("numerator divisible by x with xpow > 0")
-            if self.ypow > 0 and gf2_divmod(self.num, _ONE_PLUS_X)[1] == 0:
+            if self.ypow > 0 and self.num.bit_count() % 2 == 0:
                 raise ValueError("numerator divisible by 1+x with ypow > 0")
 
     def is_zero(self) -> bool:
@@ -91,67 +68,50 @@ PF_ONE = PolyFrac(1)
 
 
 def polyfrac(num: int, xpow: int = 0, ypow: int = 0) -> PolyFrac:
-    """Build a PolyFrac, cancelling common factors of x and 1+x."""
+    """The canonical PolyFrac of num / (x^xpow (1+x)^ypow), xpow and ypow
+    any integers: a negative power is multiplied into the numerator, and
+    common factors of x and 1+x are cancelled."""
     if num == 0:
         return PF_ZERO
-    while xpow > 0 and not (num & 1):
-        num >>= 1
-        xpow -= 1
-    while ypow > 0:
-        quotient, remainder = gf2_divmod(num, _ONE_PLUS_X)
-        if remainder != 0:
-            break
-        num = quotient
+    if xpow < 0:
+        num <<= -xpow
+        xpow = 0
+    if ypow < 0:
+        num = _times_one_plus_x_power(num, -ypow)
+        ypow = 0
+    shift = min(xpow, (num & -num).bit_length() - 1)
+    num >>= shift
+    xpow -= shift
+    while ypow > 0 and num.bit_count() % 2 == 0:
+        # num = q (1+x) = q ^ (q << 1), so q is the prefix xor of num's
+        # bits below its leading one.
+        degree = num.bit_length() - 1
+        step = 1
+        while step < degree:
+            num ^= num << step
+            step <<= 1
+        num &= (1 << degree) - 1
         ypow -= 1
     return PolyFrac(num, xpow, ypow)
 
 
 def monomial(i: int) -> PolyFrac:
     """x^i for any integer i."""
-    if i >= 0:
-        return PolyFrac(1 << i)
-    return PolyFrac(1, -i, 0)
+    return polyfrac(1, -i)
 
 
 def pf_add(p: PolyFrac, q: PolyFrac) -> PolyFrac:
     """Exact sum; addition is GF(2), so p + p = 0."""
     xpow = max(p.xpow, q.xpow)
     ypow = max(p.ypow, q.ypow)
-    a = gf2_mul(p.num << (xpow - p.xpow), gf2_pow_one_plus_x(ypow - p.ypow))
-    b = gf2_mul(q.num << (xpow - q.xpow), gf2_pow_one_plus_x(ypow - q.ypow))
+    a = _times_one_plus_x_power(p.num << (xpow - p.xpow), ypow - p.ypow)
+    b = _times_one_plus_x_power(q.num << (xpow - q.xpow), ypow - q.ypow)
     return polyfrac(a ^ b, xpow, ypow)
 
 
 def pf_mul_monomial(p: PolyFrac, k: int, l: int = 0) -> PolyFrac:
     """Multiply by the unit x^k (1+x)^l, k and l any integers."""
-    num, xpow, ypow = p.num, p.xpow, p.ypow
-    xpow -= k
-    if xpow < 0:
-        num <<= -xpow
-        xpow = 0
-    ypow -= l
-    if ypow < 0:
-        num = gf2_mul(num, gf2_pow_one_plus_x(-ypow))
-        ypow = 0
-    return polyfrac(num, xpow, ypow)
-
-
-def render_polyfrac(p: PolyFrac) -> str:
-    if p.num == 0:
-        return "0"
-    terms = []
-    for k in range(p.num.bit_length()):
-        if (p.num >> k) & 1:
-            terms.append("1" if k == 0 else ("x" if k == 1 else f"x^{k}"))
-    num_text = "+".join(terms)
-    den_parts = []
-    if p.xpow:
-        den_parts.append("x" if p.xpow == 1 else f"x^{p.xpow}")
-    if p.ypow:
-        den_parts.append("(1+x)" if p.ypow == 1 else f"(1+x)^{p.ypow}")
-    if not den_parts:
-        return num_text
-    return f"({num_text})/({' '.join(den_parts)})"
+    return polyfrac(p.num, p.xpow - k, p.ypow - l)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +159,6 @@ class BaseElement:
 
 
 BASE_IDENTITY = BaseElement()
-
-
-def base_mul(u: BaseElement, v: BaseElement) -> BaseElement:
-    return BaseElement(u.n + v.n, b_mul(u.beta, v.beta))
-
-
-def base_inv(u: BaseElement) -> BaseElement:
-    return BaseElement(-u.n, b_inv(u.beta))
-
-
-def render_base(z: BaseElement) -> str:
-    return (
-        f"h^{z.n} * ({render_polyfrac(z.beta.m)}; b^{z.beta.i} c^{z.beta.j})"
-    )
 
 
 class ForeignLetterError(ValueError):

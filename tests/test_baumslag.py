@@ -18,11 +18,7 @@ from markedgroups.baumslag import (
     PolyFrac,
     b_inv,
     b_mul,
-    base_inv,
-    base_mul,
     eval_base,
-    gf2_divmod,
-    gf2_mul,
     member_A,
     member_H2,
     member_HA,
@@ -30,8 +26,6 @@ from markedgroups.baumslag import (
     pf_add,
     pf_mul_monomial,
     polyfrac,
-    render_base,
-    render_polyfrac,
     span_membership,
 )
 from markedgroups.presentations import ABCH, builtin
@@ -40,6 +34,14 @@ from markedgroups.words import Word, concat, free_reduce, parse_word
 
 def pw(text):
     return parse_word(text, ABCH)
+
+
+def base_mul(u, v):
+    return BaseElement(u.n + v.n, b_mul(u.beta, v.beta))
+
+
+def base_inv(u):
+    return BaseElement(-u.n, b_inv(u.beta))
 
 
 # -- GF(2) fraction arithmetic ----------------------------------------------
@@ -92,17 +94,62 @@ def test_pf_mul_monomial_invertible(p, k, l):
     assert pf_mul_monomial(pf_mul_monomial(p, k, l), -k, -l) == p
 
 
-def test_gf2_divmod_consistent():
+# Bit-serial reference arithmetic over GF(2), independent of the Frobenius
+# product and the parity cancellation in the module under test.
+
+
+def ref_mul(a, b):
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        b >>= 1
+    return result
+
+
+def ref_pow_one_plus_x(m):
+    result = 1
+    for _ in range(m):
+        result = ref_mul(result, 0b11)
+    return result
+
+
+def ref_divmod(a, b):
+    quotient = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        quotient |= 1 << shift
+        a ^= b << shift
+    return quotient, a
+
+
+def test_reference_divmod():
     for a in range(64):
         for b in range(1, 16):
-            q, r = gf2_divmod(a, b)
-            assert gf2_mul(q, b) ^ r == a
+            q, r = ref_divmod(a, b)
+            assert ref_mul(q, b) ^ r == a
             assert r.bit_length() < b.bit_length()
 
 
-def test_render_polyfrac():
-    assert render_polyfrac(PF_ZERO) == "0"
-    assert render_polyfrac(polyfrac(0b1011, 2, 1)) == "(1+x+x^3)/(x^2 (1+x))"
+@given(st.integers(0, 2**40 - 1), st.integers(0, 70))
+def test_one_plus_x_power_product_matches_reference(n, m):
+    expected = ref_mul(n, ref_pow_one_plus_x(m))
+    assert pf_mul_monomial(PolyFrac(n), 0, m).num == expected
+
+
+@given(st.integers(0, 2**40 - 1), st.integers(0, 70))
+def test_one_plus_x_cancellation_matches_reference(n, m):
+    assert polyfrac(ref_mul(n, ref_pow_one_plus_x(m)), 0, m) == polyfrac(n)
+
+
+@given(st.integers(0, 2**40 - 1))
+def test_one_plus_x_parity_check_matches_reference(p):
+    if ref_divmod(p, 0b11)[1] == 0:
+        with pytest.raises(ValueError):
+            PolyFrac(p, 0, 1)
+    else:
+        PolyFrac(p, 0, 1)
 
 
 # -- B and the base group ----------------------------------------------------
@@ -300,8 +347,3 @@ def test_span_membership_against_exhaustive():
                     acc = pf_add(acc, targets[bit])
             combos.add(acc)
         assert span_membership(targets, candidate) == (candidate in combos)
-
-
-def test_render_base():
-    z = eval_base(pw("h a"))
-    assert render_base(z) == "h^1 * (1; b^0 c^0)"

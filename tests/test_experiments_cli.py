@@ -408,6 +408,27 @@ def test_cli_power_of_empty_word(capsys):
     assert '"trivial": true' in capsys.readouterr().out
 
 
+# Words within the default budget whose module parts carry (1+x)^k for large
+# k. The first four have a non-zero c exponent sum, so they are non-trivial
+# in the abelianization. In the last two, a^(c^2048) = (1+x)^2048 =
+# 1 + x^2048 over GF(2), which a^(b^2048) a cancels; a^(b^2047) a leaves
+# x^2048 + x^2047.
+@pytest.mark.parametrize(
+    "group, word, trivial",
+    [
+        ("B", "c^-5000 a^5000", False),
+        ("B", "c^-5000 (a c)^2500", False),
+        ("B", "c^5000 a^5000", False),
+        ("E", "c^-3000 (t^-1 h^2 t a)^700", False),
+        ("B", "c^-2048 a c^2048 b^-2048 a b^2048 a", True),
+        ("B", "c^-2048 a c^2048 b^-2047 a b^2047 a", False),
+    ],
+)
+def test_cli_budget_edge_verdicts(capsys, group, word, trivial):
+    assert main(["wp", "--group", group, "--word", word]) == (0 if trivial else 1)
+    assert json.loads(capsys.readouterr().out)["trivial"] is trivial
+
+
 def test_cli_subgroup_line_exits_2(capsys, tmp_path):
     path = tmp_path / "g.pres"
     path.write_text(serialize_presentation(builtin("G")) + "subgroup H2 gen h^2\n")
