@@ -176,13 +176,18 @@ def _close_part(out: list[int], marks: list[int], budget: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _h_power_letters(alphabet: Alphabet, k: int) -> tuple[int, ...]:
+    return (2 * alphabet.index("h") ^ (k < 0),) * abs(k)
+
+
 def _h_power(alphabet: Alphabet, k: int) -> Word:
-    return gen(alphabet, "h") ** k
+    return Word(alphabet, _h_power_letters(alphabet, k))
 
 
 def _ha_power(alphabet: Alphabet, k: int) -> Word:
     # (ha)^k = h^k a^(k mod 2): h central, a^2 = 1.
-    return _h_power(alphabet, k) * gen(alphabet, "a") ** (k % 2)
+    a = (2 * alphabet.index("a"),) * (k % 2)
+    return Word(alphabet, _h_power_letters(alphabet, k) + a)
 
 
 def _h2_to_ha(w: Word) -> Optional[Word]:

@@ -381,39 +381,65 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)"
-    r"|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+))?"
+    r"|(?P<int>-?\d+)|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
 
 # Each level of brackets costs three parser frames (sequence, item, atom),
 # so this keeps the recursion far below Python's limit.
 _MAX_DEPTH = 100
 
+# A token is (kind, value, col, letter, exp).  A "name" token carries its
+# letter (None for a name outside the alphabet, refused when it is parsed)
+# and the text of its exponent, or None: ``a^-1`` is one token.  Other
+# tokens carry None twice.
+_Token = tuple[str, str, int, Letter | None, str | None]
+
 
 class _Tokens:
     def __init__(self, text: str, alphabet: Alphabet, line: int | None, budget: int):
-        self.alphabet = alphabet
         self.line = line
         self.budget = budget
         self.pos = 0
-        self.items: list[tuple[str, str, int]] = []
+        self.items: list[_Token] = []
+        letter_of = {name: 2 * i for i, name in enumerate(alphabet.names)}.get
+        items = self.items
+        append = items.append
         depth = 0
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            value, col = m.group(kind), m.start(kind)
-            if kind == "bad":
-                raise WordSyntaxError(f"unexpected character {value!r}", line, col + 1)
-            depth += (value in "([") - (value in ")]")  # no name or int is in these
-            if depth > _MAX_DEPTH:
-                raise WordSyntaxError(
-                    f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
-                )
-            self.items.append((kind, value, col))
+            if kind == "name":
+                name = m[kind]
+                append(("name", name, m.start(kind), letter_of(name), None))
+            elif kind == "exp":
+                name, exp = m.group("name", "exp")
+                col = m.start("name")
+                if items and items[-1][1] == "^":
+                    # a conjugator takes no exponent: b^a^2 is (b^a)^2
+                    items += (
+                        ("name", name, col, letter_of(name), None),
+                        ("sym", "^", m.start("caret"), None, None),
+                        ("int", exp, m.start("exp"), None, None),
+                    )
+                else:
+                    append(("name", name, col, letter_of(name), exp))
+            else:
+                value, col = m[kind], m.start(kind)
+                if kind == "bad":
+                    raise WordSyntaxError(
+                        f"unexpected character {value!r}", line, col + 1
+                    )
+                depth += (value in "([") - (value in ")]")  # no int is in these
+                if depth > _MAX_DEPTH:
+                    raise WordSyntaxError(
+                        f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
+                    )
+                append((kind, value, col, None, None))
 
-    def peek(self) -> tuple[str, str, int] | None:
+    def peek(self) -> _Token | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> _Token:
         item = self.peek()
         if item is None:
             raise WordSyntaxError("unexpected end of word", self.line)
@@ -422,6 +448,17 @@ class _Tokens:
 
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)
+
+    def expand(self, token: _Token) -> list[Letter]:
+        """The letters of a name token: its letter, raised to its exponent."""
+        _, name, col, letter, exp = token
+        if letter is None:
+            raise WordSyntaxError(f"unknown generator {name!r}", self.line, col + 1)
+        if exp is None:
+            return [letter]
+        k = int(exp)
+        self.check(abs(k))
+        return [letter ^ (k < 0)] * abs(k)
 
 
 def parse_word(
@@ -434,13 +471,29 @@ def parse_word(
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
+    """Items up to a ``stop`` symbol or the end.  A name token that no
+    ``^`` follows is a whole item, so a run of them is read in this loop."""
     letters: list[Letter] = []
-    while True:
-        item = tokens.peek()
-        if item is None or (item[0] == "sym" and item[1] in stop):
-            return letters
-        letters.extend(_parse_item(tokens))
-        tokens.check(len(letters))
+    items, end, budget = tokens.items, len(tokens.items), tokens.budget
+    pos = tokens.pos
+    while pos < end:
+        token = items[pos]
+        if token[0] == "name" and (pos + 1 == end or items[pos + 1][1] != "^"):
+            pos += 1
+            if token[3] is not None and token[4] is None:  # a plain letter
+                letters.append(token[3])
+            else:
+                letters += tokens.expand(token)
+        elif token[0] == "sym" and token[1] in stop:
+            break
+        else:
+            tokens.pos = pos
+            letters += _parse_item(tokens)
+            pos = tokens.pos
+        if len(letters) > budget:
+            tokens.check(len(letters))
+    tokens.pos = pos
+    return letters
 
 
 def _power_length(letters: list[Letter], k: int) -> int:
@@ -476,14 +529,10 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
 
 
 def _parse_atom(tokens: _Tokens) -> list[Letter]:
-    kind, value, col = tokens.next()
+    token = tokens.next()
+    kind, value, col = token[:3]
     if kind == "name":
-        try:
-            return [2 * tokens.alphabet.index(value)]
-        except KeyError:
-            raise WordSyntaxError(
-                f"unknown generator {value!r}", tokens.line, col + 1
-            ) from None
+        return tokens.expand(token)
     if kind == "int" and value == "1":
         return []
     if kind == "sym" and value == "(":

@@ -10,6 +10,8 @@ from markedgroups.hnn import (
     BudgetExceededError,
     HnnOracle,
     UndecidableSpecError,
+    _h_power,
+    _ha_power,
     conjugate_handle,
     g_oracle,
     handle_for,
@@ -23,6 +25,7 @@ from markedgroups.words import (
     Word,
     concat,
     free_reduce,
+    gen,
     invert,
     parse_word,
     render_word,
@@ -96,6 +99,16 @@ def test_transport_canonical_forms():
     assert G.left(zw("h a")) is None
     assert G.right(zw("h")) is None
     assert render_word(E.left(gw("h^4"))) == "h h h h"
+
+
+@pytest.mark.parametrize("alphabet", [ABCH, ABCHST, Alphabet(("h", "x", "a"))])
+def test_subgroup_power_words_are_letter_identical(alphabet):
+    # the canonical words of <h^2> and <ha> are built from their letters;
+    # they are the words the group operations give, letter for letter
+    h, a = gen(alphabet, "h"), gen(alphabet, "a")
+    for k in range(-20, 21):
+        assert _h_power(alphabet, k).letters == (h ** k).letters, k
+        assert _ha_power(alphabet, k).letters == (h ** k * a ** (k % 2)).letters, k
 
 
 # -- subgroup handles --------------------------------------------------------

@@ -227,12 +227,30 @@ def test_parse_sugar():
     assert w("1").letters == ()
     hs = parse_word("(h^2)^s", SHT)
     assert render_word(hs) == "s^-1 h h s"
+    # a name and its exponent are one token, with or without whitespace
+    assert render_word(w("a ^ -1")) == render_word(w("a^ -1")) == "a^-1"
+    assert w("a^2^3") == w("a^6") == w("a a a a a a")
+    assert w("a^-0").letters == () and render_word(w("a^01 b")) == "a b"
+    xs = Alphabet(("x", "x_1", "x_10"))
+    assert render_word(parse_word("x_1^-2 x_10 x", xs)) == "x_1^-1 x_1^-1 x_10 x"
+    with pytest.raises(WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 1\)$"):
+        parse_word("q^2", AB, 1)
+    with pytest.raises(
+        BudgetExceededError, match=r"^word expands to 20000 letters \(budget 10000\)$"
+    ):
+        w("a^20000")
 
 
 def test_parse_conjugation_matches_convention():
     # x^y = y^-1 x y
-    assert w("a^b") == conjugate(gen(AB, "a"), gen(AB, "b"))
-    assert w("[a, b]") == commutator(gen(AB, "a"), gen(AB, "b"))
+    a, b = gen(AB, "a"), gen(AB, "b")
+    assert w("a^b") == conjugate(a, b)
+    assert w("[a, b]") == commutator(a, b)
+    # a conjugator takes no exponent of its own: b^a^2 is (b^a)^2
+    assert w("b^a^2") == w("b^ a^2") == w("(b^a)^2") == conjugate(b, a) ** 2
+    assert render_word(w("b^a^2")) == "a^-1 b b a"
+    assert w("a^2^b") == conjugate(a ** 2, b)
+    assert w("[a^2, b]^a^-1") == conjugate(commutator(a ** 2, b), a) ** -1
 
 
 def test_parse_compound_conjugator():
@@ -282,6 +300,113 @@ def test_parse_bad_character_column():
     # the column is the character's, not that of the whitespace before it
     with pytest.raises(WordSyntaxError, match=r"'!' \(line 1, col 5\)$"):
         parse_word("a   !", AB, 1)
+
+
+# A random word tree over a multi-character alphabet: letters, the empty
+# word, powers (negative, zero, "-0" and leading-zero exponents),
+# conjugations, commutators and bracketed sequences.  Its letters come from
+# the tree: powers, conjugations and commutators are freely reduced, and a
+# sequence is the concatenation of its items.
+_TREE_NAMES = Alphabet(("a", "x_1", "x_10", "B2"))
+_SPACE = ("", " ", "\t", "  \n")
+
+
+def _exponent_text(k, minus_zero, zeros):
+    sign = "-" if k < 0 or (k == 0 and minus_zero) else ""
+    return sign + "0" * zeros + str(abs(k))
+
+
+_exponents = st.builds(
+    lambda k, minus_zero, zeros: (k, _exponent_text(k, minus_zero, zeros)),
+    st.integers(-3, 3), st.booleans(), st.integers(0, 2),
+)
+
+
+def _extend(kids):
+    return st.one_of(
+        st.tuples(st.just("pow"), kids, _exponents),
+        st.tuples(st.just("conj"), kids, kids),
+        st.tuples(st.just("comm"), kids, kids),
+        st.tuples(st.just("seq"), st.lists(kids, min_size=1, max_size=3)),
+    )
+
+
+_trees = st.recursive(
+    st.integers(0, 4).map(lambda i: ("gen", i) if i < 4 else ("one",)),
+    _extend,
+    max_leaves=10,
+)
+
+
+def _reduce(letters):
+    out = []
+    for x in letters:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def _inverse(letters):
+    return [x ^ 1 for x in reversed(letters)]
+
+
+def _tree_letters(t):
+    kind = t[0]
+    if kind == "gen":
+        return [2 * t[1]]
+    if kind == "one":
+        return []
+    if kind == "pow":
+        base, k = _tree_letters(t[1]), t[2][0]
+        return _reduce((_inverse(base) if k < 0 else base) * abs(k))
+    if kind == "conj":
+        x, y = _tree_letters(t[1]), _tree_letters(t[2])
+        return _reduce(_inverse(y) + x + y)
+    if kind == "comm":
+        u, v = _tree_letters(t[1]), _tree_letters(t[2])
+        return _reduce(_inverse(u) + _inverse(v) + u + v)
+    return [x for kid in t[1] for x in _tree_letters(kid)]
+
+
+def _render_tree(t, draw):
+    """Text of t as one item: an atom and its chain of "^" suffixes."""
+
+    def space():
+        return draw(st.sampled_from(_SPACE))
+
+    def caret():
+        return space() + "^" + space()
+
+    def atom(u):  # a power or conjugation needs brackets to be one atom
+        text = _render_tree(u, draw)
+        return f"({space()}{text}{space()})" if u[0] in ("pow", "conj") else text
+
+    def sequence(u):  # items are parted by whitespace, so names never merge
+        if u[0] != "seq":
+            return _render_tree(u, draw)
+        gaps = [draw(st.sampled_from(_SPACE[1:])) for _ in u[1]]
+        return "".join(_render_tree(kid, draw) + gap for kid, gap in zip(u[1], gaps))
+
+    kind = t[0]
+    if kind == "gen":
+        return _TREE_NAMES.names[t[1]]
+    if kind == "one":
+        return "1"
+    if kind == "pow":  # a^2 is one token, b^a^2 is (b^a)^2
+        return _render_tree(t[1], draw) + caret() + t[2][1]
+    if kind == "conj":
+        return _render_tree(t[1], draw) + caret() + atom(t[2])
+    if kind == "comm":
+        return f"[{space()}{sequence(t[1])},{space()}{sequence(t[2])}]"
+    return f"({space()}{sequence(t)})"
+
+
+@given(_trees, st.data())
+def test_parse_matches_construction(tree, data):
+    text = _render_tree(tree, data.draw)
+    assert list(parse_word(text, _TREE_NAMES).letters) == _tree_letters(tree), text
 
 
 # A fixed pool of pieces: names, unknown names, the empty word, powers
