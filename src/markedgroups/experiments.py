@@ -19,6 +19,7 @@ from .marked import (
     builtin_group,
     condensed_pair,
     escape_index,
+    escape_words,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -33,7 +34,6 @@ from .presentations import (
 )
 from .rewriting import RewriteRule, build_trace, run_trace
 from .words import (
-    Alphabet,
     Word,
     check_budget,
     commutator,
@@ -139,12 +139,6 @@ def exp_zmod_limit(i_max: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _witness_word(i: int, alphabet: Alphabet = ABCHS) -> Word:
-    """h a^{b^i}, over the alphabet of G unless another is given."""
-    a, b, h = (gen(alphabet, name) for name in "abh")
-    return h * conjugate(a, b ** i)
-
-
 def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """For the finite set F = ball of radius rho in G, find a conjugate
     of H = <h^2> that meets F exactly as H does yet differs from H."""
@@ -153,7 +147,7 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     group = builtin_group("G", budget)
     orbit = orbit_agreement(rho, group)
     i = orbit.i
-    witness = _witness_word(i)
+    sb, witness = escape_words(i, ABCHS)
     report = ExperimentReport(
         "orbit", {"rho": rho, "i": i, "conjugator": render_word(orbit.conjugator)}
     )
@@ -170,9 +164,7 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         orbit.k_point(witness) and not orbit.h_point(witness),
         {"witness": render_word(witness)},
     )
-    # g = (s b^i)^-1, so (h^2)^(s b^i) = g h^2 g^-1
-    g = orbit.conjugator
-    image = conjugate(gen(ABCHS, "h") ** 2, invert(g))
+    image = conjugate(gen(ABCHS, "h") ** 2, sb)
     report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
@@ -214,7 +206,7 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
 
     extension_h, extension_k0 = condensed_pair(0, group)
     alphabet = extension_h.oracle.alphabet
-    w = commutator(_witness_word(0, alphabet), gen(alphabet, "t"))
+    w = commutator(escape_words(0, alphabet)[1], gen(alphabet, "t"))
     trivial_k0 = extension_k0.oracle.is_trivial(w)
     trivial_h = extension_h.oracle.is_trivial(w)
     report.check(
@@ -239,14 +231,12 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
 def epsilon_substitution(i: int):
     """The endomorphism of E fixing a, b, c, h, s and sending t to
     t^(s b^i)."""
-    e_pres = builtin("E")
-    g = gen(ABCHST, "s") * gen(ABCHST, "b") ** i
-    return conjugation_substitution(e_pres, g, "t")
+    return conjugation_substitution(builtin("E"), escape_words(i, ABCHST)[0], "t")
 
 
 def epsilon_kernel_word(i: int) -> Word:
     """[t, h a^(b^i)]: trivial after the self-map, non-trivial before."""
-    return commutator(gen(ABCHST, "t"), _witness_word(i, ABCHST))
+    return commutator(gen(ABCHST, "t"), escape_words(i, ABCHST)[1])
 
 
 def epsilon_kernel_certificate(i: int):
@@ -294,7 +284,6 @@ def exp_epsilon(
     e_pres = builtin("E")
     ball = list(enumerate_ball(ABCHST, rho))
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
-    s, b, t = (gen(ABCHST, name) for name in "sbt")
     for i in i_list:
         sigma = epsilon_substitution(i)
         bad = [
@@ -309,9 +298,11 @@ def exp_epsilon(
             {"i": i, "relators": len(e_pres.relators), "failing": bad},
         )
 
-        preimages = {name: gen(ABCHST, name) for name in ABCHST.names}
-        preimages["t"] = conjugate(t, invert(s * b ** i))
-        # certified symbolically: each image freely reduces to the generator
+        # the inverse self-map's images; sigma takes each, by free reduction
+        # alone, to its generator
+        sb = escape_words(i, ABCHST)[0]
+        inverse = conjugation_substitution(e_pres, invert(sb), "t")
+        preimages = dict(zip(ABCHST.names, inverse.images))
         onto = all(
             substitute(pre, sigma).letters == gen(ABCHST, name).letters
             for name, pre in preimages.items()
@@ -329,9 +320,10 @@ def exp_epsilon(
         image_trivial = oracle.is_trivial(image)
         witness_nontrivial = not oracle.is_trivial(kernel_word)
         start, rules, steps = epsilon_kernel_certificate(i)
+        # the trace has 2|i| + 3 steps, fewer than its start word's letters
         certified = (
             start.letters == image.letters
-            and not run_trace(start, rules, steps, e_pres).letters
+            and not run_trace(start, rules, steps, e_pres, max_steps=len(start)).letters
         )
         report.check(
             f"kernel-witness-{i}",

@@ -31,6 +31,7 @@ from .words import (
     ball_size,
     check_alphabet,
     check_budget,
+    conjugate,
     enumerate_ball,
     exponent_sum,
     gen,
@@ -283,6 +284,13 @@ def escape_index(finite_set: Iterable[Word], oracle: HnnOracle) -> int:
         i += 1
 
 
+def escape_words(i: int, alphabet: Alphabet) -> tuple[Word, Word]:
+    """s b^i and h a^(b^i), freely reduced, over an alphabet with a, b, h, s:
+    in G the second is (h^2)^(s b^i), which generates <h^2>^(s b^i)."""
+    a, b, h, s = (gen(alphabet, name) for name in "abhs")
+    return s * b ** i, h * conjugate(a, b ** i)
+
+
 def orbit_witness(i: int, oracle: HnnOracle) -> tuple[Word, SubgroupHandle]:
     """The conjugator g = (s b^i)^-1 and the handle for g H g^-1.
 
@@ -292,8 +300,7 @@ def orbit_witness(i: int, oracle: HnnOracle) -> tuple[Word, SubgroupHandle]:
     than the oracle's budget.
     """
     check_budget(abs(i) + 1, oracle.budget)
-    alphabet = oracle.alphabet
-    g = invert(gen(alphabet, "s") * gen(alphabet, "b") ** i)
+    g = invert(escape_words(i, oracle.alphabet)[0])
     handle = conjugate_handle(g, handle_for("H2", oracle))
     return g, replace(handle, label=f"conj(sb^{i}, H2)")
 

@@ -107,6 +107,8 @@ class Word:
         return invert(self)
 
     def __pow__(self, k: int) -> "Word":
+        if not self.letters:
+            return self  # () * k overflows past sys.maxsize
         letters = invert_letters(self.letters) if k < 0 else self.letters
         return Word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
 
@@ -456,7 +458,10 @@ class _Tokens:
             raise WordSyntaxError(f"unknown generator {name!r}", self.line, col + 1)
         if exp is None:
             return [letter]
-        k = int(exp)
+        try:
+            k = int(exp)
+        except ValueError:
+            k = _long_exponent(exp, self)
         self.check(abs(k))
         return [letter ^ (k < 0)] * abs(k)
 
@@ -496,6 +501,21 @@ def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
     return letters
 
 
+def _long_exponent(text: str, tokens: _Tokens) -> int:
+    """An exponent with more digits than int() reads, read without its sign
+    and leading zeros; one still that long is past any budget."""
+    digits = text.lstrip("-").lstrip("0")
+    try:
+        k = int(digits or "0")
+    except ValueError:
+        where = "" if tokens.line is None else f" (line {tokens.line})"
+        raise BudgetExceededError(
+            f"word expands to at least 10^{len(digits) - 1} letters "
+            f"(budget {tokens.budget}){where}"
+        ) from None
+    return -k if text[0] == "-" else k
+
+
 def _power_length(letters: list[Letter], k: int) -> int:
     """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
     n, u = len(letters), 0
@@ -516,10 +536,13 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
             raise WordSyntaxError("dangling '^'", tokens.line)
         if exp[0] == "int":
             tokens.next()
-            k = int(exp[1])
             base = _reduce_letters(base)
             if not base:
                 continue  # a power of 1 is 1; [] * k overflows past sys.maxsize
+            try:
+                k = int(exp[1])
+            except ValueError:
+                k = _long_exponent(exp[1], tokens)
             tokens.check(_power_length(base, k))
             base = _reduce_letters((invert_letters(base) if k < 0 else base) * abs(k))
         else:

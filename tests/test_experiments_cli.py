@@ -319,6 +319,13 @@ def test_cli_epsilon_negative_index_list(capsys):
     assert outputs[0]["params"]["i"] == [-1, 2]
 
 
+def test_cli_epsilon_certificate_past_50_steps(capsys):
+    # the kernel certificate has 2|i| + 3 steps, 51 at |i| = 24
+    for argv in (["--i", "24"], ["--i=-24"]):
+        assert main(["experiment", "epsilon", *argv, "--rho", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_cli_budget_exceeded(capsys):
     assert main(
         ["--budget", "6", "wp", "--group", "G", "--word", "s^-1 h^6 s"]
@@ -393,7 +400,15 @@ def test_cli_radius_cap(capsys):
     assert json.loads(capsys.readouterr().out)["agreement_radius"] == 4
 
 
-@pytest.mark.parametrize("word", ["a^1000000000", "(a^9999)^(b^9999)"])
+# the last exponent has more digits than int() reads
+@pytest.mark.parametrize(
+    "word",
+    [
+        "a^1000000000",
+        "(a^9999)^(b^9999)",
+        pytest.param("a^" + "9" * 5000, id="a^9x5000"),
+    ],
+)
 def test_cli_parse_budget(capsys, word):
     start = time.perf_counter()
     assert main(["wp", "--group", "E", "--word", word]) == 1
@@ -403,9 +418,9 @@ def test_cli_parse_budget(capsys, word):
 
 
 def test_cli_power_of_empty_word(capsys):
-    huge = "1^99999999999999999999999"
-    assert main(["wp", "--group", "E", "--word", huge]) == 0
-    assert '"trivial": true' in capsys.readouterr().out
+    for huge in ("1^99999999999999999999999", "1^" + "9" * 5000):
+        assert main(["wp", "--group", "E", "--word", huge]) == 0
+        assert '"trivial": true' in capsys.readouterr().out
 
 
 # Words within the default budget whose module parts carry (1+x)^k for large

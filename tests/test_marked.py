@@ -20,6 +20,7 @@ from markedgroups.marked import (
     condense,
     cong_r,
     escape_index,
+    escape_words,
     marked_Z,
     marked_Zmod,
     max_agreement,
@@ -27,7 +28,7 @@ from markedgroups.marked import (
     orbit_witness,
     relation_ball,
 )
-from markedgroups.presentations import ABCHS, builtin, zero_sum_coordinates
+from markedgroups.presentations import ABCHS, ABCHST, builtin, zero_sum_coordinates
 from markedgroups.words import (
     Alphabet,
     Word,
@@ -476,6 +477,13 @@ def test_orbit_witness_claims():
         assert oracle.is_trivial(
             witness * witness * invert(gw("h^2"))
         )
+    # the one builder of both words, letter for letter, over G's and E's alphabets
+    for alphabet in (ABCHS, ABCHST):
+        for i in range(-3, 4):
+            assert escape_words(i, alphabet) == (
+                free_reduce(parse_word(f"s b^{i}", alphabet)),
+                free_reduce(parse_word(f"h a^(b^{i})", alphabet)),
+            )
 
 
 def test_cyclic_oracle_validation():

@@ -231,6 +231,8 @@ def test_parse_sugar():
     assert render_word(w("a ^ -1")) == render_word(w("a^ -1")) == "a^-1"
     assert w("a^2^3") == w("a^6") == w("a a a a a a")
     assert w("a^-0").letters == () and render_word(w("a^01 b")) == "a b"
+    # leading zeros past int()'s digit limit
+    assert render_word(w("a^" + "0" * 5000 + "1")) == "a"
     xs = Alphabet(("x", "x_1", "x_10"))
     assert render_word(parse_word("x_1^-2 x_10 x", xs)) == "x_1^-1 x_1^-1 x_10 x"
     with pytest.raises(WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 1\)$"):
@@ -294,6 +296,7 @@ def test_parse_power_of_empty_word():
     huge = "99999999999999999999999"
     assert parse_word(f"1^{huge}", AB).letters == ()
     assert parse_word(f"(a a^-1)^-{huge} b", AB, budget=100).letters == (2,)
+    assert Word(AB, ()) ** int(huge) == Word(AB, ())
 
 
 def test_parse_bad_character_column():
