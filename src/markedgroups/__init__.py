@@ -47,7 +47,7 @@ from .hnn import (
     SubgroupHandle,
     conjugate_handle,
     g_oracle,
-    handle_for,
+    h2_handle,
     member_in_G,
 )
 from .marked import (

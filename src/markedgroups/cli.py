@@ -45,6 +45,7 @@ from .words import (
     WordSyntaxError,
     exponent_sum,
     free_reduce,
+    parse_int,
     parse_word,
     render_word,
 )
@@ -102,6 +103,15 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
             "only the built-in families and cyclic groups are decidable here"
         )
     raise UsageError(f"unknown group spec {spec!r}")
+
+
+def _index(text: str, budget: int) -> int:
+    """One value of --i.  As with an exponent in a word, a number too long
+    for int() is past any budget."""
+    try:
+        return parse_int(text, budget)
+    except ValueError:
+        raise UsageError(f"--i takes integers, got {text!r}") from None
 
 
 def _emit(payload: dict, json_path: Optional[str]) -> None:
@@ -168,7 +178,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chabauty(args: argparse.Namespace) -> int:
-    orbit = orbit_agreement(args.rho, builtin_group("G", args.budget), args.i)
+    i = None if args.i is None else _index(args.i, args.budget)
+    orbit = orbit_agreement(args.rho, builtin_group("G", args.budget), i)
     _emit(
         {
             "rho": args.rho,
@@ -183,13 +194,14 @@ def cmd_chabauty(args: argparse.Namespace) -> int:
 
 
 def cmd_condense(args: argparse.Namespace) -> int:
-    extension_h, extension_k = condensed_pair(args.i, builtin_group("G", args.budget))
+    i = _index(args.i, args.budget)
+    extension_h, extension_k = condensed_pair(i, builtin_group("G", args.budget))
     ball_h = relation_ball(extension_h, args.radius)
     ball_k = relation_ball(extension_k, args.radius)
     coincide = ball_h.fingerprint == ball_k.fingerprint
     _emit(
         {
-            "i": args.i,
+            "i": i,
             "radius": args.radius,
             "left": extension_h.name,
             "right": extension_k.name,
@@ -211,10 +223,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif name == "continuity":
         report = exp_continuity(args.radius, budget=args.budget)
     elif name == "epsilon":
-        try:
-            i_list = [int(part) for part in args.i.split(",")]
-        except ValueError:
-            raise UsageError(f"--i takes comma-separated integers, got {args.i!r}")
+        i_list = [_index(part, args.budget) for part in args.i.split(",")]
         report = exp_epsilon(i_list, args.rho, budget=args.budget)
     _emit(report.to_dict(include_timing=not args.no_timing), args.json)
     return 0 if report.passed else 1
@@ -260,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
         "chabauty", help="compare H2 with a conjugate on a finite ball"
     )
     p.add_argument("--rho", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--i", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_chabauty)
 
     p = sub.add_parser(
         "condense", help="compare relation balls of two extensions"
     )
-    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--i", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_condense)

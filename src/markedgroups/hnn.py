@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, TypeVar
 
-from .baumslag import (
-    BaseElement,
-    eval_base,
-    member_A,
-    member_H2,
-    member_HA,
-)
+from .baumslag import BaseElement, eval_base, member_H2, member_HA
 from .presentations import ABCH
 from .words import (
     DEFAULT_BUDGET,
@@ -38,10 +32,8 @@ from .words import (
     BudgetExceededError,
     Word,
     check_alphabet,
-    concat,
     conjugate,
     free_reduce,
-    gen,
     invert,
     render_word,
 )
@@ -225,10 +217,6 @@ def member_in_G(
 # ---------------------------------------------------------------------------
 
 
-class UndecidableSpecError(ValueError):
-    """Membership for an arbitrary generator list is not provided."""
-
-
 @dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup of the ambient group G over ``alphabet``: a point of Sub(G).
@@ -248,43 +236,16 @@ class SubgroupHandle:
         return self.contains(w) is not None
 
 
-def _a_word(alphabet: Alphabet, z: BaseElement) -> Word:
-    """h^n a^(b^e1) ... a^(b^ek) for z = h^n (x^e1 + ... + x^ek) in A."""
-    a, b, m = gen(alphabet, "a"), gen(alphabet, "b"), z.beta.m
-    parts = [_h_power(alphabet, z.n)]
-    for e in range(m.num.bit_length()):
-        if m.num >> e & 1:
-            parts += [b ** (m.xpow - e), a, b ** (e - m.xpow)]
-    return free_reduce(concat(*parts))
-
-
-def handle_for(name: str, oracle: HnnOracle) -> SubgroupHandle:
-    """The handle for H2 = <h^2>, HA = <ha> or A = <h, a^(b^i)> in G.
-
-    Canonical words: h^{2k} for H2, (ha)^k for HA, and for A the word of
-    ``_a_word``.
-    """
+def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
+    """The handle for <h^2> in G, the base point of the orbit: every other
+    point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}."""
     alphabet = oracle.alphabet
 
     def h2(z: BaseElement) -> Optional[Word]:
         k = member_H2(z)
         return None if k is None else _h_power(alphabet, 2 * k)
 
-    def ha(z: BaseElement) -> Optional[Word]:
-        k = member_HA(z)
-        return None if k is None else _ha_power(alphabet, k)
-
-    def sub_a(z: BaseElement) -> Optional[Word]:
-        return _a_word(alphabet, z) if member_A(z) else None
-
-    tests = {"H2": h2, "HA": ha, "A": sub_a}
-    if name not in tests:
-        raise UndecidableSpecError(
-            f"no membership procedure for subgroup {name!r}; only H2, HA, A and "
-            "their conjugates are decidable here"
-        )
-    test = tests[name]
-    return SubgroupHandle(name, lambda w: member_in_G(w, test, oracle), alphabet)
+    return SubgroupHandle("H2", lambda w: member_in_G(w, h2, oracle), alphabet)
 
 
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:

@@ -21,7 +21,7 @@ from .hnn import (
     SubgroupHandle,
     conjugate_handle,
     g_oracle,
-    handle_for,
+    h2_handle,
     member_in_G,
 )
 from .presentations import ABC, ABCH, builtin, relator_class, zero_sum_coordinates
@@ -103,7 +103,7 @@ def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
     paper's condense(G, <h^2>), whose stable letter t commutes with h^2."""
     if name == "E":
         g = builtin_group("G", budget)
-        return replace(condense(g, handle_for("H2", g.oracle)), name="E")
+        return replace(condense(g, h2_handle(g.oracle)), name="E")
     if name == "B":
         oracle = BaseOracle(ABC)
     elif name == "ZxB":
@@ -301,7 +301,7 @@ def orbit_witness(i: int, oracle: HnnOracle) -> tuple[Word, SubgroupHandle]:
     """
     check_budget(abs(i) + 1, oracle.budget)
     g = invert(escape_words(i, oracle.alphabet)[0])
-    handle = conjugate_handle(g, handle_for("H2", oracle))
+    handle = conjugate_handle(g, h2_handle(oracle))
     return g, replace(handle, label=f"conj(sb^{i}, H2)")
 
 
@@ -323,14 +323,14 @@ def orbit_agreement(
     i defaults to the escape index of that ball.  The ball is walked, not
     kept: once for the escape index, when i is not given, and once for the
     comparison.  Both walks skip the words with a non-zero exponent sum in
-    G's coordinates: h and a are not coordinates, so <h^2>, <ha>, A and,
-    the kernel being normal, their conjugates meet no such word."""
+    G's coordinates: h is not a coordinate, so <h^2> and, the kernel being
+    normal, its conjugates meet no such word."""
     oracle = g.oracle
     size = ball_size(g.arity, rho)
     if i is None:
         i = escape_index(enumerate_ball(oracle.alphabet, rho, g.coordinates), oracle)
     conjugator, k_point = orbit_witness(i, oracle)
-    h_point = handle_for("H2", oracle)
+    h_point = h2_handle(oracle)
     agree = chabauty_agree(
         h_point, k_point, enumerate_ball(oracle.alphabet, rho, g.coordinates)
     )
@@ -340,4 +340,4 @@ def orbit_agreement(
 def condensed_pair(i: int, g: MarkedGroup) -> tuple[MarkedGroup, MarkedGroup]:
     """The extensions of G over <h^2> and over its i-th conjugate."""
     _, k_point = orbit_witness(i, g.oracle)
-    return condense(g, handle_for("H2", g.oracle)), condense(g, k_point)
+    return condense(g, h2_handle(g.oracle)), condense(g, k_point)

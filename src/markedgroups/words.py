@@ -107,9 +107,11 @@ class Word:
         return invert(self)
 
     def __pow__(self, k: int) -> "Word":
-        if not self.letters:
-            return self  # () * k overflows past sys.maxsize
-        letters = invert_letters(self.letters) if k < 0 else self.letters
+        letters = _reduce_letters(self.letters)
+        if not letters:
+            return Word(self.alphabet, ())  # [] * k overflows past sys.maxsize
+        if k < 0:
+            letters = invert_letters(letters)
         return Word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
 
     def __str__(self) -> str:
@@ -201,6 +203,27 @@ def check_budget(
         raise BudgetExceededError(
             f"word expands to {length} letters (budget {budget}){where}"
         )
+
+
+def parse_int(text: str, budget: int, line: int | None = None) -> int:
+    """int(text), also for a number with more digits than int() reads: it
+    is read without its sign and leading zeros, and one still that long is
+    past any budget.  Other text that int() refuses raises its ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.removeprefix("-").isdecimal():
+            raise
+    digits = text.removeprefix("-").lstrip("0")
+    try:
+        k = int(digits or "0")
+    except ValueError:
+        where = "" if line is None else f" (line {line})"
+        raise BudgetExceededError(
+            f"word expands to at least 10^{len(digits) - 1} letters "
+            f"(budget {budget}){where}"
+        ) from None
+    return -k if text[0] == "-" else k
 
 
 def exponent_sum(w: Word) -> int:
@@ -458,10 +481,7 @@ class _Tokens:
             raise WordSyntaxError(f"unknown generator {name!r}", self.line, col + 1)
         if exp is None:
             return [letter]
-        try:
-            k = int(exp)
-        except ValueError:
-            k = _long_exponent(exp, self)
+        k = parse_int(exp, self.budget, self.line)
         self.check(abs(k))
         return [letter ^ (k < 0)] * abs(k)
 
@@ -501,21 +521,6 @@ def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
     return letters
 
 
-def _long_exponent(text: str, tokens: _Tokens) -> int:
-    """An exponent with more digits than int() reads, read without its sign
-    and leading zeros; one still that long is past any budget."""
-    digits = text.lstrip("-").lstrip("0")
-    try:
-        k = int(digits or "0")
-    except ValueError:
-        where = "" if tokens.line is None else f" (line {tokens.line})"
-        raise BudgetExceededError(
-            f"word expands to at least 10^{len(digits) - 1} letters "
-            f"(budget {tokens.budget}){where}"
-        ) from None
-    return -k if text[0] == "-" else k
-
-
 def _power_length(letters: list[Letter], k: int) -> int:
     """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
     n, u = len(letters), 0
@@ -539,10 +544,7 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
             base = _reduce_letters(base)
             if not base:
                 continue  # a power of 1 is 1; [] * k overflows past sys.maxsize
-            try:
-                k = int(exp[1])
-            except ValueError:
-                k = _long_exponent(exp[1], tokens)
+            k = parse_int(exp[1], tokens.budget, tokens.line)
             tokens.check(_power_length(base, k))
             base = _reduce_letters((invert_letters(base) if k < 0 else base) * abs(k))
         else:

@@ -13,7 +13,7 @@ from markedgroups.experiments import (
     exp_epsilon,
     exp_orbit,
 )
-from markedgroups.hnn import g_oracle, handle_for
+from markedgroups.hnn import g_oracle, h2_handle
 from markedgroups.marked import (
     Agreement,
     MarkedGroup,
@@ -90,7 +90,7 @@ def test_criterion_4_conjugate_meets_ball_identically():
         finite_set = list(enumerate_ball(ABCHS, rho))
         i = escape_index(finite_set, oracle)
         _, k_point = orbit_witness(i, oracle)
-        h_point = handle_for("H2", oracle)
+        h_point = h2_handle(oracle)
         ok = ok and chabauty_agree(h_point, k_point, finite_set)
         witness = free_reduce(
             parse_word(f"h a^(b^{i})", ABCHS)
@@ -102,7 +102,7 @@ def test_criterion_4_conjugate_meets_ball_identically():
 def test_criterion_5_extension_relation_balls():
     oracle = g_oracle()
     g_marked = MarkedGroup("G", oracle)
-    extension_h = condense(g_marked, handle_for("H2", oracle))
+    extension_h = condense(g_marked, h2_handle(oracle))
     ok = True
     for r in (2, 3):
         i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
@@ -198,7 +198,7 @@ def test_criterion_8_worker_determinism():
         once, again = (run().to_json(include_timing=False) for _ in range(2))
         ok = ok and once == again
     oracle = g_oracle()
-    extension = condense(MarkedGroup("G", oracle), handle_for("H2", oracle))
+    extension = condense(MarkedGroup("G", oracle), h2_handle(oracle))
     first = relation_ball(extension, 3)
     again = relation_ball(extension, 3)
     ok = ok and first.fingerprint == again.fingerprint and first.words == again.words

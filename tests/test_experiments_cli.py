@@ -366,6 +366,10 @@ def test_cli_help_exits_0(capsys):
         ["experiment", "orbit", "--workers", "2"],
         ["experiment", "zmod-limit", "--imax", "101"],
         ["experiment", "epsilon", "--i", "", "--rho", "1"],
+        # a malformed index is still a usage error
+        ["condense", "--i", "1x", "--radius", "1"],
+        ["chabauty", "--rho", "1", "--i", "1x"],
+        ["experiment", "epsilon", "--i", "1,x", "--rho", "0"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):
@@ -495,6 +499,13 @@ def test_cli_relator_equation_budget(capsys, tmp_path):
         ["--budget", "100", "condense", "--i", "1000000000", "--radius", "1"],
         ["--budget", "100", "chabauty", "--rho", "1", "--i", "1000000000"],
         ["experiment", "epsilon", "--i", "1000000000", "--rho", "0"],
+        # more digits than int() reads: past any budget, like such an exponent
+        ["condense", "--i", "9" * 5000, "--radius", "1"],
+        ["condense", "--i=-" + "9" * 5000, "--radius", "1"],
+        ["chabauty", "--rho", "1", "--i", "9" * 5000],
+        ["chabauty", "--rho", "1", "--i=-" + "9" * 5000],
+        ["experiment", "epsilon", "--i", "9" * 5000, "--rho", "0"],
+        ["experiment", "epsilon", "--i=-" + "9" * 5000, "--rho", "0"],
     ],
 )
 def test_cli_index_budget(capsys, argv):
@@ -503,6 +514,8 @@ def test_cli_index_budget(capsys, argv):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if any(len(arg) > 4300 for arg in argv):
+        assert err == "error: word expands to at least 10^4999 letters (budget 10000)\n"
 
 
 @pytest.mark.parametrize(

@@ -9,16 +9,15 @@ from markedgroups.hnn import (
     BaseOracle,
     BudgetExceededError,
     HnnOracle,
-    UndecidableSpecError,
     _h_power,
     _ha_power,
     conjugate_handle,
     g_oracle,
-    handle_for,
+    h2_handle,
     member_in_G,
 )
 from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
-from markedgroups.marked import CyclicOracle, builtin_group
+from markedgroups.marked import CyclicOracle, builtin_group, orbit_witness
 from markedgroups.presentations import ABC, ABCH, ABCHS, ABCHST, builtin
 from markedgroups.words import (
     Alphabet,
@@ -115,30 +114,22 @@ def test_subgroup_power_words_are_letter_identical(alphabet):
 
 
 def test_handle_examples():
-    h2 = handle_for("H2", G)
+    h2 = h2_handle(G)
     assert h2(gw("h^2")) and not h2(gw("h a"))
-    ha = handle_for("HA", G)
+    ha = orbit_witness(0, G)[1]  # <ha> = <h^2>^s
+    assert ha.label == "conj(sb^0, H2)"
     assert ha(gw("h a")) and ha(gw("h^2")) and not ha(gw("a^b"))
-    sub_a = handle_for("A", G)
-    assert sub_a(gw("h a^(b^3)")) and not sub_a(gw("c"))
-    with pytest.raises(UndecidableSpecError):
-        handle_for("mystery", G)
 
 
 def test_handle_canonical_words():
     # equal members give the same word, and that word equals the member
-    assert render_word(handle_for("H2", G).contains(gw("(h a)^2"))) == "h h"
-    assert render_word(handle_for("HA", G).contains(gw("(h^2)^s h^2"))) == "h h h a"
-    sub_a = handle_for("A", G)
-    for u, v in (
-        ("h^3 a^b a^(b^-2)", "a^(b^-2) h a^b h^2"),
-        ("a^c", "a a^b"),
-        ("(h^2)^s (h a)^-1 h^-1 a^(b^-1)", "a^(b^-1) h^-1"),
-    ):
-        rep = sub_a.contains(gw(u))
-        assert rep is not None and rep == sub_a.contains(gw(v)), u
-        assert G.is_trivial(free_reduce(concat(rep, invert(gw(u))))), u
-    k = conjugate_handle(invert(gw("s b")), handle_for("H2", G))
+    assert render_word(h2_handle(G).contains(gw("(h a)^2"))) == "h h"
+    ha = orbit_witness(0, G)[1]
+    rep = ha.contains(gw("(h^2)^s h^2"))
+    assert render_word(rep) == "s^-1 h h h h h h s"
+    assert rep == ha.contains(gw("h^3 a"))
+    assert G.is_trivial(free_reduce(concat(rep, invert(gw("(h^2)^s h^2")))))
+    k = conjugate_handle(invert(gw("s b")), h2_handle(G))
     for text in ("h a^b", "(h a^b)^3", "h^-2"):
         rep = k.contains(gw(text))
         assert G.is_trivial(free_reduce(concat(rep, invert(gw(text))))), text
@@ -148,15 +139,15 @@ def test_handle_canonical_words():
 def test_conjugate_handle_h_ab():
     # g = (s b)^-1 conjugates <h^2> to <h a^b>
     g = invert(gw("s b"))
-    k = conjugate_handle(g, handle_for("H2", G))
+    k = conjugate_handle(g, h2_handle(G))
     assert k(gw("h a^b"))
     assert k(gw("h^2")) and k(gw("h^4"))
     assert not k(gw("h a"))
 
 
 def test_trivial_conjugator_handle():
-    k = conjugate_handle(gw("1"), handle_for("H2", G))
-    h2 = handle_for("H2", G)
+    k = conjugate_handle(gw("1"), h2_handle(G))
+    h2 = h2_handle(G)
     rng = random.Random(11)
     for _ in range(20):
         letters = tuple(

@@ -1,15 +1,20 @@
 """Every module of the package uses each name it imports, and loads each
 module-level private name (``_x`` function, class or constant) it defines.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt: its imports are the package's re-exports.  The
+runtime needs nothing outside the standard library: every absolute import
+names a stdlib module, and the project declares no dependencies.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "markedgroups"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "markedgroups"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -98,3 +103,31 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_loads_every_private_name(path):
     assert unused_privates(path.read_text()) == []
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level modules that absolute imports in source name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_absolute_imports_detected():
+    source = "import os.path\nfrom . import words\nfrom json import dumps\n"
+    assert absolute_imports(source) == {"os", "json"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib(path):
+    assert absolute_imports(path.read_text()) - sys.stdlib_module_names == set()
+
+
+def test_no_runtime_dependencies():
+    # a text check: tomllib is not in the standard library before 3.11
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.findall(r"^dependencies\s*=.*$", pyproject, re.M)
+    assert declared == ["dependencies = []"]

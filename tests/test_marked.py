@@ -9,7 +9,7 @@ from markedgroups.hnn import (
     HnnOracle,
     SubgroupHandle,
     g_oracle,
-    handle_for,
+    h2_handle,
 )
 from markedgroups.marked import (
     Agreement,
@@ -89,7 +89,7 @@ def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
 
 
 def test_relation_ball_e_radius2():
-    e_marked = MarkedGroup("E", condense(G_MARKED, handle_for("H2", G)).oracle)
+    e_marked = MarkedGroup("E", condense(G_MARKED, h2_handle(G)).oracle)
     ball = relation_ball(e_marked, 2)
     assert [render_canonical(w) for w in ball.words] == [
         "1", "x1 x1", "x1^-1 x1^-1"
@@ -126,7 +126,7 @@ def test_relation_ball_export_header():
 
 def _pruned_groups():
     g = builtin_group("G")
-    h2_ext = condense(g, handle_for("H2", g.oracle))
+    h2_ext = condense(g, h2_handle(g.oracle))
     k_ext = condense(g, orbit_witness(2, g.oracle)[1])
     return [
         (builtin_group("B"), 5), (builtin_group("ZxB"), 4),
@@ -188,7 +188,7 @@ def test_builtin_group_budget_and_unknown_name():
 def test_condense_coordinates():
     g = builtin_group("G")
     assert g.coordinates == (1, 2, 4)
-    assert condense(g, handle_for("H2", g.oracle)).coordinates == (1, 2, 4, 5)
+    assert condense(g, h2_handle(g.oracle)).coordinates == (1, 2, 4, 5)
     assert marked_Z().coordinates == (0,) and marked_Zmod(3).coordinates == ()
 
 
@@ -260,10 +260,10 @@ def _agreement_pairs():
         (marked_Zmod(7), marked_Z(), 10),
         (marked_Z(), marked_Z(), 5),
         (builtin_group("G"), g, 3),
-        (e, condense(g, handle_for("H2", g.oracle)), 3),
+        (e, condense(g, h2_handle(g.oracle)), 3),
         (e, replace(e, coordinates=(1, 5)), 3),
         (
-            condense(g, handle_for("H2", g.oracle)),
+            condense(g, h2_handle(g.oracle)),
             condense(g, orbit_witness(0, g.oracle)[1]),
             4,
         ),
@@ -310,16 +310,16 @@ def test_cong_monotone():
 
 
 def test_chabauty_agree_examples():
-    h = handle_for("H2", G)
+    h = h2_handle(G)
     assert chabauty_agree(h, h, list(enumerate_ball(ABCHS, 1)))
-    ha_point = handle_for("HA", G)
+    ha_point = orbit_witness(0, G)[1]  # <ha> = <h^2>^s
     assert not chabauty_agree(h, ha_point, [gw("h a")])
 
 
 def test_chabauty_agree_alphabet_guard():
     whole_z = SubgroupHandle("all", lambda w: w, marked_Z().oracle.alphabet)
     with pytest.raises(ValueError):
-        chabauty_agree(handle_for("H2", G), whole_z, [])
+        chabauty_agree(h2_handle(G), whole_z, [])
 
 
 def test_orbit_agreement_streams_the_ball():
@@ -355,7 +355,7 @@ def test_chabauty_agree_radius2_witness():
     finite_set = list(enumerate_ball(ABCHS, 2))
     i = escape_index(finite_set, G)
     _, k = orbit_witness(i, G)
-    assert chabauty_agree(handle_for("H2", G), k, finite_set)
+    assert chabauty_agree(h2_handle(G), k, finite_set)
 
 
 # -- condense ----------------------------------------------------------------
@@ -363,12 +363,12 @@ def test_chabauty_agree_radius2_witness():
 
 def reference_e():
     """E's oracle built directly over G, independent of condense."""
-    h2 = handle_for("H2", G)
+    h2 = h2_handle(G)
     return HnnOracle(G, h2.contains, h2.contains, "t")
 
 
 def test_condense_g_h2_is_e():
-    extension = condense(G_MARKED, handle_for("H2", G))
+    extension = condense(G_MARKED, h2_handle(G))
     assert extension.marking == ("a", "b", "c", "h", "s", "t")
     e = reference_e()
     for w in enumerate_ball(extension.oracle.alphabet, 3):
@@ -397,11 +397,11 @@ def test_e_relation_ball_pinned_and_built_by_condense():
 
 def test_condense_distinguished_by_commutator():
     _, k = orbit_witness(1, G)
-    ext_h = condense(G_MARKED, handle_for("H2", G))
+    ext_h = condense(G_MARKED, h2_handle(G))
     ext_k = condense(G_MARKED, k)
     z = parse_word("h a^b", ABCHS)
     comm = parse_word("[h a^b, t]", ext_h.oracle.alphabet)
-    assert k(z) and not handle_for("H2", G)(z)
+    assert k(z) and not h2_handle(G)(z)
     assert ext_k.oracle.is_trivial(comm)
     assert not ext_h.oracle.is_trivial(comm)
 
@@ -426,7 +426,7 @@ def test_condense_z_whole_group_is_z_squared():
 
 def test_condense_keeps_budget():
     tight = g_oracle(50)
-    assert condense(MarkedGroup("G", tight), handle_for("H2", tight)).oracle.budget == 50
+    assert condense(MarkedGroup("G", tight), h2_handle(tight)).oracle.budget == 50
     z = marked_Z()
     whole = SubgroupHandle("all", lambda w: w, z.oracle.alphabet)
     assert condense(z, whole).oracle.budget == DEFAULT_BUDGET
@@ -434,7 +434,7 @@ def test_condense_keeps_budget():
 
 def test_condense_alphabet_guard():
     with pytest.raises(ValueError):
-        condense(marked_Z(), handle_for("H2", G))
+        condense(marked_Z(), h2_handle(G))
 
 
 # -- escape index and orbit witness -----------------------------------------
@@ -473,7 +473,7 @@ def test_orbit_witness_claims():
         assert oracle.is_trivial(lhs * invert(witness))
         # the witness generates: in K, not in H2, and its square is h^2
         assert k(witness)
-        assert not handle_for("H2", G)(witness)
+        assert not h2_handle(G)(witness)
         assert oracle.is_trivial(
             witness * witness * invert(gw("h^2"))
         )

@@ -297,6 +297,7 @@ def test_parse_power_of_empty_word():
     assert parse_word(f"1^{huge}", AB).letters == ()
     assert parse_word(f"(a a^-1)^-{huge} b", AB, budget=100).letters == (2,)
     assert Word(AB, ()) ** int(huge) == Word(AB, ())
+    assert Word(AB, (0, 1)) ** int(huge) == Word(AB, ())  # a a^-1
 
 
 def test_parse_bad_character_column():
