@@ -37,7 +37,6 @@ from .baumslag import (
     member_H2,
     member_HA,
     pf_add,
-    pf_mul_monomial,
     polyfrac,
     span_membership,
 )

@@ -109,11 +109,6 @@ def pf_add(p: PolyFrac, q: PolyFrac) -> PolyFrac:
     return polyfrac(a ^ b, xpow, ypow)
 
 
-def pf_mul_monomial(p: PolyFrac, k: int, l: int = 0) -> PolyFrac:
-    """Multiply by the unit x^k (1+x)^l, k and l any integers."""
-    return polyfrac(p.num, p.xpow - k, p.ypow - l)
-
-
 # ---------------------------------------------------------------------------
 # Elements of B and of <h> x B.
 # ---------------------------------------------------------------------------
@@ -133,18 +128,6 @@ class BElement:
 
 B_IDENTITY = BElement()
 B_A = BElement(PF_ONE, 0, 0)
-B_B = BElement(PF_ZERO, 1, 0)
-B_C = BElement(PF_ZERO, 0, 1)
-
-
-def b_mul(u: BElement, v: BElement) -> BElement:
-    return BElement(
-        pf_add(u.m, pf_mul_monomial(v.m, -u.i, -u.j)), u.i + v.i, u.j + v.j
-    )
-
-
-def b_inv(u: BElement) -> BElement:
-    return BElement(pf_mul_monomial(u.m, u.i, u.j), -u.i, -u.j)
 
 
 @dataclass(frozen=True)
@@ -165,27 +148,40 @@ class ForeignLetterError(ValueError):
     """A word uses a generator outside the model's alphabet."""
 
 
-_B_GENS = {"a": B_A, "b": B_B, "c": B_C}
-_B_GENS_INV = {name: b_inv(el) for name, el in _B_GENS.items()}
-
-
 def eval_base(w: Word) -> BaseElement:
-    """Homomorphic evaluation of a word over {a, b, c, h} in <h> x B."""
-    n = 0
-    beta = B_IDENTITY
+    """Homomorphic evaluation of a word over {a, b, c, h} in <h> x B.
+
+    An a^{+-1} read after a prefix with b- and c-exponent sums i and j
+    adds x^-i (1+x)^-j to the module part, since
+    b^i c^j a = (b^i c^j a c^-j b^-i) b^i c^j.  Equal terms cancel over
+    GF(2), so the module part sums the (i, j) met an odd number of times.
+    """
+    n = i = j = 0
+    terms: set[tuple[int, int]] = set()
     names = w.alphabet.names
     for x in w.letters:
         name = names[x >> 1]
-        if name == "h":
-            n += -1 if x & 1 else 1
-        elif name in _B_GENS:
-            table = _B_GENS_INV if x & 1 else _B_GENS
-            beta = b_mul(beta, table[name])
+        step = -1 if x & 1 else 1
+        if name == "a":
+            terms ^= {(i, j)}
+        elif name == "b":
+            i += step
+        elif name == "c":
+            j += step
+        elif name == "h":
+            n += step
         else:
             raise ForeignLetterError(
                 f"letter {name!r} is not a generator of <h> x B"
             )
-    return BaseElement(n, beta)
+    # One common denominator x^X (1+x)^Y for every term, so polyfrac
+    # normalizes once per word.
+    xpow = max((ti for ti, _ in terms), default=0)
+    ypow = max((tj for _, tj in terms), default=0)
+    num = 0
+    for ti, tj in terms:
+        num ^= _times_one_plus_x_power(1 << (xpow - ti), ypow - tj)
+    return BaseElement(n, BElement(polyfrac(num, xpow, ypow), i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
     if spec == "Z":
         return marked_Z()
     if spec.startswith("Z/"):
-        if not spec[2:].isdigit() or int(spec[2:]) < 1:
+        if not spec[2:].isdecimal() or int(spec[2:]) < 1:
             raise UsageError(f"Z/N needs a positive integer N, got {spec!r}")
         return marked_Zmod(int(spec[2:]))
     if spec.startswith("file:"):

@@ -1,13 +1,12 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from markedgroups.baumslag import (
     B_A,
-    B_B,
-    B_C,
     B_IDENTITY,
     BASE_IDENTITY,
     BaseElement,
@@ -16,15 +15,12 @@ from markedgroups.baumslag import (
     PF_ONE,
     PF_ZERO,
     PolyFrac,
-    b_inv,
-    b_mul,
     eval_base,
     member_A,
     member_H2,
     member_HA,
     monomial,
     pf_add,
-    pf_mul_monomial,
     polyfrac,
     span_membership,
 )
@@ -34,6 +30,27 @@ from markedgroups.words import Word, concat, free_reduce, parse_word
 
 def pw(text):
     return parse_word(text, ABCH)
+
+
+# Reference group law of B and <h> x B, letter by letter: the fold that
+# eval_base's closed form must agree with.
+
+
+def unit_mul(p, k, l):
+    """p x^k (1+x)^l, k and l any integers."""
+    return polyfrac(p.num, p.xpow - k, p.ypow - l)
+
+
+def b_mul(u, v):
+    return BElement(pf_add(u.m, unit_mul(v.m, -u.i, -u.j)), u.i + v.i, u.j + v.j)
+
+
+def b_inv(u):
+    return BElement(unit_mul(u.m, u.i, u.j), -u.i, -u.j)
+
+
+B_B = BElement(PF_ZERO, 1, 0)
+B_C = BElement(PF_ZERO, 0, 1)
 
 
 def base_mul(u, v):
@@ -50,10 +67,13 @@ def base_inv(u):
 def test_pf_add_examples():
     assert pf_add(PF_ONE, PF_ONE) == PF_ZERO  # characteristic 2
     assert pf_add(PF_ONE, PolyFrac(0b10)) == PolyFrac(0b11)
-    assert pf_mul_monomial(PF_ONE, -1, -1) == PolyFrac(1, 1, 1)
+    assert unit_mul(PF_ONE, -1, -1) == PolyFrac(1, 1, 1)
 
 
 def test_canonical_form_enforced():
+    for fields in [(-1,), (1, -1), (1, 0, -1)]:
+        with pytest.raises(ValueError):
+            PolyFrac(*fields)
     with pytest.raises(ValueError):
         PolyFrac(0, 1, 0)
     with pytest.raises(ValueError):
@@ -90,8 +110,8 @@ def test_pf_add_commutative_and_cancellation(p, q):
 
 
 @given(polyfracs(), st.integers(-5, 5), st.integers(-5, 5))
-def test_pf_mul_monomial_invertible(p, k, l):
-    assert pf_mul_monomial(pf_mul_monomial(p, k, l), -k, -l) == p
+def test_unit_mul_invertible(p, k, l):
+    assert unit_mul(unit_mul(p, k, l), -k, -l) == p
 
 
 # Bit-serial reference arithmetic over GF(2), independent of the Frobenius
@@ -135,7 +155,7 @@ def test_reference_divmod():
 @given(st.integers(0, 2**40 - 1), st.integers(0, 70))
 def test_one_plus_x_power_product_matches_reference(n, m):
     expected = ref_mul(n, ref_pow_one_plus_x(m))
-    assert pf_mul_monomial(PolyFrac(n), 0, m).num == expected
+    assert polyfrac(n, 0, -m).num == expected
 
 
 @given(st.integers(0, 2**40 - 1), st.integers(0, 70))
@@ -224,9 +244,49 @@ def test_eval_base_inverse_and_reduction(u):
     assert base_mul(eval_base(u), base_inv(eval_base(u))) == BASE_IDENTITY
 
 
+REF_GENS = {
+    "a": BaseElement(0, B_A),
+    "b": BaseElement(0, B_B),
+    "c": BaseElement(0, B_C),
+    "h": BaseElement(1, B_IDENTITY),
+}
+
+
+def ref_eval(w):
+    """The word's value as a fold of the reference group law."""
+    z = BASE_IDENTITY
+    for x in w.letters:
+        g = REF_GENS[w.alphabet.names[x >> 1]]
+        z = base_mul(z, base_inv(g) if x & 1 else g)
+    return z
+
+
+@st.composite
+def long_abch_words(draw):
+    # chunks a^{+-1} g^k with g one of b, c, h, so that many distinct
+    # (i, j) terms, negative exponents among them, meet in one sum
+    chunks = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(), st.integers(1, 3), st.integers(-12, 12)
+            ),
+            min_size=20,
+            max_size=60,
+        )
+    )
+    letters = []
+    for a_inverse, g, k in chunks:
+        letters += [int(a_inverse)] + [2 * g + (k < 0)] * abs(k)
+    return Word(ABCH, tuple(letters[:200]))
+
+
+@given(long_abch_words())
+def test_eval_base_matches_group_law_fold_on_long_words(w):
+    assert eval_base(w) == ref_eval(w)
+
+
 def test_eval_base_against_independent_model():
     # independent route: sympy polynomials modulo 2 with explicit fractions
-    sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
 
     def frac_eval(word):

@@ -337,6 +337,18 @@ def test_cli_usage_error():
     assert main(["experiment", "unknown"]) == 2
 
 
+def test_cli_zmod_takes_decimal_digits_only(capsys):
+    # superscript one is a digit to str.isdigit, but not to int()
+    assert main(["ball", "--group", "Z/\u00b9", "--radius", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Z/N needs a positive integer N, got 'Z/\u00b9'\n", err
+    # Arabic-Indic three is a decimal digit, so it reads as Z/3
+    assert main(["ball", "--group", "Z/3", "--radius", "3"]) == 0
+    z3 = capsys.readouterr().out
+    assert main(["ball", "--group", "Z/\u0663", "--radius", "3"]) == 0
+    assert capsys.readouterr().out == z3
+
+
 def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
         main(["ball", "--help"])
@@ -446,6 +458,25 @@ def test_cli_power_of_empty_word(capsys):
 def test_cli_budget_edge_verdicts(capsys, group, word, trivial):
     assert main(["wp", "--group", group, "--word", word]) == (0 if trivial else 1)
     assert json.loads(capsys.readouterr().out)["trivial"] is trivial
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("group\ngens a\n", "missing group name (line 1)"),
+        ("group X\ngens a\ngens b\n", "duplicate gens line (line 3)"),
+        ("group X\ngens 1a\n", "invalid generator name '1a' (line 2)"),
+        ("group X\ngens a a\n", "duplicate generator names in ('a', 'a') (line 2)"),
+        ("group X\n", "no gens line"),
+    ],
+)
+def test_cli_presentation_file_errors_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    assert main(["wp", "--group", f"file:{path}", "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n", captured.err
 
 
 def test_cli_subgroup_line_exits_2(capsys, tmp_path):
