@@ -57,7 +57,6 @@ from .marked import (
     builtin_group,
     chabauty_agree,
     condense,
-    cong_r,
     escape_index,
     marked_Z,
     marked_Zmod,

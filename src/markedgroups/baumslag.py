@@ -148,6 +148,9 @@ class ForeignLetterError(ValueError):
     """A word uses a generator outside the model's alphabet."""
 
 
+_NAMES = ("a", "b", "c", "h")
+
+
 def eval_base(w: Word) -> BaseElement:
     """Homomorphic evaluation of a word over {a, b, c, h} in <h> x B.
 
@@ -155,29 +158,37 @@ def eval_base(w: Word) -> BaseElement:
     adds x^-i (1+x)^-j to the module part, since
     b^i c^j a = (b^i c^j a c^-j b^-i) b^i c^j.  Equal terms cancel over
     GF(2), so the module part sums the (i, j) met an odd number of times.
+    Letters are read by index, so the alphabet must begin a, b, c[, h].
     """
+    names = w.alphabet.names
+    if names[:3] != _NAMES[:3]:
+        raise ForeignLetterError(f"alphabet {names} does not begin a, b, c")
+    end = 8 if names[:4] == _NAMES else 6  # the letters of a, b, c[, h]
     n = i = j = 0
     terms: set[tuple[int, int]] = set()
-    names = w.alphabet.names
     for x in w.letters:
-        name = names[x >> 1]
-        step = -1 if x & 1 else 1
-        if name == "a":
-            terms ^= {(i, j)}
-        elif name == "b":
-            i += step
-        elif name == "c":
-            j += step
-        elif name == "h":
-            n += step
+        if x < 2:  # a is an involution: a term met twice cancels
+            term = (i, j)
+            if term in terms:
+                terms.remove(term)
+            else:
+                terms.add(term)
+        elif x < 4:
+            i += 1 - 2 * (x & 1)
+        elif x < 6:
+            j += 1 - 2 * (x & 1)
+        elif x < end:
+            n += 1 - 2 * (x & 1)
         else:
             raise ForeignLetterError(
-                f"letter {name!r} is not a generator of <h> x B"
+                f"letter {names[x >> 1]!r} is not a generator of <h> x B"
             )
+    if not terms:
+        return BaseElement(n, BElement(PF_ZERO, i, j))
     # One common denominator x^X (1+x)^Y for every term, so polyfrac
     # normalizes once per word.
-    xpow = max((ti for ti, _ in terms), default=0)
-    ypow = max((tj for _, tj in terms), default=0)
+    xpow = max(ti for ti, _ in terms)
+    ypow = max(tj for _, tj in terms)
     num = 0
     for ti, tj in terms:
         num ^= _times_one_plus_x_power(1 << (xpow - ti), ypow - tj)

@@ -84,9 +84,13 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
     if spec == "Z":
         return marked_Z()
     if spec.startswith("Z/"):
-        if not spec[2:].isdecimal() or int(spec[2:]) < 1:
+        try:
+            n = int(spec[2:]) if spec[2:].isdecimal() else 0
+        except ValueError:  # more digits than int() reads
+            n = 0
+        if n < 1:
             raise UsageError(f"Z/N needs a positive integer N, got {spec!r}")
-        return marked_Zmod(int(spec[2:]))
+        return marked_Zmod(n)
     if spec.startswith("file:"):
         pres = parse_presentation(Path(spec[5:]).read_text(), budget=budget)
         for name in ("B", "ZxB", "G", "E"):
@@ -302,6 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads --opt=-- as []
+                raise UsageError(
+                    f"argument --{name.replace('_', '-')}: expected one argument"
+                )
         if args.budget < 0:
             raise UsageError(f"--budget must be non-negative, got {args.budget}")
         if getattr(args, "workers", 1) < 1:

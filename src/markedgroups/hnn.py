@@ -31,6 +31,7 @@ from .words import (
     Alphabet,
     BudgetExceededError,
     Word,
+    _word,
     check_alphabet,
     conjugate,
     free_reduce,
@@ -67,7 +68,8 @@ class HnnOracle:
     ``left`` takes a word over the base alphabet and returns the canonical
     word of its image in the right subgroup, or None when the word is not
     in the left subgroup; ``right`` maps the right subgroup to the left one
-    in the same way.
+    in the same way.  Both send the empty word to the empty word, so the
+    fold cancels an empty part with no call.
     """
 
     def __init__(
@@ -95,9 +97,10 @@ class HnnOracle:
         Britton's lemma a stable letter can only pinch the part since the
         previous stable letter, so each part is tried once, when it
         closes: on a hit both stable letters and the part give way to the
-        part's image.  Pinches are taken in the order of leftmost-first
-        rewriting, which this pass therefore reproduces, reduced form
-        included.
+        part's image.  An empty part, t^-1 1 t, is a hit whose image is
+        empty, so the two stable letters cancel with no map called.
+        Pinches are taken in the order of leftmost-first rewriting, which
+        this pass therefore reproduces, reduced form included.
         """
         check_alphabet(w, self.alphabet)
         budget = self.budget
@@ -119,8 +122,12 @@ class HnnOracle:
                 continue
             start = _close_part(out, marks, budget)
             if marks and out[start - 1] == x ^ 1:
+                if start == len(out):
+                    out.pop()
+                    marks.pop()
+                    continue
                 member = left if x == stable else right
-                image = member(Word(base, tuple(out[start:])))
+                image = member(_word(base, tuple(out[start:])))
                 if image is not None:
                     del out[start - 1:]
                     marks.pop()
@@ -137,13 +144,13 @@ class HnnOracle:
 
     def reduce(self, w: Word) -> Word:
         """The reduced form of w: no pinch, every part freely reduced."""
-        return Word(self.alphabet, tuple(self._fold(w)[0]))
+        return _word(self.alphabet, tuple(self._fold(w)[0]))
 
     def _base_word(self, w: Word) -> Optional[Word]:
         """The reduced form of w over the base alphabet, or None if it keeps
         a stable letter: w then lies outside the base group."""
         out, marks = self._fold(w)
-        return None if marks else Word(self.base.alphabet, tuple(out))
+        return None if marks else _word(self.base.alphabet, tuple(out))
 
     def is_trivial(self, w: Word) -> bool:
         """Britton's lemma: w is trivial iff its reduced form has no stable
@@ -173,13 +180,13 @@ def _h_power_letters(alphabet: Alphabet, k: int) -> tuple[int, ...]:
 
 
 def _h_power(alphabet: Alphabet, k: int) -> Word:
-    return Word(alphabet, _h_power_letters(alphabet, k))
+    return _word(alphabet, _h_power_letters(alphabet, k))
 
 
 def _ha_power(alphabet: Alphabet, k: int) -> Word:
     # (ha)^k = h^k a^(k mod 2): h central, a^2 = 1.
     a = (2 * alphabet.index("a"),) * (k % 2)
-    return Word(alphabet, _h_power_letters(alphabet, k) + a)
+    return _word(alphabet, _h_power_letters(alphabet, k) + a)
 
 
 def _h2_to_ha(w: Word) -> Optional[Word]:

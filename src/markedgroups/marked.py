@@ -195,11 +195,6 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 
 
-def cong_r(m1: MarkedGroup, m2: MarkedGroup, r: int) -> bool:
-    """True iff the radius-r relation balls coincide."""
-    return max_agreement(m1, m2, r).saturated
-
-
 class Agreement(NamedTuple):
     """Result of max_agreement: saturated means 'at least radius'."""
 
@@ -326,7 +321,6 @@ def orbit_agreement(
     G's coordinates: h is not a coordinate, so <h^2> and, the kernel being
     normal, its conjugates meet no such word."""
     oracle = g.oracle
-    size = ball_size(g.arity, rho)
     if i is None:
         i = escape_index(enumerate_ball(oracle.alphabet, rho, g.coordinates), oracle)
     conjugator, k_point = orbit_witness(i, oracle)
@@ -334,7 +328,10 @@ def orbit_agreement(
     agree = chabauty_agree(
         h_point, k_point, enumerate_ball(oracle.alphabet, rho, g.coordinates)
     )
-    return OrbitAgreement(size, i, conjugator, h_point, k_point, agree)
+    # sized after the walks, which refuse a radius past their cap at once
+    return OrbitAgreement(
+        ball_size(g.arity, rho), i, conjugator, h_point, k_point, agree
+    )
 
 
 def condensed_pair(i: int, g: MarkedGroup) -> tuple[MarkedGroup, MarkedGroup]:

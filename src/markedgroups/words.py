@@ -101,7 +101,8 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("cannot multiply words over different alphabets")
-        return Word(self.alphabet, tuple(_reduce_letters(self.letters + other.letters)))
+        letters = _reduce_letters(self.letters + other.letters)
+        return _word(self.alphabet, tuple(letters))
 
     def __invert__(self) -> "Word":
         return invert(self)
@@ -109,10 +110,10 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         letters = _reduce_letters(self.letters)
         if not letters:
-            return Word(self.alphabet, ())  # [] * k overflows past sys.maxsize
+            return _word(self.alphabet, ())  # [] * k overflows past sys.maxsize
         if k < 0:
             letters = invert_letters(letters)
-        return Word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
+        return _word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
 
     def __str__(self) -> str:
         return render_word(self)
@@ -121,8 +122,18 @@ class Word:
         return all(x ^ y != 1 for x, y in zip(self.letters, self.letters[1:]))
 
 
+def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
+    """A Word built without checking its letters, for letters known to be
+    in range: taken from checked words over the same alphabet, or made
+    from its generator indices."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def gen(alphabet: Alphabet, name: str) -> Word:
-    return Word(alphabet, (2 * alphabet.index(name),))
+    return _word(alphabet, (2 * alphabet.index(name),))
 
 
 def concat(*ws: Word) -> Word:
@@ -135,7 +146,7 @@ def concat(*ws: Word) -> Word:
         if w.alphabet != alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
         letters.extend(w.letters)
-    return Word(alphabet, tuple(letters))
+    return _word(alphabet, tuple(letters))
 
 
 def _reduce_letters(letters: Sequence[Letter]) -> list[Letter]:
@@ -154,7 +165,7 @@ def free_reduce(w: Word) -> Word:
     stack = _reduce_letters(w.letters)
     if len(stack) == len(w.letters):
         return w
-    return Word(w.alphabet, tuple(stack))
+    return _word(w.alphabet, tuple(stack))
 
 
 def invert_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
@@ -163,7 +174,7 @@ def invert_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, invert_letters(w.letters))
+    return _word(w.alphabet, invert_letters(w.letters))
 
 
 def rotations(letters: tuple[Letter, ...]) -> set[tuple[Letter, ...]]:
@@ -285,7 +296,7 @@ def _sphere_from(
     it, and every leaf reached has norm 0.  Every letter of a word, its
     first included, lies in ``follow[first]``."""
     if length == 0:
-        yield Word(alphabet, tuple(prefix))
+        yield _word(alphabet, tuple(prefix))
         return
     if prefix:
         cancel, letters = prefix[-1] ^ 1, follow[prefix[0]]
@@ -387,7 +398,7 @@ def substitute(w: Word, sigma: Substitution) -> Word:
     for x in w.letters:
         img = sigma.images[x >> 1].letters
         letters.extend(invert_letters(img) if x & 1 else img)
-    return free_reduce(Word(sigma.target, tuple(letters)))
+    return free_reduce(_word(sigma.target, tuple(letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +427,9 @@ _MAX_DEPTH = 100
 
 # A token is (kind, value, col, letter, exp).  A "name" token carries its
 # letter (None for a name outside the alphabet, refused when it is parsed)
-# and the text of its exponent, or None: ``a^-1`` is one token.  Other
-# tokens carry None twice.
+# and the text of its exponent, or None: ``a^2`` is one token, and ``a^-1``,
+# when it fits the budget, the plain letter a^-1.  Other tokens carry None
+# twice.
 _Token = tuple[str, str, int, Letter | None, str | None]
 
 
@@ -438,16 +450,18 @@ class _Tokens:
                 append(("name", name, m.start(kind), letter_of(name), None))
             elif kind == "exp":
                 name, exp = m.group("name", "exp")
-                col = m.start("name")
+                col, letter = m.start("name"), letter_of(name)
                 if items and items[-1][1] == "^":
                     # a conjugator takes no exponent: b^a^2 is (b^a)^2
                     items += (
-                        ("name", name, col, letter_of(name), None),
+                        ("name", name, col, letter, None),
                         ("sym", "^", m.start("caret"), None, None),
                         ("int", exp, m.start("exp"), None, None),
                     )
+                elif exp == "-1" and letter is not None and budget >= 1:
+                    append(("name", name, col, letter ^ 1, None))
                 else:
-                    append(("name", name, col, letter_of(name), exp))
+                    append(("name", name, col, letter, exp))
             else:
                 value, col = m[kind], m.start(kind)
                 if kind == "bad":

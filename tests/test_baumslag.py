@@ -25,7 +25,7 @@ from markedgroups.baumslag import (
     span_membership,
 )
 from markedgroups.presentations import ABCH, builtin
-from markedgroups.words import Word, concat, free_reduce, parse_word
+from markedgroups.words import Alphabet, Word, concat, free_reduce, parse_word
 
 
 def pw(text):
@@ -209,8 +209,13 @@ def test_eval_base_examples():
     assert eval_base(pw("h a h a")) == BaseElement(2, B_IDENTITY)
     assert eval_base(pw("1")) == BASE_IDENTITY
     assert eval_base(pw("a^c")) == BaseElement(0, BElement(PolyFrac(0b11)))
-    with pytest.raises(ForeignLetterError):
+    with pytest.raises(ForeignLetterError, match="'s' is not a generator"):
         eval_base(parse_word("s", builtin("G").alphabet))
+    # letters are read by index, so the names must begin a, b, c[, h]
+    with pytest.raises(ForeignLetterError, match="does not begin a, b, c"):
+        eval_base(parse_word("b", Alphabet(("b", "a", "c"))))
+    with pytest.raises(ForeignLetterError, match="'s' is not a generator"):
+        eval_base(parse_word("a s", Alphabet(("a", "b", "c", "s"))))
 
 
 def test_relators_die_in_model():

@@ -347,6 +347,11 @@ def test_cli_zmod_takes_decimal_digits_only(capsys):
     z3 = capsys.readouterr().out
     assert main(["ball", "--group", "Z/\u0663", "--radius", "3"]) == 0
     assert capsys.readouterr().out == z3
+    # more digits than int() reads: the same usage line, not CPython's
+    spec = "Z/" + "9" * 5000
+    assert main(["ball", "--group", spec, "--radius", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: Z/N needs a positive integer N, got {spec!r}\n"
 
 
 def test_cli_help_exits_0(capsys):
@@ -382,6 +387,12 @@ def test_cli_help_exits_0(capsys):
         ["condense", "--i", "1x", "--radius", "1"],
         ["chabauty", "--rho", "1", "--i", "1x"],
         ["experiment", "epsilon", "--i", "1,x", "--rho", "0"],
+        # argparse stores --opt=-- as an empty list
+        ["ball", "--group", "Z", "--radius=--"],
+        ["chabauty", "--rho=--"],
+        ["experiment", "epsilon", "--i=--"],
+        ["condense", "--i=--", "--radius", "1"],
+        ["--budget=--", "wp", "--group", "E", "--word", "a"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, argv):
@@ -406,6 +417,14 @@ def test_cli_long_radius_exit_2(capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: radius must be at most 500, got "), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_chabauty_radius_cap_first(capsys):
+    # the cap is checked before the ball is sized, which takes N steps
+    start = time.perf_counter()
+    assert main(["chabauty", "--rho", "100000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: radius must be at most 500, got 100000\n"
 
 
 def test_cli_radius_cap(capsys):

@@ -23,6 +23,7 @@ from markedgroups.words import (
     Alphabet,
     Word,
     concat,
+    conjugate,
     free_reduce,
     gen,
     invert,
@@ -281,6 +282,34 @@ def test_reduced_forms_pinned():
             lines.append(render_word(oracle.reduce(w)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "192b36a8e8c0a8ed3643cd784e9f5cc0893990fd4f14f3167ea8952a340d755d"
+
+
+def test_empty_part_calls_no_map():
+    # Products of conjugated relators of E are trivial, and their inner
+    # pinches leave many empty parts t^-1 1 t and s^-1 1 s: the fold
+    # cancels those with no call to a map of E or of G.
+    e = builtin_group("E").oracle
+    parts = []
+
+    def counted(member):
+        def call(w):
+            parts.append(len(w))
+            return member(w)
+
+        return call
+
+    for oracle in (e, e.base):
+        oracle.left, oracle.right = counted(oracle.left), counted(oracle.right)
+    relators = builtin("E").relators
+    rng = random.Random(3)
+    for _ in range(200):
+        factors = []
+        for _ in range(rng.randrange(1, 5)):
+            u = Word(ABCHST, tuple(rng.randrange(12) for _ in range(rng.randrange(4))))
+            r = rng.choice(relators)
+            factors.append(conjugate(invert(r) if rng.random() < 0.5 else r, u))
+        assert e.is_trivial(concat(*factors))
+    assert len(parts) > 200 and 0 not in parts
 
 
 def test_tower_consistency():

@@ -18,7 +18,6 @@ from markedgroups.marked import (
     builtin_group,
     chabauty_agree,
     condense,
-    cong_r,
     escape_index,
     escape_words,
     marked_Z,
@@ -219,11 +218,12 @@ def test_relation_ball_radius6_pinned(name, count, fingerprint):
 
 
 def test_cong_r_examples():
-    assert cong_r(marked_Zmod(5), marked_Z(), 4)
-    assert not cong_r(marked_Zmod(5), marked_Z(), 5)
-    assert cong_r(G_MARKED, G_MARKED, 2)
+    # the radius-r balls coincide iff max_agreement(.., r) is saturated
+    assert max_agreement(marked_Zmod(5), marked_Z(), 4).saturated
+    assert not max_agreement(marked_Zmod(5), marked_Z(), 5).saturated
+    assert max_agreement(G_MARKED, G_MARKED, 2).saturated
     with pytest.raises(ValueError):
-        cong_r(marked_Z(), G_MARKED, 1)
+        max_agreement(marked_Z(), G_MARKED, 1)
 
 
 def test_max_agreement_examples():
@@ -301,7 +301,9 @@ def test_max_agreement_equals_brute_force():
 
 
 def test_cong_monotone():
-    results = [cong_r(marked_Zmod(4), marked_Z(), r) for r in range(1, 6)]
+    results = [
+        max_agreement(marked_Zmod(4), marked_Z(), r).saturated for r in range(1, 6)
+    ]
     # once False, stays False
     assert results == sorted(results, reverse=True)
 

@@ -241,6 +241,15 @@ def test_parse_sugar():
         BudgetExceededError, match=r"^word expands to 20000 letters \(budget 10000\)$"
     ):
         w("a^20000")
+    # a^-1 is one inverse letter wherever the budget admits it
+    assert parse_word("(a^-1)^b", AB, budget=3).letters == (3, 1, 2)
+    assert parse_word("b^a^-1", AB, budget=3).letters == (1, 3, 0)  # (b^a)^-1
+    assert parse_word("a^-1 b^-1^2 a^-1", AB, budget=4).letters == (1, 3, 3, 1)
+    for text in ("a^-1", "[a^-1, 1]", "a^-1^0"):
+        with pytest.raises(
+            BudgetExceededError, match=r"^word expands to 1 letters \(budget 0\)$"
+        ):
+            parse_word(text, AB, budget=0)
 
 
 def test_parse_conjugation_matches_convention():
