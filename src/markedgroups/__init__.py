@@ -36,7 +36,6 @@ from .baumslag import (
     member_A,
     member_H2,
     member_HA,
-    pf_add,
     polyfrac,
     span_membership,
 )

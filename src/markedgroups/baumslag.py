@@ -100,15 +100,6 @@ def monomial(i: int) -> PolyFrac:
     return polyfrac(1, -i)
 
 
-def pf_add(p: PolyFrac, q: PolyFrac) -> PolyFrac:
-    """Exact sum; addition is GF(2), so p + p = 0."""
-    xpow = max(p.xpow, q.xpow)
-    ypow = max(p.ypow, q.ypow)
-    a = _times_one_plus_x_power(p.num << (xpow - p.xpow), ypow - p.ypow)
-    b = _times_one_plus_x_power(q.num << (xpow - q.xpow), ypow - q.ypow)
-    return polyfrac(a ^ b, xpow, ypow)
-
-
 # ---------------------------------------------------------------------------
 # Elements of B and of <h> x B.
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .presentations import (
     builtin,
     conjugation_substitution,
 )
-from .rewriting import RewriteRule, build_trace, run_trace
+from .rewriting import RewriteRule, TraceStep, run_trace
 from .words import (
     Word,
     check_budget,
@@ -259,8 +259,18 @@ def epsilon_kernel_certificate(i: int):
         rule("move-h-left", f"{b} h", f"h {b}"),
         rule("fold-pair", "h a", "s^-1 h h s"),
     ]
-    schedule = [0] * abs(i) + [1, 2] + [3] * abs(i) + [4]
-    steps = build_trace(start, rules, schedule)
+    # The start word is b^-i s^-1 t^-1 s a^-1 b^i h^-1 b^-i s^-1 t s b^i h
+    # b^-i a b^i, each b^+-i of k = |i| letters.  The h^-1 moves left past
+    # b^i one letter at a time and folds with a^-1, t pinches, and then the
+    # h moves left past b^i in the same way and folds with a.
+    k = abs(i)
+    moves = range(2 * k + 3, k + 3, -1)
+    steps = (
+        [TraceStep(0, pos) for pos in moves]
+        + [TraceStep(1, k + 3), TraceStep(2, k + 1)]
+        + [TraceStep(3, pos) for pos in moves]
+        + [TraceStep(4, k + 4)]
+    )
     return start, rules, steps
 
 
@@ -320,10 +330,9 @@ def exp_epsilon(
         image_trivial = oracle.is_trivial(image)
         witness_nontrivial = not oracle.is_trivial(kernel_word)
         start, rules, steps = epsilon_kernel_certificate(i)
-        # the trace has 2|i| + 3 steps, fewer than its start word's letters
         certified = (
             start.letters == image.letters
-            and not run_trace(start, rules, steps, e_pres, max_steps=len(start)).letters
+            and not run_trace(start, rules, steps, e_pres).letters
         )
         report.check(
             f"kernel-witness-{i}",

@@ -41,6 +41,7 @@ from .words import (
     rotations,
     sort_key,
     _walk,
+    _word,
 )
 
 
@@ -191,7 +192,7 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
             for u, u_inverse in conjugators[:size]:
                 if not u or u[-1] not in (c[0] ^ 1, c[-1]):
                     ball.append(u + c + u_inverse)
-    trivial = sorted((Word(alphabet, w) for w in ball), key=sort_key)
+    trivial = sorted((_word(alphabet, w) for w in ball), key=sort_key)
     return RelationBall(r, tuple(trivial), _fingerprint(trivial))
 
 

@@ -17,6 +17,8 @@ from .words import (
     Substitution,
     Word,
     WordSyntaxError,
+    _word,
+    check_alphabet,
     check_budget,
     commutator,
     concat,
@@ -111,7 +113,7 @@ def hnn_presentation(
 
     def lift(w: Word) -> Word:
         # same letters, wider alphabet
-        return Word(extended, w.letters)
+        return _word(extended, w.letters)
 
     t = gen(extended, stable)
     relators = [lift(r) for r in p.relators]
@@ -129,16 +131,16 @@ def conjugation_substitution(
     sending the stable letter to g^-1 stable g."""
     if stable not in p_e.alphabet:
         raise ValueError(f"stable letter {stable!r} not in alphabet")
+    check_alphabet(g, p_e.alphabet)
     stable_idx = p_e.alphabet.index(stable)
-    g_lifted = Word(p_e.alphabet, g.letters) if g.alphabet != p_e.alphabet else g
-    if any(x >> 1 == stable_idx for x in g_lifted.letters):
+    if any(x >> 1 == stable_idx for x in g.letters):
         raise InvalidConjugatorError(
             f"conjugator {render_word(g)!r} contains the stable letter"
         )
     images = []
     for i, name in enumerate(p_e.alphabet.names):
         if i == stable_idx:
-            images.append(conjugate(gen(p_e.alphabet, stable), g_lifted))
+            images.append(conjugate(gen(p_e.alphabet, stable), g))
         else:
             images.append(gen(p_e.alphabet, name))
     return Substitution(p_e.alphabet, p_e.alphabet, tuple(images))

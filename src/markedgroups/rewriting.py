@@ -7,7 +7,10 @@ A word with a trace ending in the empty word is trivial by construction.
 
 The checker is deliberately independent of the Britton-reduction oracle:
 it validates rules against the relator list and applications purely by
-letter comparison.
+letter comparison.  Each step carries its position, emitted by the
+trace's construction, so one replay checks the whole trace.  Letters are
+compared by index, so every word must be over the presentation's
+alphabet.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .presentations import Presentation, relator_class
-from .words import Word, free_reduce, invert, render_word
+from .words import Word, _word, check_alphabet, free_reduce, invert, render_word
 
 
 class InvalidTraceError(ValueError):
@@ -39,9 +42,12 @@ class TraceStep:
 def validate_rules(
     rules: Sequence[RewriteRule], presentation: Presentation
 ) -> None:
-    """Every rule must be derived from a relator of the presentation."""
+    """Every rule must be over the presentation's alphabet and derived
+    from one of its relators."""
     classes = {relator_class(rel) for rel in presentation.relators}
     for rule in rules:
+        check_alphabet(rule.lhs, presentation.alphabet)
+        check_alphabet(rule.rhs, presentation.alphabet)
         if relator_class(rule.lhs * invert(rule.rhs)) not in classes:
             raise InvalidTraceError(
                 f"rule {rule.name} ({render_word(rule.lhs)} -> "
@@ -50,6 +56,8 @@ def validate_rules(
 
 
 def apply_step(w: Word, rule: RewriteRule, pos: int) -> Word:
+    check_alphabet(rule.lhs, w.alphabet)
+    check_alphabet(rule.rhs, w.alphabet)
     lhs = rule.lhs.letters
     if w.letters[pos : pos + len(lhs)] != lhs:
         raise InvalidTraceError(
@@ -57,7 +65,7 @@ def apply_step(w: Word, rule: RewriteRule, pos: int) -> Word:
             f"of {render_word(w)}"
         )
     letters = w.letters[:pos] + rule.rhs.letters + w.letters[pos + len(lhs) :]
-    return free_reduce(Word(w.alphabet, letters))
+    return free_reduce(_word(w.alphabet, letters))
 
 
 def run_trace(
@@ -65,51 +73,19 @@ def run_trace(
     rules: Sequence[RewriteRule],
     steps: Sequence[TraceStep],
     presentation: Presentation,
-    *,
-    max_steps: int = 50,
 ) -> Word:
-    """Validate and replay a trace; returns the final (reduced) word."""
-    if len(steps) > max_steps:
+    """Validate and replay a trace; returns the final (reduced) word.
+
+    A trace may have at most as many steps as its start word has letters.
+    """
+    if len(steps) > len(start):
         raise InvalidTraceError(
-            f"trace has {len(steps)} steps (limit {max_steps})"
+            f"trace has {len(steps)} steps (limit {len(start)}, the start "
+            "word's length)"
         )
+    check_alphabet(start, presentation.alphabet)
     validate_rules(rules, presentation)
     w = free_reduce(start)
     for step in steps:
         w = apply_step(w, rules[step.rule], step.pos)
     return w
-
-
-def find_occurrence(w: Word, lhs: Word) -> int:
-    """Position of the first occurrence of lhs in w, or -1."""
-    pattern = lhs.letters
-    n = len(pattern)
-    for pos in range(len(w.letters) - n + 1):
-        if w.letters[pos : pos + n] == pattern:
-            return pos
-    return -1
-
-
-def build_trace(
-    start: Word,
-    rules: Sequence[RewriteRule],
-    schedule: Sequence[int],
-) -> list[TraceStep]:
-    """Turn a rule schedule into positioned steps by replaying it.
-
-    Each scheduled rule is applied at the first occurrence of its lhs;
-    fails if an occurrence is missing.
-    """
-    steps: list[TraceStep] = []
-    w = free_reduce(start)
-    for rule_idx in schedule:
-        rule = rules[rule_idx]
-        pos = find_occurrence(w, rule.lhs)
-        if pos < 0:
-            raise InvalidTraceError(
-                f"no occurrence of {render_word(rule.lhs)} in "
-                f"{render_word(w)} while building trace"
-            )
-        steps.append(TraceStep(rule_idx, pos))
-        w = apply_step(w, rule, pos)
-    return steps

@@ -506,7 +506,7 @@ def parse_word(
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
     tokens = _Tokens(text, alphabet, line, budget)
-    return Word(alphabet, tuple(_parse_sequence(tokens, stop=())))
+    return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:

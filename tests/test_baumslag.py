@@ -20,7 +20,6 @@ from markedgroups.baumslag import (
     member_H2,
     member_HA,
     monomial,
-    pf_add,
     polyfrac,
     span_membership,
 )
@@ -34,6 +33,15 @@ def pw(text):
 
 # Reference group law of B and <h> x B, letter by letter: the fold that
 # eval_base's closed form must agree with.
+
+
+def pf_add(p, q):
+    """Exact sum over one common denominator; addition is GF(2), so
+    p + p = 0."""
+    xpow, ypow = max(p.xpow, q.xpow), max(p.ypow, q.ypow)
+    a = polyfrac(p.num, p.xpow - xpow, p.ypow - ypow).num
+    b = polyfrac(q.num, q.xpow - xpow, q.ypow - ypow).num
+    return polyfrac(a ^ b, xpow, ypow)
 
 
 def unit_mul(p, k, l):

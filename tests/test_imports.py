@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, and loads each
 module-level private name (``_x`` function, class or constant) it defines.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.  The
-runtime needs nothing outside the standard library: every absolute import
-names a stdlib module, and the project declares no dependencies.
+``__init__.py`` is exempt: its imports are the package's re-exports, and
+each of them is loaded somewhere in the package or named in the README.
+The runtime needs nothing outside the standard library: every absolute
+import names a stdlib module, and the project declares no dependencies.
 """
 
 import ast
@@ -50,20 +51,23 @@ def test_unused_imports_detected():
     assert unused_imports("import os.path\nos.sep\n") == []
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unused_privates(source: str) -> list[str]:
     """Module-level private names that no other top-level statement loads
     (a recursive helper calling itself does not count as used)."""
     tree = ast.parse(source)
     defined: dict[str, ast.stmt] = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
+        for name in defined_names(node):
             if name.startswith("_") and not name.startswith("__"):
                 defined[name] = node
     return [
@@ -103,6 +107,51 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_loads_every_private_name(path):
     assert unused_privates(path.read_text()) == []
+
+
+def unused_reexports(init_source: str, sources: list[str], readme: str) -> list[str]:
+    """The names ``init_source`` re-exports that no top-level statement of
+    ``sources`` loads, other than the name's own definition, and that the
+    README does not name."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    bodies = [ast.parse(source).body for source in sources]
+    return [
+        name
+        for name in exported
+        if not re.search(rf"\b{name}\b", readme)
+        and not any(
+            isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+            for body in bodies
+            for stmt in body
+            if name not in defined_names(stmt)
+            for n in ast.walk(stmt)
+        )
+    ]
+
+
+def test_unused_reexports_detected():
+    init = "from .m import used, documented, orphan, loop\n"
+    source = (
+        "def used():\n    pass\n"
+        "def documented():\n    pass\n"
+        "def orphan():\n    pass\n"
+        "def loop(n):\n    return loop(n - 1)\n"
+        "def public():\n    return used()\n"
+    )
+    readme = "Call `documented()`; orphans are not named.\n"
+    assert unused_reexports(init, [source], readme) == ["orphan", "loop"]
+
+
+def test_every_reexport_is_used_or_documented():
+    sources = [path.read_text() for path in MODULES]
+    readme = (ROOT / "README.md").read_text()
+    init = (PACKAGE / "__init__.py").read_text()
+    assert unused_reexports(init, sources, readme) == []
 
 
 def absolute_imports(source: str) -> set[str]:

@@ -194,6 +194,17 @@ def test_conjugation_substitution_rejects_stable_conjugator():
         conjugation_substitution(e, parse_word("t s", e.alphabet), "t")
 
 
+@pytest.mark.parametrize(
+    "names, conjugator",
+    [(("b", "a", "c", "h", "s"), "a"), (("x",), "x")],
+)
+def test_conjugation_substitution_refuses_foreign_conjugator(names, conjugator):
+    # read by index, a over (b, a, c, h, s) would be b, and x over (x,) a
+    g = parse_word(conjugator, Alphabet(names))
+    with pytest.raises(ValueError):
+        conjugation_substitution(builtin("E"), g, "t")
+
+
 def test_presentation_invariants():
     alphabet = Alphabet(("a",))
     with pytest.raises(ValueError):  # unreduced relator

@@ -11,12 +11,10 @@ from markedgroups.rewriting import (
     RewriteRule,
     TraceStep,
     apply_step,
-    build_trace,
-    find_occurrence,
     run_trace,
     validate_rules,
 )
-from markedgroups.words import parse_word, render_word, substitute
+from markedgroups.words import Alphabet, parse_word, render_word, substitute
 
 
 E_PRES = builtin("E")
@@ -63,24 +61,65 @@ def test_apply_step_freely_reduces():
     assert len(out) == 0
 
 
-def test_find_occurrence():
-    w = ew("a b h a")
-    assert find_occurrence(w, ew("h a")) == 2
-    assert find_occurrence(w, ew("a b")) == 0
-    assert find_occurrence(w, ew("c")) == -1
-
-
 def test_run_trace_step_limit():
-    rule = RewriteRule("swap", ew("b h"), ew("h b"))
-    steps = [TraceStep(0, 0)]
+    # a trace may have at most as many steps as its start word has letters
+    rules = [
+        RewriteRule("swap", ew("b h"), ew("h b")),
+        RewriteRule("swap-back", ew("h b"), ew("b h")),
+    ]
+    steps = [TraceStep(0, 0), TraceStep(1, 0), TraceStep(0, 0)]
+    assert render_word(run_trace(ew("b h a"), rules, steps, E_PRES)) == "h b a"
     with pytest.raises(InvalidTraceError):
-        run_trace(ew("b h"), [rule], steps, E_PRES, max_steps=0)
+        run_trace(ew("b h"), rules, steps, E_PRES)
 
 
-def test_build_trace_requires_occurrence():
-    rule = RewriteRule("swap", ew("b h"), ew("h b"))
-    with pytest.raises(InvalidTraceError):
-        build_trace(ew("a"), [rule], [0])
+# b, a, c: the letters of "b b" are those of B's "a a", a false identity
+BAC = Alphabet(("b", "a", "c"))
+
+
+def test_run_trace_refuses_foreign_alphabet():
+    bb = parse_word("b b", BAC)
+    rule = RewriteRule("r", bb, parse_word("1", BAC))
+    with pytest.raises(ValueError):
+        run_trace(bb, [rule], [TraceStep(0, 0)], builtin("B"))
+
+
+def test_validate_rules_refuses_foreign_alphabet():
+    b_pres = builtin("B")
+    rule = RewriteRule("r", parse_word("b b", BAC), parse_word("1", BAC))
+    with pytest.raises(ValueError):
+        validate_rules([rule], b_pres)
+
+
+def test_apply_step_refuses_foreign_alphabet():
+    # the letters of h a over ABCHST, read over a permuted alphabet
+    permuted = Alphabet(("b", "a", "c", "h", "s", "t"))
+    rule = RewriteRule(
+        "fold-pair", parse_word("h b", permuted), parse_word("s^-1 h^2 s", permuted)
+    )
+    with pytest.raises(ValueError):
+        apply_step(ew("b h a"), rule, 1)
+
+
+def leftmost(w, lhs):
+    """The first position of lhs in w, or -1: a plain search, the
+    reference for the positions a certificate emits."""
+    n = len(lhs.letters)
+    for pos in range(len(w.letters) - n + 1):
+        if w.letters[pos : pos + n] == lhs.letters:
+            return pos
+    return -1
+
+
+@pytest.mark.parametrize("i", range(-12, 13))
+def test_certificate_positions_are_leftmost(i):
+    start, rules, steps = epsilon_kernel_certificate(i)
+    w = start
+    for step in steps:
+        rule = rules[step.rule]
+        assert step.pos == leftmost(w, rule.lhs)
+        w = apply_step(w, rule, step.pos)
+    assert len(w) == 0
 
 
 @pytest.mark.parametrize("i", [0, 1, 2, 3, -1, -2])
