@@ -101,6 +101,12 @@ class HnnOracle:
         empty, so the two stable letters cancel with no map called.
         Pinches are taken in the order of leftmost-first rewriting, which
         this pass therefore reproduces, reduced form included.
+
+        w is freely reduced first, also when it already is: letters that
+        cancel across stable letters must go before any part is tried.  In
+        t^-1 s^13 h^2 s^-13 t t^-1 s^13 h^-2 s^-13 t the whole word cancels,
+        but a pinch test of its first part would grow h^16384 in G, past the
+        budget.
         """
         check_alphabet(w, self.alphabet)
         budget = self.budget

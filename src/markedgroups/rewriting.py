@@ -2,7 +2,8 @@
 
 A trace is a sequence of rewrite steps applied to a word.  Each rule
 replaces a subword lhs by rhs where lhs rhs^-1 is a cyclic rotation of a
-relator or of its inverse; after each step the word is freely reduced.
+relator or of its inverse; after each step the word is freely reduced, by
+cancelling at the two seams of the splice.
 A word with a trace ending in the empty word is trivial by construction.
 
 The checker is deliberately independent of the Britton-reduction oracle:
@@ -56,16 +57,29 @@ def validate_rules(
 
 
 def apply_step(w: Word, rule: RewriteRule, pos: int) -> Word:
+    """Replace the occurrence of ``rule.lhs`` at ``pos`` by ``rule.rhs``,
+    freely reduced.  ``w`` must be freely reduced, as ``run_trace`` keeps
+    it: then only the rhs and its two seams can cancel, so only they are
+    reduced, not the whole word."""
     check_alphabet(rule.lhs, w.alphabet)
     check_alphabet(rule.rhs, w.alphabet)
-    lhs = rule.lhs.letters
-    if w.letters[pos : pos + len(lhs)] != lhs:
+    lhs, letters = rule.lhs.letters, w.letters
+    if pos < 0 or letters[pos : pos + len(lhs)] != lhs:
         raise InvalidTraceError(
             f"rule {rule.name} does not match at position {pos} "
             f"of {render_word(w)}"
         )
-    letters = w.letters[:pos] + rule.rhs.letters + w.letters[pos + len(lhs) :]
-    return free_reduce(_word(w.alphabet, letters))
+    middle = _join(letters[:pos], free_reduce(rule.rhs).letters)
+    return _word(w.alphabet, _join(middle, letters[pos + len(lhs) :]))
+
+
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """u v freely reduced, for freely reduced u and v: letters cancel only
+    where they meet."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k] ^ 1:
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def run_trace(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -69,6 +70,23 @@ class Alphabet:
         if name in self.names:
             raise ValueError(f"generator {name!r} already in alphabet {self.names}")
         return Alphabet(self.names + (name,))
+
+    @cached_property
+    def spellings(self) -> tuple[str, ...]:
+        """The text of each letter, by letter: ``name`` and ``name^-1``."""
+        return tuple(s for name in self.names for s in (name, name + "^-1"))
+
+    @cached_property
+    def _letter_of(self) -> dict[str, Letter]:
+        """The letter of each spelling, for the tokenizer."""
+        return {s: x for x, s in enumerate(self.spellings)}
+
+    @cached_property
+    def canonical_spellings(self) -> tuple[str, ...]:
+        """The text of each letter over the basis x1..xn."""
+        return tuple(
+            s for i in range(1, self.arity + 1) for s in (f"x{i}", f"x{i}^-1")
+        )
 
 
 @dataclass(frozen=True)
@@ -258,15 +276,14 @@ def sort_key(w: Word) -> tuple[int, tuple[Letter, ...]]:
 def render_word(w: Word) -> str:
     if not w.letters:
         return "1"
-    names = w.alphabet.names
-    return " ".join(names[x >> 1] + ("^-1" if x & 1 else "") for x in w.letters)
+    return " ".join(map(w.alphabet.spellings.__getitem__, w.letters))
 
 
 def render_canonical(w: Word) -> str:
     """Name-independent rendering over the basis x1..xn of the free group."""
     if not w.letters:
         return "1"
-    return " ".join(f"x{(x >> 1) + 1}" + ("^-1" if x & 1 else "") for x in w.letters)
+    return " ".join(map(w.alphabet.canonical_spellings.__getitem__, w.letters))
 
 
 def ball_size(n: int, r: int) -> int:
@@ -416,21 +433,34 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 # and a power of the empty word is the empty word.
 # ---------------------------------------------------------------------------
 
+# A run is a whitespace-separated sequence of plain letters, NAME or
+# NAME^-1, read in one match.  Each name is whole, an inverse's "-1" is not
+# the start of a longer number or name, and no chunk is followed by "^":
+# "a b^2" is the run "a", then "b^2".  The lookaheads match the fixed text
+# after each chunk and never backtrack into it, so a run costs linear time.
+# The regex engine keeps about 340 bytes of backtracking state for each
+# repeat of a group until its match ends, so a match takes at most 1,000
+# chunks, and a longer run is read as several.
+_CHUNK = (
+    r"[A-Za-z][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+    r"(?:\^-1(?![A-Za-z0-9_]))?(?!\s*\^)"
+)
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+))?"
+    rf"\s*(?:(?P<run>{_CHUNK}(?:\s+{_CHUNK}){{0,999}})"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+))?"
     r"|(?P<int>-?\d+)|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
+_CHUNK_RE = re.compile(r"\S+")
 
 # Each level of brackets costs three parser frames (sequence, item, atom),
 # so this keeps the recursion far below Python's limit.
 _MAX_DEPTH = 100
 
-# A token is (kind, value, col, letter, exp).  A "name" token carries its
-# letter (None for a name outside the alphabet, refused when it is parsed)
-# and the text of its exponent, or None: ``a^2`` is one token, and ``a^-1``,
-# when it fits the budget, the plain letter a^-1.  Other tokens carry None
-# twice.
-_Token = tuple[str, str, int, Letter | None, str | None]
+# A token is (kind, value, col, letter, exp).  A "run" token carries the
+# list of its letters.  A "name" token carries its letter (None for a name
+# outside the alphabet, refused when it is parsed) and the text of its
+# exponent, or None: ``a^2`` is one token.  Other tokens carry None twice.
+_Token = tuple[str, str, int, Letter | list[Letter] | None, str | None]
 
 
 class _Tokens:
@@ -439,29 +469,37 @@ class _Tokens:
         self.budget = budget
         self.pos = 0
         self.items: list[_Token] = []
-        letter_of = {name: 2 * i for i, name in enumerate(alphabet.names)}.get
+        self.spelling = spelling = alphabet._letter_of
         items = self.items
-        append = items.append
         depth = 0
-        for m in _TOKEN_RE.finditer(text):
+        # Trailing whitespace is cut first: the leading \s* of a search that
+        # finds no token would give it back one character at a time, from
+        # each start, which is quadratic.
+        for m in _TOKEN_RE.finditer(text.rstrip()):
             kind = m.lastgroup
-            if kind == "name":
-                name = m[kind]
-                append(("name", name, m.start(kind), letter_of(name), None))
-            elif kind == "exp":
-                name, exp = m.group("name", "exp")
-                col, letter = m.start("name"), letter_of(name)
+            if kind == "run":
+                run, (start, end) = m[kind], m.span(kind)
+                chunks = run.split()
+                try:
+                    letters = list(map(spelling.__getitem__, chunks))
+                except KeyError:  # an unknown name is refused at its own column
+                    for c in _CHUNK_RE.finditer(text, start, end):
+                        self._chunk(c[0], c.start())
+                    continue
                 if items and items[-1][1] == "^":
-                    # a conjugator takes no exponent: b^a^2 is (b^a)^2
-                    items += (
-                        ("name", name, col, letter, None),
-                        ("sym", "^", m.start("caret"), None, None),
-                        ("int", exp, m.start("exp"), None, None),
-                    )
-                elif exp == "-1" and letter is not None and budget >= 1:
-                    append(("name", name, col, letter ^ 1, None))
-                else:
-                    append(("name", name, col, letter, exp))
+                    # a conjugator takes one chunk: b^a c is (b^a) c
+                    self._chunk(chunks[0], start)
+                    del letters[0]
+                    run = run[len(chunks[0]):].lstrip()
+                if letters:
+                    items.append(("run", run, end - len(run), letters, None))
+            elif kind == "name":
+                name = m[kind]
+                items.append(("name", name, m.start(kind), spelling.get(name), None))
+            elif kind == "exp":
+                self._name(
+                    m["name"], m.start("name"), m[kind], m.start("caret"), m.start(kind)
+                )
             else:
                 value, col = m[kind], m.start(kind)
                 if kind == "bad":
@@ -473,7 +511,29 @@ class _Tokens:
                     raise WordSyntaxError(
                         f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
                     )
-                append((kind, value, col, None, None))
+                items.append((kind, value, col, None, None))
+
+    def _name(
+        self, name: str, col: int, exp: str | None, caret: int, exp_col: int
+    ) -> None:
+        """Append ``name`` with its exponent ``exp``, or None, whose "^" and
+        digits start at ``caret`` and ``exp_col``."""
+        items, letter = self.items, self.spelling.get(name)
+        if exp is not None and items and items[-1][1] == "^":
+            # a conjugator takes no exponent: b^a^2 is (b^a)^2
+            items += (
+                ("name", name, col, letter, None),
+                ("sym", "^", caret, None, None),
+                ("int", exp, exp_col, None, None),
+            )
+        else:
+            items.append(("name", name, col, letter, exp))
+
+    def _chunk(self, chunk: str, col: int) -> None:
+        """One chunk of a run, NAME or NAME^-1 at ``col``, as a name token."""
+        name = chunk.removesuffix("^-1")
+        exp = None if name == chunk else "-1"
+        self._name(name, col, exp, col + len(name), col + len(name) + 1)
 
     def peek(self) -> _Token | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -510,20 +570,25 @@ def parse_word(
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
-    """Items up to a ``stop`` symbol or the end.  A name token that no
-    ``^`` follows is a whole item, so a run of them is read in this loop."""
+    """Items up to a ``stop`` symbol or the end.  A run, or a name token
+    that no ``^`` follows, is a whole item, so they are read in this loop."""
     letters: list[Letter] = []
     items, end, budget = tokens.items, len(tokens.items), tokens.budget
     pos = tokens.pos
     while pos < end:
         token = items[pos]
-        if token[0] == "name" and (pos + 1 == end or items[pos + 1][1] != "^"):
+        kind = token[0]
+        if kind == "run":
             pos += 1
-            if token[3] is not None and token[4] is None:  # a plain letter
-                letters.append(token[3])
-            else:
-                letters += tokens.expand(token)
-        elif token[0] == "sym" and token[1] in stop:
+            if len(letters) + len(token[3]) > budget:
+                # refused at the letter that one append at a time would reach
+                tokens.check(max(len(letters), budget) + 1)
+            letters += token[3]
+            continue
+        if kind == "name" and (pos + 1 == end or items[pos + 1][1] != "^"):
+            pos += 1
+            letters += tokens.expand(token)
+        elif kind == "sym" and token[1] in stop:
             break
         else:
             tokens.pos = pos

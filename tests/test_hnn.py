@@ -346,6 +346,18 @@ def test_base_part_budget():
     assert render_word(g_oracle(16).reduce(w)) == " ".join(["h"] * 16)
 
 
+def test_fold_reduces_its_input_first():
+    # t t^-1 in the middle: free reduction cancels the whole word, while a
+    # pinch test of its first part, s^13 h^2 s^-13 = h^16384 in G, is
+    # refused by the budget
+    half = ew("t^-1 s^13 h^2 s^-13 t")
+    w = concat(half, ew("t^-1 s^13 h^-2 s^-13 t"))
+    assert len(w) == 60 and not w.is_reduced()
+    assert E.is_trivial(w)
+    with pytest.raises(BudgetExceededError, match=r"^base part grew to 16384 letters"):
+        E.is_trivial(half)
+
+
 def test_oracles_reject_foreign_alphabets():
     permuted = Alphabet(("b", "a", "c", "h", "s"))
     for oracle, w in (

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from markedgroups.experiments import (
     epsilon_kernel_certificate,
@@ -14,7 +16,17 @@ from markedgroups.rewriting import (
     run_trace,
     validate_rules,
 )
-from markedgroups.words import Alphabet, parse_word, render_word, substitute
+from markedgroups.words import (
+    Alphabet,
+    Word,
+    concat,
+    free_reduce,
+    invert_letters,
+    parse_word,
+    render_word,
+    rotations,
+    substitute,
+)
 
 
 E_PRES = builtin("E")
@@ -52,6 +64,9 @@ def test_apply_step_checks_position():
         apply_step(w, rule, 0)
     with pytest.raises(InvalidTraceError):
         apply_step(w, rule, 2)
+    # a negative position is not read from the end: h a is at -3 of b h a c
+    with pytest.raises(InvalidTraceError):
+        apply_step(ew("b h a c"), rule, -3)
 
 
 def test_apply_step_freely_reduces():
@@ -59,6 +74,10 @@ def test_apply_step_freely_reduces():
     w = ew("h^-1 b h b^-1")
     out = apply_step(w, rule, 1)
     assert len(out) == 0
+    # a rule's rhs need not be reduced: h a a^-1 b is h b
+    loose = RewriteRule("swap", ew("b h"), ew("h a a^-1 b"))
+    validate_rules([loose], E_PRES)
+    assert render_word(apply_step(ew("a^-1 b h a"), loose, 1)) == "a^-1 h b a"
 
 
 def test_run_trace_step_limit():
@@ -71,6 +90,37 @@ def test_run_trace_step_limit():
     assert render_word(run_trace(ew("b h a"), rules, steps, E_PRES)) == "h b a"
     with pytest.raises(InvalidTraceError):
         run_trace(ew("b h"), rules, steps, E_PRES)
+
+
+# Every rule lhs -> rhs with lhs rhs^-1 a rotation of a relator of E or of
+# its inverse, rhs possibly empty.
+_RULES = [
+    RewriteRule("r", Word(ABCHST, rot[:k]), Word(ABCHST, invert_letters(rot[k:])))
+    for rel in E_PRES.relators
+    for rot in sorted(rotations(rel.letters))
+    for k in range(1, len(rot) + 1)
+]
+_LETTERS = st.lists(st.integers(0, 2 * ABCHST.arity - 1), max_size=8)
+
+
+@given(st.sampled_from(_RULES), _LETTERS, _LETTERS, st.data())
+def test_apply_step_equals_reduced_splice(rule, p, q, data):
+    # u ends and v starts with part of rhs^-1, so the splice cancels at its
+    # seams, and at times u meets v
+    validate_rules([rule], E_PRES)
+    lhs, rhs = rule.lhs.letters, rule.rhs.letters
+    j = data.draw(st.integers(0, len(rhs)))
+    k = data.draw(st.integers(0, len(rhs) - j))
+    u = list(free_reduce(Word(ABCHST, tuple(p) + invert_letters(rhs[:j]))).letters)
+    v = list(free_reduce(Word(ABCHST, invert_letters(rhs[len(rhs) - k :]) + tuple(q))).letters)
+    while u and u[-1] == lhs[0] ^ 1:
+        u.pop()
+    while v and v[0] == lhs[-1] ^ 1:
+        v.pop(0)
+    w = Word(ABCHST, (*u, *lhs, *v))
+    assert w.is_reduced()
+    naive = free_reduce(concat(Word(ABCHST, tuple(u)), rule.rhs, Word(ABCHST, tuple(v))))
+    assert apply_step(w, rule, len(u)) == naive
 
 
 # b, a, c: the letters of "b b" are those of B's "a a", a false identity

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -250,6 +252,29 @@ def test_parse_sugar():
             BudgetExceededError, match=r"^word expands to 1 letters \(budget 0\)$"
         ):
             parse_word(text, AB, budget=0)
+    # a run of plain letters ends before a chunk that "^" follows
+    assert render_word(w("a b^2")) == render_word(w("a b ^2")) == "a b b"
+    assert render_word(w("a b^-1^2")) == "a b^-1 b^-1"
+    assert w("a b^-12").letters == (0,) + (3,) * 12
+    assert w("a\tb^-1\na  \t b").letters == (0, 3, 0, 2)
+    # a run right after "^" gives up its first chunk as the conjugator
+    assert render_word(w("b^a c", Alphabet(("a", "b", "c")))) == "a^-1 b a c"
+    assert render_word(w("b^a^-1 c", Alphabet(("a", "b", "c")))) == "a^-1 b^-1 a c"
+    # an unknown name in a run is refused at its own column
+    with pytest.raises(WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 8\)$"):
+        parse_word("a b^-1 q a", AB, 1)
+    # a run past the budget is refused where one letter at a time would be
+    for budget in (0, 1, 5):
+        for text in ("a b a^-1 b a b a", "a^-1 b a b a b a", "(a b a b a b a)"):
+            with pytest.raises(
+                BudgetExceededError,
+                match=rf"^word expands to {budget + 1} letters \(budget {budget}\)$",
+            ):
+                parse_word(text, AB, budget=budget)
+    with pytest.raises(
+        BudgetExceededError, match=r"^word expands to 6 letters \(budget 5\) \(line 2\)$"
+    ):
+        parse_word("a^3 b a b a", AB, 2, budget=5)
 
 
 def test_parse_conjugation_matches_convention():
@@ -313,6 +338,40 @@ def test_parse_bad_character_column():
     # the column is the character's, not that of the whitespace before it
     with pytest.raises(WordSyntaxError, match=r"'!' \(line 1, col 5\)$"):
         parse_word("a   !", AB, 1)
+
+
+@pytest.mark.parametrize(
+    "text, letters",
+    [
+        ("a " * 20000 + "^2", 20001),
+        ("a" * 100000, None),  # one unknown name
+        ("a" + " " * 100000 + "^2", 2),
+        (" " * 100000 + "^2", None),
+        ("a" + " " * 100000, 1),
+        ("(" + " " * 100000, None),
+    ],
+)
+def test_parse_time_is_linear(text, letters):
+    # no run, name or whitespace is read more than a bounded number of times
+    start = time.perf_counter()
+    try:
+        got = len(parse_word(text, AB, budget=10**6))
+    except WordSyntaxError:
+        got = None
+    assert got == letters
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_memory_is_small():
+    # a long run is read in matches of at most 1,000 letters, so the regex
+    # engine's backtracking state (about 340 bytes a letter) never piles up
+    tracemalloc.start()
+    try:
+        assert len(parse_word("a b^-1 " * 50000, AB, budget=10**6)) == 100000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # A random word tree over a multi-character alphabet: letters, the empty
