@@ -119,10 +119,12 @@ def _index(text: str, budget: int) -> int:
 
 
 def _emit(payload: dict, json_path: Optional[str]) -> None:
+    """Write the --json file, then print: a path that cannot be written
+    exits 2 with nothing on stdout."""
     text = json.dumps(payload, indent=2)
-    print(text)
     if json_path:
         Path(json_path).write_text(text + "\n")
+    print(text)
 
 
 def cmd_wp(args: argparse.Namespace) -> int:
@@ -147,7 +149,6 @@ def cmd_wp(args: argparse.Namespace) -> int:
 def cmd_ball(args: argparse.Namespace) -> int:
     group = load_group(args.group, args.budget)
     ball = relation_ball(group, args.radius)
-    print(ball.export(group.name), end="")
     if args.json:
         Path(args.json).write_text(
             json.dumps(
@@ -161,6 +162,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
             )
             + "\n"
         )
+    print(ball.export(group.name), end="")
     return 0
 
 

@@ -436,8 +436,10 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 # A run is a whitespace-separated sequence of plain letters, NAME or
 # NAME^-1, read in one match.  Each name is whole, an inverse's "-1" is not
 # the start of a longer number or name, and no chunk is followed by "^":
-# "a b^2" is the run "a", then "b^2".  The lookaheads match the fixed text
-# after each chunk and never backtrack into it, so a run costs linear time.
+# "a b^2" is the run "a", then "b", "^" and "2".  Every other token is one
+# name, integer or symbol, so only _parse_item reads an exponent.  The
+# lookaheads match the fixed text after each chunk and never backtrack into
+# it, so a run costs linear time.
 # The regex engine keeps about 340 bytes of backtracking state for each
 # repeat of a group until its match ends, so a match takes at most 1,000
 # chunks, and a longer run is read as several.
@@ -447,7 +449,7 @@ _CHUNK = (
 )
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<run>{_CHUNK}(?:\s+{_CHUNK}){{0,999}})"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\s*(?P<caret>\^)\s*(?P<exp>-?\d+))?"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<int>-?\d+)|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
 _CHUNK_RE = re.compile(r"\S+")
@@ -456,11 +458,10 @@ _CHUNK_RE = re.compile(r"\S+")
 # so this keeps the recursion far below Python's limit.
 _MAX_DEPTH = 100
 
-# A token is (kind, value, col, letter, exp).  A "run" token carries the
-# list of its letters.  A "name" token carries its letter (None for a name
-# outside the alphabet, refused when it is parsed) and the text of its
-# exponent, or None: ``a^2`` is one token.  Other tokens carry None twice.
-_Token = tuple[str, str, int, Letter | list[Letter] | None, str | None]
+# A token is (kind, value, col, letter).  A "run" token carries the list of
+# its letters, and a "name" token its letter (None for a name outside the
+# alphabet, refused when it is parsed).  Other tokens carry None.
+_Token = tuple[str, str, int, Letter | list[Letter] | None]
 
 
 class _Tokens:
@@ -492,14 +493,10 @@ class _Tokens:
                     del letters[0]
                     run = run[len(chunks[0]):].lstrip()
                 if letters:
-                    items.append(("run", run, end - len(run), letters, None))
+                    items.append(("run", run, end - len(run), letters))
             elif kind == "name":
                 name = m[kind]
-                items.append(("name", name, m.start(kind), spelling.get(name), None))
-            elif kind == "exp":
-                self._name(
-                    m["name"], m.start("name"), m[kind], m.start("caret"), m.start(kind)
-                )
+                items.append(("name", name, m.start(kind), spelling.get(name)))
             else:
                 value, col = m[kind], m.start(kind)
                 if kind == "bad":
@@ -511,29 +508,15 @@ class _Tokens:
                     raise WordSyntaxError(
                         f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
                     )
-                items.append((kind, value, col, None, None))
-
-    def _name(
-        self, name: str, col: int, exp: str | None, caret: int, exp_col: int
-    ) -> None:
-        """Append ``name`` with its exponent ``exp``, or None, whose "^" and
-        digits start at ``caret`` and ``exp_col``."""
-        items, letter = self.items, self.spelling.get(name)
-        if exp is not None and items and items[-1][1] == "^":
-            # a conjugator takes no exponent: b^a^2 is (b^a)^2
-            items += (
-                ("name", name, col, letter, None),
-                ("sym", "^", caret, None, None),
-                ("int", exp, exp_col, None, None),
-            )
-        else:
-            items.append(("name", name, col, letter, exp))
+                items.append((kind, value, col, None))
 
     def _chunk(self, chunk: str, col: int) -> None:
-        """One chunk of a run, NAME or NAME^-1 at ``col``, as a name token."""
+        """One chunk of a run, NAME or NAME^-1 at ``col``, as its tokens."""
         name = chunk.removesuffix("^-1")
-        exp = None if name == chunk else "-1"
-        self._name(name, col, exp, col + len(name), col + len(name) + 1)
+        self.items.append(("name", name, col, self.spelling.get(name)))
+        if name != chunk:
+            caret = col + len(name)
+            self.items += (("sym", "^", caret, None), ("int", "-1", caret + 1, None))
 
     def peek(self) -> _Token | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -548,17 +531,6 @@ class _Tokens:
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)
 
-    def expand(self, token: _Token) -> list[Letter]:
-        """The letters of a name token: its letter, raised to its exponent."""
-        _, name, col, letter, exp = token
-        if letter is None:
-            raise WordSyntaxError(f"unknown generator {name!r}", self.line, col + 1)
-        if exp is None:
-            return [letter]
-        k = parse_int(exp, self.budget, self.line)
-        self.check(abs(k))
-        return [letter ^ (k < 0)] * abs(k)
-
 
 def parse_word(
     text: str, alphabet: Alphabet, line: int | None = None, *,
@@ -570,8 +542,8 @@ def parse_word(
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
-    """Items up to a ``stop`` symbol or the end.  A run, or a name token
-    that no ``^`` follows, is a whole item, so they are read in this loop."""
+    """Items up to a ``stop`` symbol or the end.  A run is a whole item, so
+    it is read in this loop."""
     letters: list[Letter] = []
     items, end, budget = tokens.items, len(tokens.items), tokens.budget
     pos = tokens.pos
@@ -585,27 +557,28 @@ def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
                 tokens.check(max(len(letters), budget) + 1)
             letters += token[3]
             continue
-        if kind == "name" and (pos + 1 == end or items[pos + 1][1] != "^"):
-            pos += 1
-            letters += tokens.expand(token)
-        elif kind == "sym" and token[1] in stop:
+        if kind == "sym" and token[1] in stop:
             break
-        else:
-            tokens.pos = pos
-            letters += _parse_item(tokens)
-            pos = tokens.pos
+        tokens.pos = pos
+        letters += _parse_item(tokens)
+        pos = tokens.pos
         if len(letters) > budget:
             tokens.check(len(letters))
     tokens.pos = pos
     return letters
 
 
-def _power_length(letters: list[Letter], k: int) -> int:
-    """Length of w^k = u v^k u^-1 for freely reduced w = u v u^-1, v cyclically reduced."""
-    n, u = len(letters), 0
-    while 2 * u + 1 < n and letters[u] == letters[-1 - u] ^ 1:
-        u += 1
-    return 2 * u + abs(k) * (n - 2 * u) if k else 0
+def _power(tokens: _Tokens, base: list[Letter], k: int) -> list[Letter]:
+    """w^k for a freely reduced w != 1, measured before it is built.  With
+    w = u v u^-1 and v cyclically reduced, w^k = u v^k u^-1, which is
+    reduced as written."""
+    if k < 0:
+        base, k = list(invert_letters(base)), -k  # w^-1 = u v^-1 u^-1
+    n, m = len(base), 0
+    while 2 * m + 1 < n and base[m] == base[-1 - m] ^ 1:
+        m += 1
+    tokens.check(2 * m + k * (n - 2 * m) if k else 0)
+    return base[:m] + base[m:n - m] * k + base[n - m:] if k else []
 
 
 def _parse_item(tokens: _Tokens) -> list[Letter]:
@@ -623,9 +596,7 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
             base = _reduce_letters(base)
             if not base:
                 continue  # a power of 1 is 1; [] * k overflows past sys.maxsize
-            k = parse_int(exp[1], tokens.budget, tokens.line)
-            tokens.check(_power_length(base, k))
-            base = _reduce_letters((invert_letters(base) if k < 0 else base) * abs(k))
+            base = _power(tokens, base, parse_int(exp[1], tokens.budget, tokens.line))
         else:
             y = _parse_atom(tokens)
             base = _reduce_letters([*invert_letters(y), *base, *y])
@@ -633,10 +604,11 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
 
 
 def _parse_atom(tokens: _Tokens) -> list[Letter]:
-    token = tokens.next()
-    kind, value, col = token[:3]
+    kind, value, col, letter = tokens.next()
     if kind == "name":
-        return tokens.expand(token)
+        if letter is None:
+            raise WordSyntaxError(f"unknown generator {value!r}", tokens.line, col + 1)
+        return [letter]
     if kind == "int" and value == "1":
         return []
     if kind == "sym" and value == "(":

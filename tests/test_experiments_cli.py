@@ -393,11 +393,21 @@ def test_cli_help_exits_0(capsys):
         ["experiment", "epsilon", "--i=--"],
         ["condense", "--i=--", "--radius", "1"],
         ["--budget=--", "wp", "--group", "E", "--word", "a"],
+        # a --json file under a missing directory: written before anything
+        # is printed, so stdout stays empty
+        ["wp", "--group", "E", "--word", "a", "--json", "{missing}"],
+        ["ball", "--group", "Z", "--radius", "1", "--json", "{missing}"],
+        ["compare", "--group", "Z", "--other", "Z", "--max-radius", "1",
+         "--json", "{missing}"],
+        ["experiment", "zmod-limit", "--imax", "2", "--json", "{missing}"],
     ],
 )
-def test_cli_bad_arguments_exit_2(capsys, argv):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+def test_cli_bad_arguments_exit_2(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing" / "x.json")
+    assert main([arg.replace("{missing}", missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
 

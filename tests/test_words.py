@@ -229,7 +229,7 @@ def test_parse_sugar():
     assert w("1").letters == ()
     hs = parse_word("(h^2)^s", SHT)
     assert render_word(hs) == "s^-1 h h s"
-    # a name and its exponent are one token, with or without whitespace
+    # a power reads the same with or without whitespace
     assert render_word(w("a ^ -1")) == render_word(w("a^ -1")) == "a^-1"
     assert w("a^2^3") == w("a^6") == w("a a a a a a")
     assert w("a^-0").letters == () and render_word(w("a^01 b")) == "a b"
@@ -237,8 +237,21 @@ def test_parse_sugar():
     assert render_word(w("a^" + "0" * 5000 + "1")) == "a"
     xs = Alphabet(("x", "x_1", "x_10"))
     assert render_word(parse_word("x_1^-2 x_10 x", xs)) == "x_1^-1 x_1^-1 x_10 x"
-    with pytest.raises(WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 1\)$"):
-        parse_word("q^2", AB, 1)
+    assert render_word(parse_word("x_1 ^ 2", xs)) == "x_1 x_1"
+    assert render_word(parse_word("x_1 ^ -2", xs)) == "x_1^-1 x_1^-1"
+    for text in ("q^2", "q ^ 2"):
+        with pytest.raises(
+            WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 1\)$"
+        ):
+            parse_word(text, AB, 1)
+    # w^k = u v^k u^-1 for w = u v u^-1, measured as 2|u| + |k||v|
+    assert render_word(parse_word("(a b a^-1)^-3", AB, budget=5)) == (
+        "a b^-1 b^-1 b^-1 a^-1"
+    )
+    with pytest.raises(
+        BudgetExceededError, match=r"^word expands to 5 letters \(budget 4\)$"
+    ):
+        parse_word("(a b a^-1)^-3", AB, budget=4)
     with pytest.raises(
         BudgetExceededError, match=r"^word expands to 20000 letters \(budget 10000\)$"
     ):
