@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -78,7 +78,7 @@ class Alphabet:
 
     @cached_property
     def _letter_of(self) -> dict[str, Letter]:
-        """The letter of each spelling, for the tokenizer."""
+        """The letter of each spelling, for the parser."""
         return {s: x for x, s in enumerate(self.spellings)}
 
     @cached_property
@@ -129,9 +129,8 @@ class Word:
         letters = _reduce_letters(self.letters)
         if not letters:
             return _word(self.alphabet, ())  # [] * k overflows past sys.maxsize
-        if k < 0:
-            letters = invert_letters(letters)
-        return _word(self.alphabet, tuple(_reduce_letters(letters * abs(k))))
+        # no budget here: a caller that needs one measures the power first
+        return _word(self.alphabet, tuple(_power(letters, k, lambda length: None)))
 
     def __str__(self) -> str:
         return render_word(self)
@@ -430,93 +429,45 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 #   1            the empty word
 # No power, conjugation, commutator or sequence may build a word longer
 # than the letter budget; powers are measured before they are expanded,
-# and a power of the empty word is the empty word.
+# and a power of the empty word is the empty word.  A text of plain
+# letters only, NAME or NAME^-1 separated by whitespace, is read by one
+# split; any other text is read by the grammar, one lexeme per token.
 # ---------------------------------------------------------------------------
 
-# A run is a whitespace-separated sequence of plain letters, NAME or
-# NAME^-1, read in one match.  Each name is whole, an inverse's "-1" is not
-# the start of a longer number or name, and no chunk is followed by "^":
-# "a b^2" is the run "a", then "b", "^" and "2".  Every other token is one
-# name, integer or symbol, so only _parse_item reads an exponent.  The
-# lookaheads match the fixed text after each chunk and never backtrack into
-# it, so a run costs linear time.
-# The regex engine keeps about 340 bytes of backtracking state for each
-# repeat of a group until its match ends, so a match takes at most 1,000
-# chunks, and a longer run is read as several.
-_CHUNK = (
-    r"[A-Za-z][A-Za-z0-9_]*(?![A-Za-z0-9_])"
-    r"(?:\^-1(?![A-Za-z0-9_]))?(?!\s*\^)"
-)
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<run>{_CHUNK}(?:\s+{_CHUNK}){{0,999}})"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<int>-?\d+)|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)"
+    r"|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
-_CHUNK_RE = re.compile(r"\S+")
 
 # Each level of brackets costs three parser frames (sequence, item, atom),
 # so this keeps the recursion far below Python's limit.
 _MAX_DEPTH = 100
 
-# A token is (kind, value, col, letter).  A "run" token carries the list of
-# its letters, and a "name" token its letter (None for a name outside the
-# alphabet, refused when it is parsed).  Other tokens carry None.
-_Token = tuple[str, str, int, Letter | list[Letter] | None]
+_Token = tuple[str, str, int]  # (kind, value, col)
 
 
 class _Tokens:
     def __init__(self, text: str, alphabet: Alphabet, line: int | None, budget: int):
         self.line = line
         self.budget = budget
+        self.letter_of = alphabet._letter_of
         self.pos = 0
         self.items: list[_Token] = []
-        self.spelling = spelling = alphabet._letter_of
-        items = self.items
         depth = 0
         # Trailing whitespace is cut first: the leading \s* of a search that
         # finds no token would give it back one character at a time, from
         # each start, which is quadratic.
         for m in _TOKEN_RE.finditer(text.rstrip()):
             kind = m.lastgroup
-            if kind == "run":
-                run, (start, end) = m[kind], m.span(kind)
-                chunks = run.split()
-                try:
-                    letters = list(map(spelling.__getitem__, chunks))
-                except KeyError:  # an unknown name is refused at its own column
-                    for c in _CHUNK_RE.finditer(text, start, end):
-                        self._chunk(c[0], c.start())
-                    continue
-                if items and items[-1][1] == "^":
-                    # a conjugator takes one chunk: b^a c is (b^a) c
-                    self._chunk(chunks[0], start)
-                    del letters[0]
-                    run = run[len(chunks[0]):].lstrip()
-                if letters:
-                    items.append(("run", run, end - len(run), letters))
-            elif kind == "name":
-                name = m[kind]
-                items.append(("name", name, m.start(kind), spelling.get(name)))
-            else:
-                value, col = m[kind], m.start(kind)
-                if kind == "bad":
-                    raise WordSyntaxError(
-                        f"unexpected character {value!r}", line, col + 1
-                    )
-                depth += (value in "([") - (value in ")]")  # no int is in these
-                if depth > _MAX_DEPTH:
-                    raise WordSyntaxError(
-                        f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
-                    )
-                items.append((kind, value, col, None))
-
-    def _chunk(self, chunk: str, col: int) -> None:
-        """One chunk of a run, NAME or NAME^-1 at ``col``, as its tokens."""
-        name = chunk.removesuffix("^-1")
-        self.items.append(("name", name, col, self.spelling.get(name)))
-        if name != chunk:
-            caret = col + len(name)
-            self.items += (("sym", "^", caret, None), ("int", "-1", caret + 1, None))
+            value, col = m[kind], m.start(kind)
+            if kind == "bad":
+                raise WordSyntaxError(f"unexpected character {value!r}", line, col + 1)
+            depth += (value in "([") - (value in ")]")  # no name or int is in these
+            if depth > _MAX_DEPTH:
+                raise WordSyntaxError(
+                    f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
+                )
+            self.items.append((kind, value, col))
 
     def peek(self) -> _Token | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
@@ -537,47 +488,38 @@ def parse_word(
     budget: int = DEFAULT_BUDGET,
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
-    tokens = _Tokens(text, alphabet, line, budget)
-    return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))
+    try:  # plain letters, NAME or NAME^-1, need no grammar
+        letters = tuple(map(alphabet._letter_of.__getitem__, text.split()))
+    except KeyError:
+        tokens = _Tokens(text, alphabet, line, budget)
+        return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))
+    if letters and len(letters) > budget:
+        # refused at the letter where the grammar, reading one item at a
+        # time, would refuse it
+        check_budget(max(budget, 0) + 1, budget, line)
+    return _word(alphabet, letters)
 
 
 def _parse_sequence(tokens: _Tokens, stop: tuple[str, ...]) -> list[Letter]:
-    """Items up to a ``stop`` symbol or the end.  A run is a whole item, so
-    it is read in this loop."""
+    """Items up to a ``stop`` symbol or the end."""
     letters: list[Letter] = []
-    items, end, budget = tokens.items, len(tokens.items), tokens.budget
-    pos = tokens.pos
-    while pos < end:
-        token = items[pos]
-        kind = token[0]
-        if kind == "run":
-            pos += 1
-            if len(letters) + len(token[3]) > budget:
-                # refused at the letter that one append at a time would reach
-                tokens.check(max(len(letters), budget) + 1)
-            letters += token[3]
-            continue
-        if kind == "sym" and token[1] in stop:
-            break
-        tokens.pos = pos
+    while (token := tokens.peek()) is not None and token[1] not in stop:
         letters += _parse_item(tokens)
-        pos = tokens.pos
-        if len(letters) > budget:
+        if len(letters) > tokens.budget:
             tokens.check(len(letters))
-    tokens.pos = pos
     return letters
 
 
-def _power(tokens: _Tokens, base: list[Letter], k: int) -> list[Letter]:
-    """w^k for a freely reduced w != 1, measured before it is built.  With
-    w = u v u^-1 and v cyclically reduced, w^k = u v^k u^-1, which is
-    reduced as written."""
+def _power(base: list[Letter], k: int, check: Callable[[int], None]) -> list[Letter]:
+    """w^k for a freely reduced w != 1, measured by ``check`` before it is
+    built.  With w = u v u^-1 and v cyclically reduced, w^k = u v^k u^-1,
+    which is reduced as written."""
     if k < 0:
         base, k = list(invert_letters(base)), -k  # w^-1 = u v^-1 u^-1
     n, m = len(base), 0
     while 2 * m + 1 < n and base[m] == base[-1 - m] ^ 1:
         m += 1
-    tokens.check(2 * m + k * (n - 2 * m) if k else 0)
+    check(2 * m + k * (n - 2 * m) if k else 0)
     return base[:m] + base[m:n - m] * k + base[n - m:] if k else []
 
 
@@ -596,7 +538,8 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
             base = _reduce_letters(base)
             if not base:
                 continue  # a power of 1 is 1; [] * k overflows past sys.maxsize
-            base = _power(tokens, base, parse_int(exp[1], tokens.budget, tokens.line))
+            k = parse_int(exp[1], tokens.budget, tokens.line)
+            base = _power(base, k, tokens.check)
         else:
             y = _parse_atom(tokens)
             base = _reduce_letters([*invert_letters(y), *base, *y])
@@ -604,11 +547,11 @@ def _parse_item(tokens: _Tokens) -> list[Letter]:
 
 
 def _parse_atom(tokens: _Tokens) -> list[Letter]:
-    kind, value, col, letter = tokens.next()
+    kind, value, col = tokens.next()
     if kind == "name":
-        if letter is None:
+        if value not in tokens.letter_of:
             raise WordSyntaxError(f"unknown generator {value!r}", tokens.line, col + 1)
-        return [letter]
+        return [tokens.letter_of[value]]
     if kind == "int" and value == "1":
         return []
     if kind == "sym" and value == "(":

@@ -265,18 +265,18 @@ def test_parse_sugar():
             BudgetExceededError, match=r"^word expands to 1 letters \(budget 0\)$"
         ):
             parse_word(text, AB, budget=0)
-    # a run of plain letters ends before a chunk that "^" follows
+    # "^" after a plain letter makes it the base of a power
     assert render_word(w("a b^2")) == render_word(w("a b ^2")) == "a b b"
     assert render_word(w("a b^-1^2")) == "a b^-1 b^-1"
     assert w("a b^-12").letters == (0,) + (3,) * 12
     assert w("a\tb^-1\na  \t b").letters == (0, 3, 0, 2)
-    # a run right after "^" gives up its first chunk as the conjugator
+    # a conjugator is one atom: b^a c is (b^a) c
     assert render_word(w("b^a c", Alphabet(("a", "b", "c")))) == "a^-1 b a c"
     assert render_word(w("b^a^-1 c", Alphabet(("a", "b", "c")))) == "a^-1 b^-1 a c"
-    # an unknown name in a run is refused at its own column
+    # an unknown name among plain letters is refused at its own column
     with pytest.raises(WordSyntaxError, match=r"^unknown generator 'q' \(line 1, col 8\)$"):
         parse_word("a b^-1 q a", AB, 1)
-    # a run past the budget is refused where one letter at a time would be
+    # plain letters past the budget are refused at the first letter past it
     for budget in (0, 1, 5):
         for text in ("a b a^-1 b a b a", "a^-1 b a b a b a", "(a b a b a b a)"):
             with pytest.raises(
@@ -347,6 +347,19 @@ def test_parse_power_of_empty_word():
     assert Word(AB, (0, 1)) ** int(huge) == Word(AB, ())  # a a^-1
 
 
+def test_power_of_word():
+    # w ** k = u v^k u^-1 for w = u v u^-1, built at its reduced length
+    assert (parse_word("a b a^-1", AB) ** -1000000).letters == (
+        (0,) + (3,) * 1000000 + (1,)
+    )
+    for text in ("a b a^-1", "a b", "[a, b]", "a a b a^-1", "b a^-1 b^-1 a a b a",
+                 "a b b^-1 a^-1", "a^-1 b a b^-1 a"):
+        u = parse_word(text, AB)
+        for k in range(-5, 6):
+            repeated = Word(AB, (u if k >= 0 else invert(u)).letters * abs(k))
+            assert u ** k == free_reduce(repeated), (text, k)
+
+
 def test_parse_bad_character_column():
     # the column is the character's, not that of the whitespace before it
     with pytest.raises(WordSyntaxError, match=r"'!' \(line 1, col 5\)$"):
@@ -362,10 +375,11 @@ def test_parse_bad_character_column():
         (" " * 100000 + "^2", None),
         ("a" + " " * 100000, 1),
         ("(" + " " * 100000, None),
+        ("a b^-1 " * 50000 + "[a, b]", 100004),
     ],
 )
 def test_parse_time_is_linear(text, letters):
-    # no run, name or whitespace is read more than a bounded number of times
+    # no letter, name or whitespace is read more than a bounded number of times
     start = time.perf_counter()
     try:
         got = len(parse_word(text, AB, budget=10**6))
@@ -376,8 +390,8 @@ def test_parse_time_is_linear(text, letters):
 
 
 def test_parse_memory_is_small():
-    # a long run is read in matches of at most 1,000 letters, so the regex
-    # engine's backtracking state (about 340 bytes a letter) never piles up
+    # a long plain text is read by one split, so it costs one string and
+    # one int a letter, and no token
     tracemalloc.start()
     try:
         assert len(parse_word("a b^-1 " * 50000, AB, budget=10**6)) == 100000
@@ -492,6 +506,40 @@ def _render_tree(t, draw):
 def test_parse_matches_construction(tree, data):
     text = _render_tree(tree, data.draw)
     assert list(parse_word(text, _TREE_NAMES).letters) == _tree_letters(tree), text
+
+
+# Plain letters, NAME or NAME^-1, parted by ASCII and Unicode whitespace.
+_PLAIN_SPACE = st.sampled_from(("\t", "\n", "\u00a0", "\u2003", "\x1c", " "))
+
+
+@st.composite
+def _plain_texts(draw):
+    spellings = draw(st.lists(st.sampled_from(_TREE_NAMES.spellings), max_size=12))
+    n = len(spellings)  # whitespace may be missing only at the ends
+    gaps = [
+        draw(st.text(_PLAIN_SPACE, min_size=0 if i in (0, n) else 1, max_size=3))
+        for i in range(n + 1)
+    ]
+    return gaps[0] + "".join(x + gap for x, gap in zip(spellings, gaps[1:]))
+
+
+def _outcome(text, line, budget):
+    try:
+        return parse_word(text, _TREE_NAMES, line, budget=budget).letters
+    except BudgetExceededError as exc:
+        return type(exc), str(exc)
+
+
+@given(_plain_texts())
+def test_plain_text_reads_as_the_grammar_does(text):
+    # " 1" appends the empty word, so the grammar reads the text instead
+    n = len(text.split())
+    for budget in (-1, 0, 1, n - 1, n, 10_000):
+        for line in (None, 3):
+            if n:
+                assert _outcome(text, line, budget) == _outcome(text + " 1", line, budget)
+            else:  # the grammar reads no token, so no budget refuses it
+                assert _outcome(text, line, budget) == ()
 
 
 # A fixed pool of pieces: names, unknown names, the empty word, powers
