@@ -31,15 +31,16 @@ from .words import (
     Alphabet,
     BudgetExceededError,
     Word,
+    _reduce_letters,
     _word,
     check_alphabet,
-    conjugate,
     free_reduce,
-    invert,
+    invert_letters,
     render_word,
 )
 
 T = TypeVar("T")
+Letters = tuple[int, ...]  # freely reduced letters, passed between levels
 
 
 class GroupOracle(Protocol):
@@ -65,18 +66,17 @@ class BaseOracle:
 class HnnOracle:
     """Word-problem oracle for an extension by a commuting stable letter.
 
-    ``left`` takes a word over the base alphabet and returns the canonical
-    word of its image in the right subgroup, or None when the word is not
-    in the left subgroup; ``right`` maps the right subgroup to the left one
-    in the same way.  Both send the empty word to the empty word, so the
-    fold cancels an empty part with no call.
+    ``left`` maps freely reduced base letters, within the budget, to the
+    letters of the canonical word of their image in the right subgroup,
+    or to None off the left subgroup; ``right`` maps back.  Both send ()
+    to (), so the fold cancels an empty part with no call.
     """
 
     def __init__(
         self,
         base: GroupOracle,
-        left: Callable[[Word], Optional[Word]],
-        right: Callable[[Word], Optional[Word]],
+        left: Callable[[Letters], Optional[Letters]],
+        right: Callable[[Letters], Optional[Letters]],
         stable: str,
         *,
         budget: int = DEFAULT_BUDGET,
@@ -88,8 +88,14 @@ class HnnOracle:
         self.alphabet = base.alphabet.extend(stable)
         self.budget = budget
 
-    def _fold(self, w: Word) -> tuple[list[int], list[int]]:
-        """Remove every pinch in one left-to-right pass over free_reduce(w).
+    def _letters(self, w: Word) -> Letters:
+        """The fold's input for a word from outside: checked, then reduced."""
+        check_alphabet(w, self.alphabet)
+        _check_input(len(w), self.budget)
+        return free_reduce(w).letters
+
+    def _fold(self, letters: Letters) -> tuple[list[int], list[int]]:
+        """Remove every pinch in one left-to-right pass over the letters.
 
         Returns the letters of the reduced form and the positions of its
         stable letters.  The list ``out`` holds a pinch-free prefix, and
@@ -102,24 +108,19 @@ class HnnOracle:
         Pinches are taken in the order of leftmost-first rewriting, which
         this pass therefore reproduces, reduced form included.
 
-        w is freely reduced first, also when it already is: letters that
-        cancel across stable letters must go before any part is tried.  In
+        The input is freely reduced, as letters that cancel across stable
+        letters must go before any part is tried.  In
         t^-1 s^13 h^2 s^-13 t t^-1 s^13 h^-2 s^-13 t the whole word cancels,
-        but a pinch test of its first part would grow h^16384 in G, past the
-        budget.
+        but a pinch test of its first part would grow h^16384 in G.  Its
+        length is checked: a conjugate handle's g^-1 z g may pass the budget.
         """
-        check_alphabet(w, self.alphabet)
         budget = self.budget
-        if len(w) > budget:
-            raise BudgetExceededError(
-                f"input word has {len(w)} letters (budget {budget})"
-            )
-        base = self.base.alphabet
-        stable = 2 * base.arity  # t; t^-1 is stable + 1
+        _check_input(len(letters), budget)
+        stable = 2 * self.base.alphabet.arity  # t; t^-1 is stable + 1
         left, right = self.left, self.right
         out: list[int] = []
         marks: list[int] = []
-        for x in free_reduce(w).letters:
+        for x in letters:
             if x < stable:
                 if out and out[-1] == x ^ 1:
                     out.pop()
@@ -133,11 +134,11 @@ class HnnOracle:
                     marks.pop()
                     continue
                 member = left if x == stable else right
-                image = member(_word(base, tuple(out[start:])))
+                image = member(tuple(out[start:]))
                 if image is not None:
                     del out[start - 1:]
                     marks.pop()
-                    for y in image.letters:
+                    for y in image:
                         if out and out[-1] == y ^ 1:
                             out.pop()
                         else:
@@ -148,21 +149,25 @@ class HnnOracle:
         _close_part(out, marks, budget)
         return out, marks
 
+    def _base_form(self, letters: Letters) -> Optional[Word]:
+        """The reduced form as a base word, or None if it keeps a stable letter."""
+        out, marks = self._fold(letters)
+        return None if marks else _word(self.base.alphabet, tuple(out))
+
     def reduce(self, w: Word) -> Word:
         """The reduced form of w: no pinch, every part freely reduced."""
-        return _word(self.alphabet, tuple(self._fold(w)[0]))
-
-    def _base_word(self, w: Word) -> Optional[Word]:
-        """The reduced form of w over the base alphabet, or None if it keeps
-        a stable letter: w then lies outside the base group."""
-        out, marks = self._fold(w)
-        return None if marks else _word(self.base.alphabet, tuple(out))
+        return _word(self.alphabet, tuple(self._fold(self._letters(w))[0]))
 
     def is_trivial(self, w: Word) -> bool:
         """Britton's lemma: w is trivial iff its reduced form has no stable
         letters and is trivial in the base group."""
-        z = self._base_word(w)
+        z = self._base_form(self._letters(w))
         return z is not None and self.base.is_trivial(z)
+
+
+def _check_input(length: int, budget: int) -> None:
+    if length > budget:
+        raise BudgetExceededError(f"input word has {length} letters (budget {budget})")
 
 
 def _close_part(out: list[int], marks: list[int], budget: int) -> int:
@@ -181,34 +186,28 @@ def _close_part(out: list[int], marks: list[int], budget: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h_power_letters(alphabet: Alphabet, k: int) -> tuple[int, ...]:
+def _h_power(alphabet: Alphabet, k: int) -> Letters:
     return (2 * alphabet.index("h") ^ (k < 0),) * abs(k)
 
 
-def _h_power(alphabet: Alphabet, k: int) -> Word:
-    return _word(alphabet, _h_power_letters(alphabet, k))
-
-
-def _ha_power(alphabet: Alphabet, k: int) -> Word:
+def _ha_power(alphabet: Alphabet, k: int) -> Letters:
     # (ha)^k = h^k a^(k mod 2): h central, a^2 = 1.
-    a = (2 * alphabet.index("a"),) * (k % 2)
-    return _word(alphabet, _h_power_letters(alphabet, k) + a)
+    return _h_power(alphabet, k) + (2 * alphabet.index("a"),) * (k % 2)
 
 
-def _h2_to_ha(w: Word) -> Optional[Word]:
-    """h^{2k} on the left goes to (ha)^k on the right."""
-    k = member_H2(eval_base(w))
+def _h2_to_ha(letters: Letters) -> Optional[Letters]:
+    k = member_H2(eval_base(_word(ABCH, letters)))
     return None if k is None else _ha_power(ABCH, k)
 
 
-def _ha_to_h2(w: Word) -> Optional[Word]:
-    """(ha)^k on the right goes back to h^{2k} on the left."""
-    k = member_HA(eval_base(w))
+def _ha_to_h2(letters: Letters) -> Optional[Letters]:
+    k = member_HA(eval_base(_word(ABCH, letters)))
     return None if k is None else _h_power(ABCH, 2 * k)
 
 
 def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
-    """The word-problem oracle for G (alphabet a, b, c, h, s)."""
+    """The word-problem oracle for G (alphabet a, b, c, h, s): its maps send
+    h^{2k} on the left to (ha)^k on the right, and back."""
     return HnnOracle(BaseOracle(ABCH), _h2_to_ha, _ha_to_h2, "s", budget=budget)
 
 
@@ -221,7 +220,7 @@ def member_in_G(
     hence outside every subgroup of it; otherwise membership is decided
     in <h> x B.
     """
-    z = oracle._base_word(w)
+    z = oracle._base_form(oracle._letters(w))
     return None if z is None else test(eval_base(z))
 
 
@@ -234,41 +233,42 @@ def member_in_G(
 class SubgroupHandle:
     """A subgroup of the ambient group G over ``alphabet``: a point of Sub(G).
 
-    ``contains`` returns a canonical word for the same element (equal
-    members give equal words) or None for non-members.  An extension whose
-    stable letter commutes with the subgroup takes ``contains`` as both of
-    its maps: canonical words keep merged base parts short, where the
-    member word itself would never shrink them.
+    ``contains`` maps freely reduced letters to the letters of a canonical
+    word for the same element (equal members give equal letters), or to
+    None off the subgroup.  An extension whose stable letter commutes with
+    the subgroup takes ``contains`` as both of its maps: canonical words
+    keep merged base parts short, where the member word never would.
     """
 
     label: str
-    contains: Callable[[Word], Optional[Word]]
+    contains: Callable[[Letters], Optional[Letters]]
     alphabet: Alphabet
 
     def __call__(self, w: Word) -> bool:
-        return self.contains(w) is not None
+        check_alphabet(w, self.alphabet)
+        return self.contains(free_reduce(w).letters) is not None
 
 
 def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
     """The handle for <h^2> in G, the base point of the orbit: every other
     point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}."""
-    alphabet = oracle.alphabet
+    def contains(letters: Letters) -> Optional[Letters]:
+        z = oracle._base_form(letters)
+        k = None if z is None else member_H2(eval_base(z))
+        return None if k is None else _h_power(oracle.alphabet, 2 * k)
 
-    def h2(z: BaseElement) -> Optional[Word]:
-        k = member_H2(z)
-        return None if k is None else _h_power(alphabet, 2 * k)
-
-    return SubgroupHandle("H2", lambda w: member_in_G(w, h2, oracle), alphabet)
+    return SubgroupHandle("H2", contains, oracle.alphabet)
 
 
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     """The handle for g H g^-1: z is a member iff g^-1 z g is in H, and its
     canonical word is g rep g^-1 for the canonical word rep of g^-1 z g."""
-    g_inv = invert(g)
+    check_alphabet(g, inner.alphabet)
+    g_letters, g_inv = g.letters, invert_letters(g.letters)
 
-    def contains(z: Word) -> Optional[Word]:
-        rep = inner.contains(conjugate(z, g))
-        return None if rep is None else conjugate(rep, g_inv)
+    def contains(z: Letters) -> Optional[Letters]:
+        rep = inner.contains(tuple(_reduce_letters(g_inv + z + g_letters)))
+        return None if rep is None else tuple(_reduce_letters(g_letters + rep + g_inv))
 
     return SubgroupHandle(
         f"conj({render_word(g)}, {inner.label})", contains, inner.alphabet

@@ -434,10 +434,15 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 # split; any other text is read by the grammar, one lexeme per token.
 # ---------------------------------------------------------------------------
 
+_NAME, _INT = r"[A-Za-z][A-Za-z0-9_]*", r"-?\d+"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)"
-    r"|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
+    rf"\s*(?:(?P<name>{_NAME})|(?P<int>{_INT})|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
+
+# Up to a thousand tokens that are neither brackets nor bad characters, in
+# the order _TOKEN_RE tries them.  The bound keeps the state that the
+# matcher stacks per repetition small.
+_PLAIN_RUN_RE = re.compile(rf"(?:\s*(?:{_NAME}|{_INT}|[\^,])){{0,1000}}")
 
 # Each level of brackets costs three parser frames (sequence, item, atom),
 # so this keeps the recursion far below Python's limit.
@@ -447,37 +452,57 @@ _Token = tuple[str, str, int]  # (kind, value, col)
 
 
 class _Tokens:
+    """The tokens of a text, read as the parser asks for them with one token
+    of lookahead."""
+
     def __init__(self, text: str, alphabet: Alphabet, line: int | None, budget: int):
         self.line = line
         self.budget = budget
         self.letter_of = alphabet._letter_of
-        self.pos = 0
-        self.items: list[_Token] = []
-        depth = 0
-        # Trailing whitespace is cut first: the leading \s* of a search that
-        # finds no token would give it back one character at a time, from
-        # each start, which is quadratic.
-        for m in _TOKEN_RE.finditer(text.rstrip()):
-            kind = m.lastgroup
-            value, col = m[kind], m.start(kind)
-            if kind == "bad":
-                raise WordSyntaxError(f"unexpected character {value!r}", line, col + 1)
-            depth += (value in "([") - (value in ")]")  # no name or int is in these
-            if depth > _MAX_DEPTH:
-                raise WordSyntaxError(
-                    f"brackets nested deeper than {_MAX_DEPTH}", line, col + 1
-                )
-            self.items.append((kind, value, col))
+        self.text = text
+        self.pos = self.depth = 0
+        self.head = self._read()
+
+    def _read(self) -> _Token | None:
+        """The token at ``pos``, or None at the end.  ``pos`` and ``depth``
+        move past a token only when it is no error, so that reading again
+        raises the same error."""
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m is None:
+            return None
+        kind = m.lastgroup
+        value, col = m[kind], m.start(kind)
+        if kind == "bad":
+            raise WordSyntaxError(
+                f"unexpected character {value!r}", self.line, col + 1
+            )
+        # no name or int is in "([" or ")]"
+        depth = self.depth + (value in "([") - (value in ")]")
+        if depth > _MAX_DEPTH:
+            raise WordSyntaxError(
+                f"brackets nested deeper than {_MAX_DEPTH}", self.line, col + 1
+            )
+        self.pos, self.depth = m.end(), depth
+        return kind, value, col
 
     def peek(self) -> _Token | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        return self.head
 
     def next(self) -> _Token:
-        item = self.peek()
+        item = self.head
         if item is None:
             raise WordSyntaxError("unexpected end of word", self.line)
-        self.pos += 1
+        self.head = self._read()
         return item
+
+    def drain(self) -> None:
+        """Read the rest of the text without keeping it: a bad character or
+        too deep a nesting anywhere in it is reported before any error of
+        the grammar.  Runs of other tokens are skipped a thousand at a time."""
+        while True:
+            self.pos = _PLAIN_RUN_RE.match(self.text, self.pos).end()
+            if self._read() is None:
+                return
 
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)
@@ -489,10 +514,18 @@ def parse_word(
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
     try:  # plain letters, NAME or NAME^-1, need no grammar
-        letters = tuple(map(alphabet._letter_of.__getitem__, text.split()))
+        # past budget + 1 words the last piece is the rest of the text,
+        # which no spelling matches, so a long text goes to the grammar
+        letters = tuple(
+            map(alphabet._letter_of.__getitem__, text.split(None, max(budget, 0)))
+        )
     except KeyError:
         tokens = _Tokens(text, alphabet, line, budget)
-        return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))
+        try:
+            return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))
+        except (WordSyntaxError, BudgetExceededError):
+            tokens.drain()
+            raise
     if letters and len(letters) > budget:
         # refused at the letter where the grammar, reading one item at a
         # time, would refuse it

@@ -17,7 +17,13 @@ from markedgroups.hnn import (
     member_in_G,
 )
 from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
-from markedgroups.marked import CyclicOracle, builtin_group, orbit_witness
+from markedgroups.marked import (
+    CyclicOracle,
+    MarkedGroup,
+    builtin_group,
+    condense,
+    orbit_witness,
+)
 from markedgroups.presentations import ABC, ABCH, ABCHS, ABCHST, builtin
 from markedgroups.words import (
     Alphabet,
@@ -93,12 +99,13 @@ def test_member_HA_and_A_in_G():
 
 
 def test_transport_canonical_forms():
-    assert render_word(G.left(zw("h^6"))) == "h h h a"
-    assert render_word(G.left(zw("a h^-4 a"))) == "h^-1 h^-1"
-    assert render_word(G.right(zw("(h a)^-1"))) == "h^-1 h^-1"
-    assert G.left(zw("h a")) is None
-    assert G.right(zw("h")) is None
-    assert render_word(E.left(gw("h^4"))) == "h h h h"
+    # the maps take and return letter tuples
+    assert G.left(zw("h^6").letters) == zw("h h h a").letters
+    assert G.left(zw("a h^-4 a").letters) == zw("h^-1 h^-1").letters
+    assert G.right(zw("(h a)^-1").letters) == zw("h^-1 h^-1").letters
+    assert G.left(zw("h a").letters) is None
+    assert G.right(zw("h").letters) is None
+    assert E.left(gw("h^4").letters) == gw("h h h h").letters
 
 
 @pytest.mark.parametrize("alphabet", [ABCH, ABCHST, Alphabet(("h", "x", "a"))])
@@ -107,8 +114,8 @@ def test_subgroup_power_words_are_letter_identical(alphabet):
     # they are the words the group operations give, letter for letter
     h, a = gen(alphabet, "h"), gen(alphabet, "a")
     for k in range(-20, 21):
-        assert _h_power(alphabet, k).letters == (h ** k).letters, k
-        assert _ha_power(alphabet, k).letters == (h ** k * a ** (k % 2)).letters, k
+        assert _h_power(alphabet, k) == (h ** k).letters, k
+        assert _ha_power(alphabet, k) == (h ** k * a ** (k % 2)).letters, k
 
 
 # -- subgroup handles --------------------------------------------------------
@@ -123,18 +130,20 @@ def test_handle_examples():
 
 
 def test_handle_canonical_words():
-    # equal members give the same word, and that word equals the member
-    assert render_word(h2_handle(G).contains(gw("(h a)^2"))) == "h h"
+    # equal members give the same word, and that word equals the member;
+    # contains takes and returns letter tuples
+    rep = Word(ABCHS, h2_handle(G).contains(gw("(h a)^2").letters))
+    assert render_word(rep) == "h h"
     ha = orbit_witness(0, G)[1]
-    rep = ha.contains(gw("(h^2)^s h^2"))
+    rep = Word(ABCHS, ha.contains(gw("(h^2)^s h^2").letters))
     assert render_word(rep) == "s^-1 h h h h h h s"
-    assert rep == ha.contains(gw("h^3 a"))
+    assert rep.letters == ha.contains(gw("h^3 a").letters)
     assert G.is_trivial(free_reduce(concat(rep, invert(gw("(h^2)^s h^2")))))
     k = conjugate_handle(invert(gw("s b")), h2_handle(G))
     for text in ("h a^b", "(h a^b)^3", "h^-2"):
-        rep = k.contains(gw(text))
+        rep = Word(ABCHS, k.contains(gw(text).letters))
         assert G.is_trivial(free_reduce(concat(rep, invert(gw(text))))), text
-    assert k.contains(gw("h a")) is None
+    assert k.contains(gw("h a").letters) is None
 
 
 def test_conjugate_handle_h_ab():
@@ -235,7 +244,7 @@ def test_reduced_form_has_no_pinch(w):
     for e1, g, e2 in zip(signs, parts[1:], signs[1:]):
         if e1 == -e2:
             member = oracle.left if e1 < 0 else oracle.right
-            assert member(g) is None, render_word(g)
+            assert member(g.letters) is None, render_word(g)
 
 
 def test_reduction_strategy_agreement():
@@ -371,6 +380,89 @@ def test_oracles_reject_foreign_alphabets():
     ):
         with pytest.raises(ValueError):
             oracle.is_trivial(w)
+
+
+def test_handles_reject_foreign_alphabets():
+    # handles read letters by index, so a word over another alphabet is
+    # refused where it enters: a conjugator when the handle is built, and
+    # a word when the handle is called on it
+    permuted = Alphabet(("b", "a", "c", "h", "s"))
+    for g in (parse_word("s b", permuted), ew("s b")):
+        with pytest.raises(ValueError, match="given to a group over"):
+            conjugate_handle(g, h2_handle(G))
+    # read by index, a a would be b b and h h over ABCHST would be h h
+    for w in (parse_word("a a", permuted), ew("h h"), ew("t")):
+        for handle in (h2_handle(G), orbit_witness(1, G)[1]):
+            with pytest.raises(ValueError, match="given to a group over"):
+                handle(w)
+
+
+def test_maps_receive_reduced_letter_tuples():
+    # every part the fold hands to a map, at each level of E and of an
+    # extension over a conjugate point, is a freely reduced tuple of base
+    # letters within the budget, and every image is such a tuple or None
+    g = builtin_group("G")
+    extensions = [
+        builtin_group("E").oracle,
+        condense(g, orbit_witness(1, g.oracle)[1]).oracle,
+    ]
+    calls = []
+
+    def reduced_base_letters(oracle, letters):
+        bound = 2 * oracle.base.alphabet.arity
+        return (
+            type(letters) is tuple
+            and all(type(x) is int and 0 <= x < bound for x in letters)
+            and all(x ^ y != 1 for x, y in zip(letters, letters[1:]))
+        )
+
+    def checked(oracle, member):
+        def call(part):
+            assert reduced_base_letters(oracle, part), part
+            assert len(part) <= oracle.budget
+            image = member(part)
+            assert image is None or reduced_base_letters(oracle, image), image
+            calls.append(oracle.stable)
+            return image
+
+        return call
+
+    for e in extensions:
+        for oracle in (e, e.base):
+            oracle.left = checked(oracle, oracle.left)
+            oracle.right = checked(oracle, oracle.right)
+    relators = builtin("E").relators
+    rng = random.Random(13)
+    for e in extensions:
+        for _ in range(300):
+            e.reduce(Word(ABCHST, tuple(pin_letters(rng, ABCHST, 3))))
+    for _ in range(300):
+        u = Word(ABCHST, tuple(rng.randrange(12) for _ in range(rng.randrange(4))))
+        assert extensions[0].is_trivial(conjugate(rng.choice(relators), u))
+    assert calls.count("t") > 500 and calls.count("s") > 500
+
+
+def test_input_budget_is_read_where_a_word_enters():
+    # a word from outside is measured before it is reduced; a part that a
+    # conjugate handle conjugates is measured after
+    tight = g_oracle(10)
+    w = gw("a a^-1 a a^-1 a a^-1 a a^-1 a a^-1 a a^-1 h^2")
+    assert len(w) == 14
+    extension = condense(MarkedGroup("G", tight), h2_handle(tight)).oracle
+    for call in (
+        lambda: tight.is_trivial(w),
+        lambda: tight.reduce(w),
+        lambda: member_in_G(w, member_H2, tight),
+        lambda: extension.is_trivial(Word(ABCHST, w.letters)),
+        lambda: extension.reduce(Word(ABCHST, w.letters)),
+    ):
+        with pytest.raises(BudgetExceededError, match=r"^input word has 14 letters"):
+            call()
+    # a handle reduces the word first, as a conjugate handle always did
+    assert h2_handle(tight)(w)
+    k = conjugate_handle(gw("b^5"), h2_handle(tight))  # b^-5 h^2 b^5 has 12 letters
+    with pytest.raises(BudgetExceededError, match=r"^input word has 12 letters"):
+        k(gw("h^2"))
 
 
 def test_b_oracle():

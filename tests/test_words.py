@@ -401,6 +401,27 @@ def test_parse_memory_is_small():
     assert peak < 8 * 2**20
 
 
+def test_parse_memory_is_bounded_by_the_budget():
+    # the grammar reads one token ahead and refuses at the first letter past
+    # the budget; the rest of the text is scanned for a bad character or too
+    # deep a nesting, which are still reported first, but not kept
+    alphabet = Alphabet(("x_1", "b"))
+    text = "x_1 x_1^-1 " * 500000 + "[x_1, b]"
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"^word expands to 10001 letters"):
+            parse_word(text, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    where = rf"\(line 4, col {len(text) + 2}\)$"
+    with pytest.raises(WordSyntaxError, match=r"^unexpected character '!' " + where):
+        parse_word(text + " !", alphabet, 4)
+    with pytest.raises(WordSyntaxError, match=r"^brackets nested deeper than 100"):
+        parse_word(text + "(" * 101, alphabet)
+
+
 # A random word tree over a multi-character alphabet: letters, the empty
 # word, powers (negative, zero, "-0" and leading-zero exponents),
 # conjugations, commutators and bracketed sequences.  Its letters come from
