@@ -13,10 +13,8 @@ handle's ``contains``.  ``marked.condense`` builds it for any handle, and
 
 Convention: a pinch t^-1 z t with z in the left associated subgroup is
 replaced by z's image on the right, and t z t^-1 with z in the right
-subgroup by its image on the left.  Since the associated isomorphisms here
-are the obvious ones, the stable-letter orientation is immaterial for
-triviality, but the engine fixes this convention for deterministic reduced
-forms.
+subgroup by its image on the left.  The isomorphisms here are the obvious
+ones, so orientation is immaterial for triviality; it fixes reduced forms.
 """
 
 from __future__ import annotations
@@ -165,8 +163,8 @@ class HnnOracle:
         return z is not None and self.base.is_trivial(z)
 
 
-def _check_input(length: int, budget: int) -> None:
-    if length > budget:
+def _check_input(length: int, budget: Optional[int]) -> None:
+    if budget is not None and length > budget:
         raise BudgetExceededError(f"input word has {length} letters (budget {budget})")
 
 
@@ -238,14 +236,17 @@ class SubgroupHandle:
     None off the subgroup.  An extension whose stable letter commutes with
     the subgroup takes ``contains`` as both of its maps: canonical words
     keep merged base parts short, where the member word never would.
+    A call on a word longer than ``budget``, if set, fails before reduction.
     """
 
     label: str
     contains: Callable[[Letters], Optional[Letters]]
     alphabet: Alphabet
+    budget: Optional[int] = None
 
     def __call__(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
+        _check_input(len(w), self.budget)
         return self.contains(free_reduce(w).letters) is not None
 
 
@@ -257,7 +258,7 @@ def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
         k = None if z is None else member_H2(eval_base(z))
         return None if k is None else _h_power(oracle.alphabet, 2 * k)
 
-    return SubgroupHandle("H2", contains, oracle.alphabet)
+    return SubgroupHandle("H2", contains, oracle.alphabet, oracle.budget)
 
 
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
@@ -270,6 +271,5 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
         rep = inner.contains(tuple(_reduce_letters(g_inv + z + g_letters)))
         return None if rep is None else tuple(_reduce_letters(g_letters + rep + g_inv))
 
-    return SubgroupHandle(
-        f"conj({render_word(g)}, {inner.label})", contains, inner.alphabet
-    )
+    label = f"conj({render_word(g)}, {inner.label})"
+    return SubgroupHandle(label, contains, inner.alphabet)

@@ -434,15 +434,10 @@ def substitute(w: Word, sigma: Substitution) -> Word:
 # split; any other text is read by the grammar, one lexeme per token.
 # ---------------------------------------------------------------------------
 
-_NAME, _INT = r"[A-Za-z][A-Za-z0-9_]*", r"-?\d+"
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<name>{_NAME})|(?P<int>{_INT})|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)"
+    r"|(?P<sym>[\^\(\)\[\],])|(?P<bad>\S))"
 )
-
-# Up to a thousand tokens that are neither brackets nor bad characters, in
-# the order _TOKEN_RE tries them.  The bound keeps the state that the
-# matcher stacks per repetition small.
-_PLAIN_RUN_RE = re.compile(rf"(?:\s*(?:{_NAME}|{_INT}|[\^,])){{0,1000}}")
 
 # Each level of brackets costs three parser frames (sequence, item, atom),
 # so this keeps the recursion far below Python's limit.
@@ -498,11 +493,9 @@ class _Tokens:
     def drain(self) -> None:
         """Read the rest of the text without keeping it: a bad character or
         too deep a nesting anywhere in it is reported before any error of
-        the grammar.  Runs of other tokens are skipped a thousand at a time."""
-        while True:
-            self.pos = _PLAIN_RUN_RE.match(self.text, self.pos).end()
-            if self._read() is None:
-                return
+        the grammar."""
+        while self._read() is not None:
+            pass
 
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)
@@ -515,10 +508,11 @@ def parse_word(
     """Parse the word grammar, expanding sugar into plain letter sequences."""
     try:  # plain letters, NAME or NAME^-1, need no grammar
         # past budget + 1 words the last piece is the rest of the text,
-        # which no spelling matches, so a long text goes to the grammar
-        letters = tuple(
-            map(alphabet._letter_of.__getitem__, text.split(None, max(budget, 0)))
-        )
+        # which no spelling matches, so a long text goes to the grammar; no
+        # text has more words than characters, and a split count must fit
+        # in a machine word
+        cut = min(max(budget, 0), len(text))
+        letters = tuple(map(alphabet._letter_of.__getitem__, text.split(None, cut)))
     except KeyError:
         tokens = _Tokens(text, alphabet, line, budget)
         try:

@@ -443,8 +443,8 @@ def test_maps_receive_reduced_letter_tuples():
 
 
 def test_input_budget_is_read_where_a_word_enters():
-    # a word from outside is measured before it is reduced; a part that a
-    # conjugate handle conjugates is measured after
+    # a word from outside is measured before it is reduced; a conjugate
+    # handle measures g^-1 z g after it is reduced
     tight = g_oracle(10)
     w = gw("a a^-1 a a^-1 a a^-1 a a^-1 a a^-1 a a^-1 h^2")
     assert len(w) == 14
@@ -455,11 +455,11 @@ def test_input_budget_is_read_where_a_word_enters():
         lambda: member_in_G(w, member_H2, tight),
         lambda: extension.is_trivial(Word(ABCHST, w.letters)),
         lambda: extension.reduce(Word(ABCHST, w.letters)),
+        lambda: h2_handle(tight)(w),
     ):
         with pytest.raises(BudgetExceededError, match=r"^input word has 14 letters"):
             call()
-    # a handle reduces the word first, as a conjugate handle always did
-    assert h2_handle(tight)(w)
+    assert conjugate_handle(gw("b"), h2_handle(tight))(w)  # b^-1 h^2 b
     k = conjugate_handle(gw("b^5"), h2_handle(tight))  # b^-5 h^2 b^5 has 12 letters
     with pytest.raises(BudgetExceededError, match=r"^input word has 12 letters"):
         k(gw("h^2"))

@@ -339,6 +339,14 @@ def test_parse_budget_is_default():
         parse_word("a^10001", AB)
 
 
+def test_parse_takes_a_budget_past_a_machine_word():
+    # the plain-text split is cut by the budget, but no further than the
+    # text is long, so a budget past sys.maxsize reads as a large one
+    for text in ("a b^-1", "", "a b a^-1 b^-1 " * 100):
+        assert parse_word(text, AB, budget=10**20) == parse_word(text, AB, budget=10**6)
+    assert parse_word("a^3 [a, b]", AB, budget=10**20).letters == (0, 0, 0, 1, 3, 0, 2)
+
+
 def test_parse_power_of_empty_word():
     huge = "99999999999999999999999"
     assert parse_word(f"1^{huge}", AB).letters == ()
@@ -415,11 +423,12 @@ def test_parse_memory_is_bounded_by_the_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
-    where = rf"\(line 4, col {len(text) + 2}\)$"
+    past = "x_1 x_1^-1 " * 6000  # past the budget at its 10,001st letter
+    where = rf"\(line 4, col {len(past) + 1}\)$"
     with pytest.raises(WordSyntaxError, match=r"^unexpected character '!' " + where):
-        parse_word(text + " !", alphabet, 4)
+        parse_word(past + "!", alphabet, 4)
     with pytest.raises(WordSyntaxError, match=r"^brackets nested deeper than 100"):
-        parse_word(text + "(" * 101, alphabet)
+        parse_word(past + "(" * 101, alphabet)
 
 
 # A random word tree over a multi-character alphabet: letters, the empty
