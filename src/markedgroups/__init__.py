@@ -34,8 +34,6 @@ from .baumslag import (
     PolyFrac,
     eval_base,
     member_A,
-    member_H2,
-    member_HA,
     polyfrac,
     span_membership,
 )

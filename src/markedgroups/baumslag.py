@@ -14,7 +14,7 @@ defining relation a^c = a a^b holds on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .words import Word
 
@@ -145,19 +145,38 @@ _NAMES = ("a", "b", "c", "h")
 def eval_base(w: Word) -> BaseElement:
     """Homomorphic evaluation of a word over {a, b, c, h} in <h> x B.
 
-    An a^{+-1} read after a prefix with b- and c-exponent sums i and j
-    adds x^-i (1+x)^-j to the module part, since
-    b^i c^j a = (b^i c^j a c^-j b^-i) b^i c^j.  Equal terms cancel over
-    GF(2), so the module part sums the (i, j) met an odd number of times.
-    Letters are read by index, so the alphabet must begin a, b, c[, h].
+    Letters are read by index, so the alphabet must begin a, b, c[, h],
+    and a word with any other letter is refused.
     """
     names = w.alphabet.names
     if names[:3] != _NAMES[:3]:
         raise ForeignLetterError(f"alphabet {names} does not begin a, b, c")
     end = 8 if names[:4] == _NAMES else 6  # the letters of a, b, c[, h]
+    if 2 * len(names) > end:
+        for x in w.letters:
+            if x >= end:
+                raise ForeignLetterError(
+                    f"letter {names[x >> 1]!r} is not a generator of <h> x B"
+                )
+    n, i, j, terms = _coordinates(w.letters)
+    return BaseElement(n, BElement(_module(terms), i, j))
+
+
+def _coordinates(
+    letters: Sequence[int],
+) -> tuple[int, int, int, set[tuple[int, int]]]:
+    """The exponent sums n of h, i of b and j of c, and the terms of the
+    module part, of letters over a, b, c, h, read by index and unchecked.
+
+    An a^{+-1} read after a prefix with b- and c-exponent sums i and j
+    adds x^-i (1+x)^-j to the module part, since
+    b^i c^j a = (b^i c^j a c^-j b^-i) b^i c^j.  Equal terms cancel over
+    GF(2), so the terms are the (i, j) met an odd number of times.  Their
+    sum may still be 0: see ``_module``.
+    """
     n = i = j = 0
     terms: set[tuple[int, int]] = set()
-    for x in w.letters:
+    for x in letters:
         if x < 2:  # a is an involution: a term met twice cancels
             term = (i, j)
             if term in terms:
@@ -168,14 +187,20 @@ def eval_base(w: Word) -> BaseElement:
             i += 1 - 2 * (x & 1)
         elif x < 6:
             j += 1 - 2 * (x & 1)
-        elif x < end:
-            n += 1 - 2 * (x & 1)
         else:
-            raise ForeignLetterError(
-                f"letter {names[x >> 1]!r} is not a generator of <h> x B"
-            )
+            n += 1 - 2 * (x & 1)
+    return n, i, j, terms
+
+
+def _module(terms: set[tuple[int, int]]) -> PolyFrac:
+    """The canonical sum of x^-i (1+x)^-j over the terms (i, j).
+
+    A non-empty set can sum to 0: c^-1 a c b^-1 a^-1 b a^-1 leaves
+    (0, -1), (-1, 0) and (0, 0), whose sum (1+x) + x + 1 is 0.  So only
+    ``polyfrac`` decides whether the module part vanishes.
+    """
     if not terms:
-        return BaseElement(n, BElement(PF_ZERO, i, j))
+        return PF_ZERO
     # One common denominator x^X (1+x)^Y for every term, so polyfrac
     # normalizes once per word.
     xpow = max(ti for ti, _ in terms)
@@ -183,7 +208,7 @@ def eval_base(w: Word) -> BaseElement:
     num = 0
     for ti, tj in terms:
         num ^= _times_one_plus_x_power(1 << (xpow - ti), ypow - tj)
-    return BaseElement(n, BElement(polyfrac(num, xpow, ypow), i, j))
+    return polyfrac(num, xpow, ypow)
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +216,26 @@ def eval_base(w: Word) -> BaseElement:
 # ---------------------------------------------------------------------------
 
 
-def member_H2(z: BaseElement) -> Optional[int]:
-    """k such that z = h^{2k}, if any."""
-    if z.beta.is_identity() and z.n % 2 == 0:
-        return z.n // 2
-    return None
+def h2_exponent(letters: Sequence[int]) -> Optional[int]:
+    """k such that letters over a, b, c, h, read by index and unchecked,
+    are h^{2k} in <h> x B, if any.  The module part is built only when
+    terms are left and the other coordinates fit."""
+    n, i, j, terms = _coordinates(letters)
+    if i or j or n & 1 or not _module(terms).is_zero():
+        return None
+    return n // 2
 
 
-def member_HA(z: BaseElement) -> Optional[int]:
-    """k such that z = (ha)^k, if any.
+def ha_exponent(letters: Sequence[int]) -> Optional[int]:
+    """k such that letters over a, b, c, h, read by index and unchecked,
+    are (ha)^k in <h> x B, if any.
 
     (ha)^k = h^k a^(k mod 2) since h is central and a^2 = 1.
     """
-    expected = B_IDENTITY if z.n % 2 == 0 else B_A
-    if z.beta == expected:
-        return z.n
-    return None
+    n, i, j, terms = _coordinates(letters)
+    if i or j or _module(terms) != (PF_ONE if n & 1 else PF_ZERO):
+        return None
+    return n
 
 
 def member_A(z: BaseElement) -> bool:

@@ -20,10 +20,10 @@ ones, so orientation is immaterial for triviality; it fixes reduced forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, TypeVar
+from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
-from .baumslag import BaseElement, eval_base, member_H2, member_HA
-from .presentations import ABCH
+from .baumslag import BaseElement, eval_base, h2_exponent, ha_exponent
+from .presentations import ABC, ABCH
 from .words import (
     DEFAULT_BUDGET,
     Alphabet,
@@ -42,7 +42,12 @@ Letters = tuple[int, ...]  # freely reduced letters, passed between levels
 
 
 class GroupOracle(Protocol):
-    """A total triviality predicate on words over a fixed alphabet."""
+    """A total triviality predicate on words over a fixed alphabet.
+
+    The base of an extension also has ``_trivial``, which decides the
+    letters of a freely reduced word over its alphabet, unchecked: the
+    extension's fold hands it its reduced form, so no ``Word`` is built.
+    """
 
     alphabet: Alphabet
 
@@ -56,9 +61,17 @@ class BaseOracle:
 
     alphabet: Alphabet
 
+    def __post_init__(self) -> None:
+        if self.alphabet not in (ABC, ABCH):
+            raise ValueError(f"no base group over {self.alphabet.names}")
+
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
         return eval_base(w).is_identity()
+
+    def _trivial(self, letters: Sequence[int]) -> bool:
+        # the identity is h^{2k} with k = 0
+        return h2_exponent(letters) == 0
 
 
 class HnnOracle:
@@ -85,6 +98,7 @@ class HnnOracle:
         self.stable = stable
         self.alphabet = base.alphabet.extend(stable)
         self.budget = budget
+        self._stable_letter = 2 * base.alphabet.arity  # t; t^-1 is one more
 
     def _letters(self, w: Word) -> Letters:
         """The fold's input for a word from outside: checked, then reduced."""
@@ -92,7 +106,7 @@ class HnnOracle:
         _check_input(len(w), self.budget)
         return free_reduce(w).letters
 
-    def _fold(self, letters: Letters) -> tuple[list[int], list[int]]:
+    def _fold(self, letters: Sequence[int]) -> tuple[list[int], list[int]]:
         """Remove every pinch in one left-to-right pass over the letters.
 
         Returns the letters of the reduced form and the positions of its
@@ -114,7 +128,7 @@ class HnnOracle:
         """
         budget = self.budget
         _check_input(len(letters), budget)
-        stable = 2 * self.base.alphabet.arity  # t; t^-1 is stable + 1
+        stable = self._stable_letter
         left, right = self.left, self.right
         out: list[int] = []
         marks: list[int] = []
@@ -147,11 +161,6 @@ class HnnOracle:
         _close_part(out, marks, budget)
         return out, marks
 
-    def _base_form(self, letters: Letters) -> Optional[Word]:
-        """The reduced form as a base word, or None if it keeps a stable letter."""
-        out, marks = self._fold(letters)
-        return None if marks else _word(self.base.alphabet, tuple(out))
-
     def reduce(self, w: Word) -> Word:
         """The reduced form of w: no pinch, every part freely reduced."""
         return _word(self.alphabet, tuple(self._fold(self._letters(w))[0]))
@@ -159,8 +168,11 @@ class HnnOracle:
     def is_trivial(self, w: Word) -> bool:
         """Britton's lemma: w is trivial iff its reduced form has no stable
         letters and is trivial in the base group."""
-        z = self._base_form(self._letters(w))
-        return z is not None and self.base.is_trivial(z)
+        return self._trivial(self._letters(w))
+
+    def _trivial(self, letters: Sequence[int]) -> bool:
+        out, marks = self._fold(letters)
+        return not marks and self.base._trivial(out)
 
 
 def _check_input(length: int, budget: Optional[int]) -> None:
@@ -184,23 +196,27 @@ def _close_part(out: list[int], marks: list[int], budget: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _h_power(alphabet: Alphabet, k: int) -> Letters:
-    return (2 * alphabet.index("h") ^ (k < 0),) * abs(k)
+# The letters of a and h in ABCH and in every alphabet of the tower above it.
+_A, _H = 2 * ABCH.index("a"), 2 * ABCH.index("h")
 
 
-def _ha_power(alphabet: Alphabet, k: int) -> Letters:
+def _h_power(k: int) -> Letters:
+    return (_H ^ (k < 0),) * abs(k)
+
+
+def _ha_power(k: int) -> Letters:
     # (ha)^k = h^k a^(k mod 2): h central, a^2 = 1.
-    return _h_power(alphabet, k) + (2 * alphabet.index("a"),) * (k % 2)
+    return _h_power(k) + (_A,) * (k % 2)
 
 
 def _h2_to_ha(letters: Letters) -> Optional[Letters]:
-    k = member_H2(eval_base(_word(ABCH, letters)))
-    return None if k is None else _ha_power(ABCH, k)
+    k = h2_exponent(letters)
+    return None if k is None else _ha_power(k)
 
 
 def _ha_to_h2(letters: Letters) -> Optional[Letters]:
-    k = member_HA(eval_base(_word(ABCH, letters)))
-    return None if k is None else _h_power(ABCH, 2 * k)
+    k = ha_exponent(letters)
+    return None if k is None else _h_power(2 * k)
 
 
 def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
@@ -218,8 +234,8 @@ def member_in_G(
     hence outside every subgroup of it; otherwise membership is decided
     in <h> x B.
     """
-    z = oracle._base_form(oracle._letters(w))
-    return None if z is None else test(eval_base(z))
+    out, marks = oracle._fold(oracle._letters(w))
+    return None if marks else test(eval_base(_word(oracle.base.alphabet, tuple(out))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +268,16 @@ class SubgroupHandle:
 
 def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
     """The handle for <h^2> in G, the base point of the orbit: every other
-    point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}."""
+    point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}.  The
+    oracle must extend <h> x B, whose letters its reduced forms are read as."""
+    if oracle.base.alphabet != ABCH:
+        names = oracle.base.alphabet.names
+        raise ValueError(f"<h^2> needs an extension of <h> x B, not of {names}")
+
     def contains(letters: Letters) -> Optional[Letters]:
-        z = oracle._base_form(letters)
-        k = None if z is None else member_H2(eval_base(z))
-        return None if k is None else _h_power(oracle.alphabet, 2 * k)
+        out, marks = oracle._fold(letters)
+        k = None if marks else h2_exponent(out)
+        return None if k is None else _h_power(2 * k)
 
     return SubgroupHandle("H2", contains, oracle.alphabet, oracle.budget)
 

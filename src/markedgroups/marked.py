@@ -24,7 +24,7 @@ from .hnn import (
     h2_handle,
     member_in_G,
 )
-from .presentations import ABC, ABCH, builtin, relator_class, zero_sum_coordinates
+from .presentations import ABC, ABCH, builtin, zero_sum_coordinates
 from .words import (
     Alphabet,
     Word,
@@ -64,6 +64,9 @@ class CyclicOracle:
         if self.order is None:
             return exponent == 0
         return exponent % self.order == 0
+
+    def _trivial(self, letters: Sequence[int]) -> bool:
+        return self.is_trivial(_word(self.alphabet, tuple(letters)))
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,18 @@ def _fingerprint(words: Sequence[Word]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _least_in_class(v: tuple[int, ...]) -> bool:
+    """Whether v is its own ``relator_class``: no rotation of v or of v^-1
+    is a smaller tuple.  Stops at the first smaller one; a rotation whose
+    first letter is larger than v's is larger, so it is not sliced."""
+    n, first = len(v), v[0]
+    for s in (v + v, invert_letters(v) * 2):
+        for k in range(n):
+            if s[k] <= first and s[k:k + n] < v:
+                return False
+    return True
+
+
 def _trivial_sphere(m: MarkedGroup, length: int) -> list[Word]:
     """The trivial class representatives of the given length, in walk order.
 
@@ -158,7 +173,7 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[Word]:
     trivial: list[Word] = []
     for w in _walk(oracle.alphabet, range(length, length + 1), m.coordinates, follow):
         v = w.letters
-        if v and (v[-1] == v[0] ^ 1 or relator_class(w) != v):
+        if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
             continue  # not cyclically reduced, or not least in its class
         if oracle.is_trivial(w):
             trivial.append(w)

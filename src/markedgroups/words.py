@@ -493,9 +493,24 @@ class _Tokens:
     def drain(self) -> None:
         """Read the rest of the text without keeping it: a bad character or
         too deep a nesting anywhere in it is reported before any error of
-        the grammar."""
-        while self._read() is not None:
-            pass
+        the grammar.  No token is built: ``_read`` is called only at the
+        first such error, to raise it."""
+        text, depth = self.text, self.depth
+        # after the last token finditer would search on from each position
+        # of the trailing whitespace, so it stops at the last non-space
+        end = len(text)
+        while end > self.pos and text[end - 1].isspace():
+            end -= 1
+        for m in _TOKEN_RE.finditer(text, self.pos, end):
+            kind = m.lastgroup
+            opens = kind == "sym" and m[kind] in "(["
+            if kind == "bad" or opens and depth == _MAX_DEPTH:
+                self.pos, self.depth = m.start(), depth
+                self._read()  # raises this token's error
+            if opens:
+                depth += 1
+            elif kind == "sym" and m[kind] in ")]":
+                depth -= 1
 
     def check(self, length: int) -> None:
         check_budget(length, self.budget, self.line)

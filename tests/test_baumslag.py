@@ -15,16 +15,25 @@ from markedgroups.baumslag import (
     PF_ONE,
     PF_ZERO,
     PolyFrac,
+    _coordinates,
     eval_base,
+    h2_exponent,
+    ha_exponent,
     member_A,
-    member_H2,
-    member_HA,
     monomial,
     polyfrac,
     span_membership,
 )
-from markedgroups.presentations import ABCH, builtin
-from markedgroups.words import Alphabet, Word, concat, free_reduce, parse_word
+from markedgroups.presentations import ABCH, ABCHST, builtin
+from markedgroups.words import (
+    DEFAULT_BUDGET,
+    Alphabet,
+    Word,
+    concat,
+    conjugate,
+    free_reduce,
+    parse_word,
+)
 
 
 def pw(text):
@@ -67,6 +76,25 @@ def base_mul(u, v):
 
 def base_inv(u):
     return BaseElement(-u.n, b_inv(u.beta))
+
+
+# Reference membership in <h^2> and <ha>, on elements: the letter
+# predicates h2_exponent and ha_exponent must agree with it.
+
+
+def member_H2(z):
+    """k such that z = h^{2k}, if any."""
+    if z.beta.is_identity() and z.n % 2 == 0:
+        return z.n // 2
+    return None
+
+
+def member_HA(z):
+    """k such that z = (ha)^k = h^k a^(k mod 2), if any."""
+    expected = B_IDENTITY if z.n % 2 == 0 else B_A
+    if z.beta == expected:
+        return z.n
+    return None
 
 
 # -- GF(2) fraction arithmetic ----------------------------------------------
@@ -217,13 +245,20 @@ def test_eval_base_examples():
     assert eval_base(pw("h a h a")) == BaseElement(2, B_IDENTITY)
     assert eval_base(pw("1")) == BASE_IDENTITY
     assert eval_base(pw("a^c")) == BaseElement(0, BElement(PolyFrac(0b11)))
-    with pytest.raises(ForeignLetterError, match="'s' is not a generator"):
+    foreign = r"^letter '{}' is not a generator of <h> x B$"
+    with pytest.raises(ForeignLetterError, match=foreign.format("s")):
         eval_base(parse_word("s", builtin("G").alphabet))
     # letters are read by index, so the names must begin a, b, c[, h]
-    with pytest.raises(ForeignLetterError, match="does not begin a, b, c"):
+    with pytest.raises(
+        ForeignLetterError,
+        match=r"^alphabet \('b', 'a', 'c'\) does not begin a, b, c$",
+    ):
         eval_base(parse_word("b", Alphabet(("b", "a", "c"))))
-    with pytest.raises(ForeignLetterError, match="'s' is not a generator"):
+    with pytest.raises(ForeignLetterError, match=foreign.format("s")):
         eval_base(parse_word("a s", Alphabet(("a", "b", "c", "s"))))
+    # the first foreign letter is named
+    with pytest.raises(ForeignLetterError, match=foreign.format("t")):
+        eval_base(parse_word("h a t s", ABCHST))
 
 
 def test_relators_die_in_model():
@@ -383,6 +418,63 @@ def test_members_agree_with_brute_force_powers():
             assert k % 2 == 0  # (ha)^k in <h^2> only for even k
         z_h2 = base_mul(z_h2, h2)
         z_ha = base_mul(z_ha, ha)
+
+
+# c^-1 a c = a a^b: its terms (0, -1), (-1, 0), (0, 0) are left, and only
+# the normalized module part, (1+x) + x + 1, shows that they sum to 0.
+ZERO_MODULE = "c^-1 a c b^-1 a^-1 b a^-1"
+
+
+def predicate_cases():
+    """Words of <h> x B, many of them in <h^2> or <ha>: the trivial words,
+    which are the zero-module word and products of conjugated relators
+    of B, and then powers of h^2 and of ha up to the budget, each alone,
+    times a trivial word and times a stray letter."""
+    rng = random.Random(11)
+    relators = [Word(ABCH, r.letters) for r in builtin("B").relators]
+    trivial = [pw(ZERO_MODULE)]
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            u = Word(ABCH, tuple(rng.randrange(8) for _ in range(rng.randrange(5))))
+            factors.append(conjugate(rng.choice(relators) ** rng.choice((1, -1)), u))
+        trivial.append(free_reduce(concat(*factors)))
+    half = DEFAULT_BUDGET // 2
+    ks = list(range(-12, 13)) + [half - 1, -half + 1, half, -half]
+    words = []
+    for k in ks:
+        for power in (pw(f"h^{2 * k}"), pw(f"h^{k} a^{k % 2}")):
+            words += [power, concat(rng.choice(trivial), power)]
+            words += [concat(power, pw(rng.choice("abch")))]
+    return trivial, words
+
+
+def test_letter_predicates_match_reference_membership():
+    trivial, powers = predicate_cases()
+    # terms left that sum to 0: the module part must be normalized
+    assert sum(bool(_coordinates(w.letters)[3]) for w in trivial) > 20
+    found = {"h2": 0, "ha": 0}
+    for w in trivial + powers:
+        z = eval_base(w)
+        assert h2_exponent(w.letters) == member_H2(z), w
+        assert ha_exponent(w.letters) == member_HA(z), w
+        found["h2"] += member_H2(z) is not None
+        found["ha"] += member_HA(z) is not None
+    assert min(found.values()) > 100
+    # the extremes: h^{2k} and (ha)^k within the budget
+    half = DEFAULT_BUDGET // 2
+    assert h2_exponent(pw(f"h^{2 * half}").letters) == half
+    assert ha_exponent(pw(f"h^{-DEFAULT_BUDGET + 1} a").letters) == -DEFAULT_BUDGET + 1
+    for text, k in ((ZERO_MODULE + " h^2", 1), (ZERO_MODULE + " h a", None)):
+        assert h2_exponent(pw(text).letters) == k
+    assert ha_exponent(pw(ZERO_MODULE + " h a").letters) == 1
+
+
+@given(abch_words(max_len=30))
+def test_letter_predicates_match_reference_on_random_words(w):
+    z = eval_base(w)
+    assert h2_exponent(w.letters) == member_H2(z)
+    assert ha_exponent(w.letters) == member_HA(z)
 
 
 def test_member_A_examples():

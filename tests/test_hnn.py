@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import markedgroups.hnn as hnn
 from markedgroups.hnn import (
     BaseOracle,
     BudgetExceededError,
@@ -16,7 +17,7 @@ from markedgroups.hnn import (
     h2_handle,
     member_in_G,
 )
-from markedgroups.baumslag import eval_base, member_A, member_H2, member_HA
+from markedgroups.baumslag import eval_base, member_A
 from markedgroups.marked import (
     CyclicOracle,
     MarkedGroup,
@@ -36,6 +37,7 @@ from markedgroups.words import (
     parse_word,
     render_word,
 )
+from test_baumslag import member_H2, member_HA
 
 
 def zw(text):
@@ -108,14 +110,15 @@ def test_transport_canonical_forms():
     assert E.left(gw("h^4").letters) == gw("h h h h").letters
 
 
-@pytest.mark.parametrize("alphabet", [ABCH, ABCHST, Alphabet(("h", "x", "a"))])
+@pytest.mark.parametrize("alphabet", [ABCH, ABCHS, ABCHST])
 def test_subgroup_power_words_are_letter_identical(alphabet):
-    # the canonical words of <h^2> and <ha> are built from their letters;
-    # they are the words the group operations give, letter for letter
+    # the canonical words of <h^2> and <ha> are built from the letters of
+    # h and a, which are the same over every alphabet of the tower; they
+    # are the words the group operations give, letter for letter
     h, a = gen(alphabet, "h"), gen(alphabet, "a")
     for k in range(-20, 21):
-        assert _h_power(alphabet, k) == (h ** k).letters, k
-        assert _ha_power(alphabet, k) == (h ** k * a ** (k % 2)).letters, k
+        assert _h_power(k) == (h ** k).letters, k
+        assert _ha_power(k) == (h ** k * a ** (k % 2)).letters, k
 
 
 # -- subgroup handles --------------------------------------------------------
@@ -311,14 +314,47 @@ def test_empty_part_calls_no_map():
         oracle.left, oracle.right = counted(oracle.left), counted(oracle.right)
     relators = builtin("E").relators
     rng = random.Random(3)
-    for _ in range(200):
+    for w in conjugated_relator_products(relators, ABCHST, rng, 200):
+        assert e.is_trivial(w)
+    assert len(parts) > 200 and 0 not in parts
+
+
+def conjugated_relator_products(relators, alphabet, rng, count):
+    """Products of 1 to 4 relators or their inverses, each conjugated by a
+    word of at most 3 letters: trivial words with many inner pinches."""
+    words = []
+    for _ in range(count):
         factors = []
         for _ in range(rng.randrange(1, 5)):
-            u = Word(ABCHST, tuple(rng.randrange(12) for _ in range(rng.randrange(4))))
+            letters = range(rng.randrange(4))
+            u = Word(alphabet, tuple(rng.randrange(2 * alphabet.arity) for _ in letters))
             r = rng.choice(relators)
             factors.append(conjugate(invert(r) if rng.random() < 0.5 else r, u))
-        assert e.is_trivial(concat(*factors))
-    assert len(parts) > 200 and 0 not in parts
+        words.append(concat(*factors))
+    return words
+
+
+def test_fold_builds_no_word_or_base_element(monkeypatch):
+    # E's and G's is_trivial decide every part, and the reduced form, on
+    # the base group's raw coordinates: no Word of a part and no
+    # BaseElement is built below the word that enters
+    rng = random.Random(29)
+    cases = []
+    for group, alphabet in (("E", ABCHST), ("G", ABCHS)):
+        oracle = builtin_group(group).oracle
+        relators = builtin(group).relators
+        for w in conjugated_relator_products(relators, alphabet, rng, 100):
+            stray = concat(w, gen(alphabet, rng.choice("abch")))
+            cases += [(oracle, w, True), (oracle, stray, False)]
+
+    def refuse(*args):
+        raise AssertionError("built inside the fold")
+
+    monkeypatch.setattr(hnn, "eval_base", refuse)
+    monkeypatch.setattr(hnn, "_word", refuse)
+    for oracle, w, trivial in cases:
+        assert oracle.is_trivial(w) is trivial, render_word(w)
+    assert E.is_trivial(ew("[t, h^2]")) and not E.is_trivial(ew("[t, h a]"))
 
 
 def test_tower_consistency():
@@ -380,6 +416,9 @@ def test_oracles_reject_foreign_alphabets():
     ):
         with pytest.raises(ValueError):
             oracle.is_trivial(w)
+    # the fold reads a base part of G by index, as letters of <h> x B
+    with pytest.raises(ValueError, match="no base group over"):
+        BaseOracle(ABCHS)
 
 
 def test_handles_reject_foreign_alphabets():
@@ -395,6 +434,9 @@ def test_handles_reject_foreign_alphabets():
         for handle in (h2_handle(G), orbit_witness(1, G)[1]):
             with pytest.raises(ValueError, match="given to a group over"):
                 handle(w)
+    # <h^2> reads reduced forms as letters of <h> x B: E's keep an s
+    with pytest.raises(ValueError, match="needs an extension of <h> x B"):
+        h2_handle(E)
 
 
 def test_maps_receive_reduced_letter_tuples():

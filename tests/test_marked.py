@@ -15,6 +15,7 @@ from markedgroups.marked import (
     Agreement,
     CyclicOracle,
     MarkedGroup,
+    _least_in_class,
     builtin_group,
     chabauty_agree,
     condense,
@@ -27,7 +28,13 @@ from markedgroups.marked import (
     orbit_witness,
     relation_ball,
 )
-from markedgroups.presentations import ABCHS, ABCHST, builtin, zero_sum_coordinates
+from markedgroups.presentations import (
+    ABCHS,
+    ABCHST,
+    builtin,
+    relator_class,
+    zero_sum_coordinates,
+)
 from markedgroups.words import (
     Alphabet,
     Word,
@@ -48,6 +55,17 @@ def gw(text):
 
 
 # -- relation balls ----------------------------------------------------------
+
+
+def test_class_test_stops_at_the_least_rotation():
+    # the early-exit class test is relator_class's least rotation, on
+    # words with repeated letters and periodic words among them
+    rng = random.Random(7)
+    alphabet = Alphabet(("x", "y"))
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        v = tuple(rng.randrange(4) for _ in range(n)) * rng.randrange(1, 3)
+        assert _least_in_class(v) == (relator_class(Word(alphabet, v)) == v), v
 
 
 def test_relation_ball_z():
