@@ -99,7 +99,7 @@ def load_group(spec: str, budget: int) -> MarkedGroup:
         if pres.alphabet.arity == 1:
             order = 0
             for rel in pres.relators:
-                order = math.gcd(order, exponent_sum(rel))
+                order = math.gcd(order, exponent_sum(rel.letters))
             oracle = CyclicOracle(abs(order) or None, pres.alphabet)
             return MarkedGroup(pres.name, oracle, zero_sum_coordinates(pres))
         raise UsageError(

@@ -47,6 +47,8 @@ class GroupOracle(Protocol):
     The base of an extension also has ``_trivial``, which decides the
     letters of a freely reduced word over its alphabet, unchecked: the
     extension's fold hands it its reduced form, so no ``Word`` is built.
+    The oracles here decide only there; their ``is_trivial`` checks the
+    word and passes its letters on.
     """
 
     alphabet: Alphabet
@@ -67,10 +69,11 @@ class BaseOracle:
 
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
-        return eval_base(w).is_identity()
+        return self._trivial(w.letters)
 
     def _trivial(self, letters: Sequence[int]) -> bool:
-        # the identity is h^{2k} with k = 0
+        # the identity is h^{2k} with k = 0; the coordinates are read as
+        # sums, so the letters need not be reduced
         return h2_exponent(letters) == 0
 
 

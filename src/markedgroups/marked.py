@@ -39,7 +39,6 @@ from .words import (
     invert_letters,
     render_canonical,
     rotations,
-    sort_key,
     _walk,
     _word,
 )
@@ -60,13 +59,13 @@ class CyclicOracle:
 
     def is_trivial(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
-        exponent = exponent_sum(w)
+        return self._trivial(w.letters)
+
+    def _trivial(self, letters: Sequence[int]) -> bool:
+        exponent = exponent_sum(letters)
         if self.order is None:
             return exponent == 0
         return exponent % self.order == 0
-
-    def _trivial(self, letters: Sequence[int]) -> bool:
-        return self.is_trivial(_word(self.alphabet, tuple(letters)))
 
 
 @dataclass(frozen=True)
@@ -121,28 +120,25 @@ def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
 
 @dataclass(frozen=True)
 class RelationBall:
-    """The trivial words of length <= r, sorted, with a stable fingerprint."""
+    """The trivial words of length <= r, sorted, with a stable fingerprint:
+    the sha256 of their canonical renderings, the ``lines`` that ``export``
+    prints after its header."""
 
     radius: int
     words: tuple[Word, ...]
     fingerprint: str
+    lines: tuple[str, ...]
 
     @property
     def count(self) -> int:
         return len(self.words)
 
     def export(self, group_name: str = "?") -> str:
-        lines = [
+        header = (
             f"# group={group_name} radius={self.radius} "
             f"count={self.count} fingerprint={self.fingerprint}"
-        ]
-        lines.extend(render_canonical(w) for w in self.words)
-        return "\n".join(lines) + "\n"
-
-
-def _fingerprint(words: Sequence[Word]) -> str:
-    payload = "\n".join(render_canonical(w) for w in words)
-    return hashlib.sha256(payload.encode()).hexdigest()
+        )
+        return "\n".join((header, *self.lines)) + "\n"
 
 
 def _least_in_class(v: tuple[int, ...]) -> bool:
@@ -157,26 +153,28 @@ def _least_in_class(v: tuple[int, ...]) -> bool:
     return True
 
 
-def _trivial_sphere(m: MarkedGroup, length: int) -> list[Word]:
-    """The trivial class representatives of the given length, in walk order.
+def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
+    """The letters of the trivial class representatives of the given
+    length, in walk order.
 
     Triviality is invariant under ``rotations``, so one call decides a
     class; its representative is ``relator_class``, cyclically reduced.
     After first letter f the walk takes only letters x with x >= f and
     x ^ 1 >= f, since any other begins a smaller rotation, and only words
     with exponent sum 0 in each of m's coordinates, since no other word
-    is trivial in m.
+    is trivial in m.  Only a representative is made a ``Word``, for the
+    oracle.
     """
     oracle = m.oracle
-    n = 2 * oracle.alphabet.arity
+    alphabet = oracle.alphabet
+    n = 2 * alphabet.arity
     follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
-    trivial: list[Word] = []
-    for w in _walk(oracle.alphabet, range(length, length + 1), m.coordinates, follow):
-        v = w.letters
+    trivial: list[tuple[int, ...]] = []
+    for v in _walk(alphabet, range(length, length + 1), m.coordinates, follow):
         if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
             continue  # not cyclically reduced, or not least in its class
-        if oracle.is_trivial(w):
-            trivial.append(w)
+        if oracle.is_trivial(_word(alphabet, v)):
+            trivial.append(v)
     return trivial
 
 
@@ -192,10 +190,10 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     if r < 0:
         raise ValueError("radius must be non-negative")
     alphabet = m.oracle.alphabet
-    classes = [w.letters for n in range(r, -1, -1) for w in _trivial_sphere(m, n)]
+    classes = [v for n in range(r, -1, -1) for v in _trivial_sphere(m, n)]
     conjugators = [
-        (u.letters, invert_letters(u.letters))
-        for u in enumerate_ball(alphabet, max(r - 1, 0) // 2)
+        (u, invert_letters(u))
+        for u in _walk(alphabet, range(max(r - 1, 0) // 2 + 1), ())
     ]
     ball: list[tuple[int, ...]] = []
     for v in classes:
@@ -207,8 +205,11 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
             for u, u_inverse in conjugators[:size]:
                 if not u or u[-1] not in (c[0] ^ 1, c[-1]):
                     ball.append(u + c + u_inverse)
-    trivial = sorted((_word(alphabet, w) for w in ball), key=sort_key)
-    return RelationBall(r, tuple(trivial), _fingerprint(trivial))
+    ball.sort(key=lambda v: (len(v), v))
+    words = tuple(_word(alphabet, v) for v in ball)
+    lines = tuple(map(render_canonical, words))
+    fingerprint = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return RelationBall(r, words, fingerprint, lines)
 
 
 class Agreement(NamedTuple):
@@ -234,8 +235,7 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     if r_max < 0:
         raise ValueError("radius must be non-negative")
     for r in range(1, r_max + 1):
-        trivial1 = {w.letters for w in _trivial_sphere(m1, r)}
-        if trivial1 != {w.letters for w in _trivial_sphere(m2, r)}:
+        if set(_trivial_sphere(m1, r)) != set(_trivial_sphere(m2, r)):
             return Agreement(r - 1, False)
     return Agreement(r_max, True)
 

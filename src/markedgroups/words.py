@@ -254,9 +254,9 @@ def parse_int(text: str, budget: int, line: int | None = None) -> int:
     return -k if text[0] == "-" else k
 
 
-def exponent_sum(w: Word) -> int:
-    """The image of w in Z when every generator maps to 1."""
-    return len(w.letters) - 2 * sum(x & 1 for x in w.letters)
+def exponent_sum(letters: Sequence[Letter]) -> int:
+    """The image of a word's letters in Z when every generator maps to 1."""
+    return len(letters) - 2 * sum(x & 1 for x in letters)
 
 
 def exponent_sums(w: Word) -> list[int]:
@@ -265,11 +265,6 @@ def exponent_sums(w: Word) -> list[int]:
     for x in w.letters:
         sums[x >> 1] += -1 if x & 1 else 1
     return sums
-
-
-def sort_key(w: Word) -> tuple[int, tuple[Letter, ...]]:
-    """Length-lex order; int order on letters is the enumeration order."""
-    return (len(w.letters), w.letters)
 
 
 def render_word(w: Word) -> str:
@@ -296,23 +291,22 @@ def ball_size(n: int, r: int) -> int:
 
 
 def _sphere_from(
-    alphabet: Alphabet,
     length: int,
     prefix: list[Letter],
     steps: Sequence[tuple[int, int]],
     sums: list[int],
     norm: int,
     follow: Sequence[Sequence[Letter]],
-) -> Iterator[Word]:
-    """The words of ``length`` more letters after ``prefix`` whose
-    coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
+) -> Iterator[tuple[Letter, ...]]:
+    """The letters of the words of ``length`` more letters after ``prefix``
+    whose coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
     ``sums[k]``; letters of no coordinate add 0 to a last slot that stays
     0.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
     most 1, so a child is cut when its norm exceeds the letters left after
     it, and every leaf reached has norm 0.  Every letter of a word, its
     first included, lies in ``follow[first]``."""
     if length == 0:
-        yield _word(alphabet, tuple(prefix))
+        yield tuple(prefix)
         return
     if prefix:
         cancel, letters = prefix[-1] ^ 1, follow[prefix[0]]
@@ -329,7 +323,7 @@ def _sphere_from(
             continue
         sums[k] = old + d
         prefix.append(x)
-        yield from _sphere_from(alphabet, left, prefix, steps, sums, child, follow)
+        yield from _sphere_from(left, prefix, steps, sums, child, follow)
         prefix.pop()
         sums[k] = old
 
@@ -343,10 +337,10 @@ _MAX_LENGTH = 500
 def _walk(
     alphabet: Alphabet, lengths: range, coordinates: Sequence[int],
     follow: Sequence[Sequence[Letter]] | None = None,
-) -> Iterator[Word]:
-    """The spheres of the given lengths, pruned by ``coordinates`` and by
-    ``follow``, the letters allowed after each first letter (all of them
-    by default)."""
+) -> Iterator[tuple[Letter, ...]]:
+    """The letters of the words in the spheres of the given lengths, in
+    length-lex order, pruned by ``coordinates`` and by ``follow``, the
+    letters allowed after each first letter (all of them by default)."""
     if lengths[-1] > _MAX_LENGTH:
         raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
@@ -358,7 +352,7 @@ def _walk(
         follow = [range(len(steps))] * len(steps)
     sums = [0] * (len(coordinates) + 1)
     for length in lengths:
-        yield from _sphere_from(alphabet, length, [], steps, sums, 0, follow)
+        yield from _sphere_from(length, [], steps, sums, 0, follow)
 
 
 def enumerate_sphere(
@@ -368,7 +362,8 @@ def enumerate_sphere(
     see :func:`enumerate_ball` for ``coordinates``."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    return _walk(alphabet, range(length, length + 1), coordinates)
+    walk = _walk(alphabet, range(length, length + 1), coordinates)
+    return (_word(alphabet, letters) for letters in walk)
 
 
 def enumerate_ball(
@@ -383,7 +378,8 @@ def enumerate_ball(
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    return _walk(alphabet, range(r + 1), coordinates)
+    walk = _walk(alphabet, range(r + 1), coordinates)
+    return (_word(alphabet, letters) for letters in walk)
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,26 @@ def test_fold_builds_no_word_or_base_element(monkeypatch):
     assert E.is_trivial(ew("[t, h^2]")) and not E.is_trivial(ew("[t, h a]"))
 
 
+@pytest.mark.parametrize("group", ["B", "ZxB"])
+def test_base_oracle_decides_on_raw_letters(monkeypatch, group):
+    # is_trivial and _trivial both read h2_exponent on the letters, reduced
+    # or not; eval_base, outside the oracle, is the reference
+    rng = random.Random(31)
+    alphabet, relators = builtin(group).alphabet, builtin(group).relators
+    words = conjugated_relator_products(relators, alphabet, rng, 150)
+    words += [
+        Word(alphabet, tuple(rng.randrange(2 * alphabet.arity) for _ in range(n)))
+        for n in (rng.randrange(12) for _ in range(300))
+    ]
+    expected = [eval_base(w).is_identity() for w in words]
+    assert 150 <= sum(expected) < len(words)
+    monkeypatch.setattr(hnn, "eval_base", None)
+    oracle = BaseOracle(alphabet)
+    for w, trivial in zip(words, expected):
+        assert oracle.is_trivial(w) is trivial, render_word(w)
+        assert oracle._trivial(w.letters) is trivial, render_word(w)
+
+
 def test_tower_consistency():
     # w is in <h^2> <=> [w, t] dies in E
     for text in ("h^2", "h^4", "h a", "h", "s^-1 h^2 s", "a", "h^-2"):

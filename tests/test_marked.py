@@ -1,9 +1,12 @@
+import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import markedgroups.marked as marked
+import markedgroups.words as words
 from markedgroups.hnn import (
     DEFAULT_BUDGET,
     HnnOracle,
@@ -230,6 +233,54 @@ def test_relation_ball_radius6_pinned(name, count, fingerprint):
     # pinned from the full scan, before balls were pruned
     ball = relation_ball(builtin_group(name), 6)
     assert (ball.count, ball.fingerprint) == (count, fingerprint)
+
+
+def test_relation_ball_e_radius7_pinned():
+    # first reproduced by the full brute-force scan
+    ball = relation_ball(builtin_group("E"), 7)
+    assert (ball.count, ball.fingerprint) == (
+        1927, "fc9be2fc58dc667ddb43b838d0b029a1971844da967d474b19ff792f37219a2d"
+    )
+
+
+@pytest.mark.parametrize(
+    "group, r", [(marked_Zmod(2), 2), (builtin_group("E"), 5)], ids=["Z/2", "E"]
+)
+def test_relation_ball_renders_each_word_once(monkeypatch, group, r):
+    # fingerprint and export read the same lines, made once per word
+    calls = []
+
+    def render(w):
+        calls.append(w)
+        return render_canonical(w)
+
+    monkeypatch.setattr(marked, "render_canonical", render)
+    ball = relation_ball(group, r)
+    body = ball.export(group.name).split("\n", 1)[1]
+    assert hashlib.sha256(body.removesuffix("\n").encode()).hexdigest() == (
+        ball.fingerprint
+    )
+    assert calls == list(ball.words)
+
+
+@pytest.mark.parametrize(
+    "group, r", [(builtin_group("E"), 5), (builtin_group("B"), 5)], ids=["E", "B"]
+)
+def test_relation_ball_builds_a_word_only_to_test_or_return_it(monkeypatch, group, r):
+    # a walked leaf that fails the class test stays a letter tuple: the
+    # only Words are the representatives the oracle is given and the ball's
+    built = []
+    word = words._word
+
+    def counted(alphabet, letters):
+        built.append(letters)
+        return word(alphabet, letters)
+
+    monkeypatch.setattr(marked, "_word", counted)
+    monkeypatch.setattr(words, "_word", counted)
+    counting = CountingOracle(group.oracle)
+    ball = relation_ball(replace(group, oracle=counting), r)
+    assert len(built) == counting.calls + ball.count
 
 
 # -- agreement ---------------------------------------------------------------
@@ -504,6 +555,28 @@ def test_orbit_witness_claims():
                 free_reduce(parse_word(f"s b^{i}", alphabet)),
                 free_reduce(parse_word(f"h a^(b^{i})", alphabet)),
             )
+
+
+@pytest.mark.parametrize("order", [None, 1, 2, 5])
+def test_cyclic_oracle_sums_exponents(order):
+    oracle = CyclicOracle(order)
+    rng = random.Random(7)
+    for _ in range(300):
+        letters = tuple(rng.randrange(2) for _ in range(rng.randrange(16)))
+        exponent = letters.count(0) - letters.count(1)
+        trivial = exponent == 0 if order is None else exponent % order == 0
+        assert oracle.is_trivial(Word(oracle.alphabet, letters)) is trivial, letters
+        assert oracle._trivial(letters) is trivial, letters
+
+
+def test_condense_z_decides_base_parts_with_no_word(monkeypatch):
+    # the fold hands each base part's letters to CyclicOracle._trivial
+    z = marked_Z()
+    ext = condense(z, SubgroupHandle("Z", lambda w: w, z.oracle.alphabet))
+    monkeypatch.setattr(marked, "_word", None)
+    alphabet = ext.oracle.alphabet
+    assert ext.oracle.is_trivial(parse_word("[x, t] x^3 t x^-3 t^-1", alphabet))
+    assert not ext.oracle.is_trivial(parse_word("t x t^-1", alphabet))
 
 
 def test_cyclic_oracle_validation():
