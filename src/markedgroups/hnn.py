@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
 from .baumslag import BaseElement, eval_base, h2_exponent, ha_exponent
-from .presentations import ABC, ABCH
+from .presentations import ABC, ABCH, builtin_symmetries
 from .words import (
     DEFAULT_BUDGET,
     Alphabet,
@@ -142,7 +142,9 @@ class HnnOracle:
                 else:
                     out.append(x)
                 continue
-            start = _close_part(out, marks, budget)
+            start = marks[-1] + 1 if marks else 0
+            if len(out) - start > budget:
+                raise _part_too_long(len(out) - start, budget)
             if marks and out[start - 1] == x ^ 1:
                 if start == len(out):
                     out.pop()
@@ -161,7 +163,9 @@ class HnnOracle:
                     continue
             marks.append(len(out))
             out.append(x)
-        _close_part(out, marks, budget)
+        start = marks[-1] + 1 if marks else 0
+        if len(out) - start > budget:
+            raise _part_too_long(len(out) - start, budget)
         return out, marks
 
     def reduce(self, w: Word) -> Word:
@@ -183,15 +187,10 @@ def _check_input(length: int, budget: Optional[int]) -> None:
         raise BudgetExceededError(f"input word has {length} letters (budget {budget})")
 
 
-def _close_part(out: list[int], marks: list[int], budget: int) -> int:
-    """Where the part after the last stable letter starts; a part longer
-    than the budget is refused."""
-    start = marks[-1] + 1 if marks else 0
-    if len(out) - start > budget:
-        raise BudgetExceededError(
-            f"base part grew to {len(out) - start} letters (budget {budget})"
-        )
-    return start
+def _part_too_long(length: int, budget: int) -> BudgetExceededError:
+    """The refusal of a part after a stable letter that grew past the
+    budget; the fold checks each part as it closes, and the last one."""
+    return BudgetExceededError(f"base part grew to {length} letters (budget {budget})")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +255,16 @@ class SubgroupHandle:
     the subgroup takes ``contains`` as both of its maps: canonical words
     keep merged base parts short, where the member word never would.
     A call on a word longer than ``budget``, if set, fails before reduction.
+    ``symmetries`` are letter involutions, as in ``MarkedGroup``, that the
+    handle declares map the subgroup onto itself wherever they are
+    automorphisms of G; ``marked.condense`` keeps those of G's.
     """
 
     label: str
     contains: Callable[[Letters], Optional[Letters]]
     alphabet: Alphabet
     budget: Optional[int] = None
+    symmetries: tuple[Letters, ...] = ()
 
     def __call__(self, w: Word) -> bool:
         check_alphabet(w, self.alphabet)
@@ -272,7 +275,9 @@ class SubgroupHandle:
 def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
     """The handle for <h^2> in G, the base point of the orbit: every other
     point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}.  The
-    oracle must extend <h> x B, whose letters its reduced forms are read as."""
+    oracle must extend <h> x B, whose letters its reduced forms are read as.
+    G's involutions a -> a^-1, b <-> c and h -> h^-1 send h^2 to h^{+-2},
+    so each maps <h^2> onto itself: the handle declares all three."""
     if oracle.base.alphabet != ABCH:
         names = oracle.base.alphabet.names
         raise ValueError(f"<h^2> needs an extension of <h> x B, not of {names}")
@@ -282,12 +287,16 @@ def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
         k = None if marks else h2_exponent(out)
         return None if k is None else _h_power(2 * k)
 
-    return SubgroupHandle("H2", contains, oracle.alphabet, oracle.budget)
+    return SubgroupHandle(
+        "H2", contains, oracle.alphabet, oracle.budget, builtin_symmetries("G")
+    )
 
 
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     """The handle for g H g^-1: z is a member iff g^-1 z g is in H, and its
-    canonical word is g rep g^-1 for the canonical word rep of g^-1 z g."""
+    canonical word is g rep g^-1 for the canonical word rep of g^-1 z g.
+    It declares no symmetry, since which ones map g H g^-1 onto itself
+    depends on g: b <-> c moves <h^2>^(s b^i) for i != 0."""
     check_alphabet(g, inner.alphabet)
     g_letters, g_inv = g.letters, invert_letters(g.letters)
 

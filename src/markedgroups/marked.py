@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .baumslag import PolyFrac, member_A, monomial, span_membership
@@ -24,7 +25,13 @@ from .hnn import (
     h2_handle,
     member_in_G,
 )
-from .presentations import ABC, ABCH, builtin, zero_sum_coordinates
+from .presentations import (
+    ABC,
+    ABCH,
+    builtin,
+    builtin_symmetries,
+    zero_sum_coordinates,
+)
 from .words import (
     Alphabet,
     Word,
@@ -78,11 +85,23 @@ class MarkedGroup:
     indices whose exponent sums are homomorphisms to Z, as derived by
     ``zero_sum_coordinates``: every trivial word has sum 0 in each, so
     scans prune the rest.  The default () walks every word.
+
+    ``symmetries`` generate a group of automorphisms that permute the
+    letters: each is a letter permutation sigma, letter x to sigma[x],
+    that is an involution, commutes with inversion (sigma[x ^ 1] ==
+    sigma[x] ^ 1) and moves no letter that another moves.  That each maps
+    every relator to a trivial word is an assumption, like the marking's;
+    the class walk then tests one class per orbit.  The default () tests
+    every class.
     """
 
     name: str
     oracle: GroupOracle
     coordinates: tuple[int, ...] = ()
+    symmetries: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_symmetries(self.symmetries, 2 * self.arity)
 
     @property
     def marking(self) -> tuple[str, ...]:
@@ -91,6 +110,35 @@ class MarkedGroup:
     @property
     def arity(self) -> int:
         return self.oracle.alphabet.arity
+
+
+@cache
+def _check_symmetries(symmetries: tuple[tuple[int, ...], ...], n: int) -> None:
+    """Refuse symmetries that are not involutions of the n letters, that do
+    not commute with inversion, or whose supports overlap.  Cached, since
+    the command line builds its group for each call, and E is checked
+    three times in the making."""
+    moved: set[int] = set()
+    for sigma in symmetries:
+        if len(sigma) != n or set(sigma) != set(range(n)):
+            raise ValueError(f"symmetry {sigma} is not a permutation of range({n})")
+        support: set[int] = set()
+        for x, y in enumerate(sigma):
+            if x != y:
+                if sigma[y] != x:
+                    raise ValueError(f"symmetry {sigma} is not an involution")
+                if sigma[x ^ 1] != y ^ 1:
+                    raise ValueError(
+                        f"symmetry {sigma} does not commute with inversion"
+                    )
+                support.add(x)
+        if not support:
+            raise ValueError(f"symmetry {sigma} moves no letter")
+        if not moved.isdisjoint(support):
+            raise ValueError(
+                f"symmetry {sigma} moves a letter that another symmetry moves"
+            )
+        moved |= support
 
 
 def marked_Z() -> MarkedGroup:
@@ -102,8 +150,9 @@ def marked_Zmod(n: int) -> MarkedGroup:
 
 
 def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
-    """B, ZxB, G or E with the coordinates of its presentation; E is the
-    paper's condense(G, <h^2>), whose stable letter t commutes with h^2."""
+    """B, ZxB, G or E with the coordinates and symmetries of its
+    presentation; E is the paper's condense(G, <h^2>), whose stable letter
+    t commutes with h^2, and has G's symmetries and t -> t^-1."""
     if name == "E":
         g = builtin_group("G", budget)
         return replace(condense(g, h2_handle(g.oracle)), name="E")
@@ -115,7 +164,9 @@ def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
         oracle = g_oracle(budget)
     else:
         raise KeyError(f"no built-in group named {name!r}")
-    return MarkedGroup(name, oracle, zero_sum_coordinates(builtin(name)))
+    return MarkedGroup(
+        name, oracle, zero_sum_coordinates(builtin(name)), builtin_symmetries(name)
+    )
 
 
 @dataclass(frozen=True)
@@ -155,7 +206,8 @@ def _least_in_class(v: tuple[int, ...]) -> bool:
 
 def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     """The letters of the trivial class representatives of the given
-    length, in walk order.
+    length, sorted, the order in which a walk with no symmetries finds
+    them.
 
     Triviality is invariant under ``rotations``, so one call decides a
     class; its representative is ``relator_class``, cyclically reduced.
@@ -164,18 +216,30 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     with exponent sum 0 in each of m's coordinates, since no other word
     is trivial in m.  Only a representative is made a ``Word``, for the
     oracle.
+
+    Triviality is invariant under m's symmetries too, so one call decides
+    an orbit of classes: a trivial class brings in the representatives of
+    all its images.  The least of an orbit, v, is no larger than sigma(v)
+    for each symmetry sigma, and the first letter where they differ is
+    v's first letter in sigma's support; so the walk cuts every prefix
+    whose first letter there is the larger of its pair, and still reaches
+    v.  A class already brought in is not tested.
     """
     oracle = m.oracle
     alphabet = oracle.alphabet
     n = 2 * alphabet.arity
     follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
-    trivial: list[tuple[int, ...]] = []
-    for v in _walk(alphabet, range(length, length + 1), m.coordinates, follow):
+    images = [tuple(range(n))]  # the group the symmetries generate
+    for sigma in m.symmetries:
+        images += [tuple(sigma[x] for x in g) for g in images]
+    trivial: set[tuple[int, ...]] = set()
+    lengths = range(length, length + 1)
+    for v in _walk(alphabet, lengths, m.coordinates, follow, m.symmetries):
         if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
             continue  # not cyclically reduced, or not least in its class
-        if oracle.is_trivial(_word(alphabet, v)):
-            trivial.append(v)
-    return trivial
+        if v not in trivial and oracle.is_trivial(_word(alphabet, v)):
+            trivial.update(min(rotations(tuple(map(g.__getitem__, v)))) for g in images)
+    return sorted(trivial)
 
 
 def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
@@ -229,6 +293,8 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     radius: the ball of radius r is the conjugation closure of those of
     length <= r.  Each marking's sphere is pruned by its own coordinates,
     which is exact: a word outside them is non-trivial in that marking.
+    Each is walked with its own symmetries, which is exact too: the
+    sphere is every trivial class all the same.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")
@@ -259,13 +325,20 @@ def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
     letter commuting with the subgroup; marking = m's marking then t.
     The extension keeps the letter budget of m's oracle, if it has one,
     and m's coordinates plus t: every relator [t, z] has exponent sum 0
-    in each letter."""
+    in each letter.  It keeps each symmetry of m that the handle declares
+    maps its subgroup onto itself, fixing t, since it maps each [t, z] to
+    another, and adds t -> t^-1, since t^-1 commutes with the subgroup
+    too."""
     if point.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
     budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
     oracle = HnnOracle(m.oracle, point.contains, point.contains, "t", budget=budget)
+    t = 2 * m.arity
+    kept = [sigma for sigma in m.symmetries if sigma in point.symmetries]
+    symmetries = tuple(sigma + (t, t + 1) for sigma in kept)
+    symmetries += (tuple(range(t)) + (t + 1, t),)
     return MarkedGroup(
-        f"E({m.name}, {point.label})", oracle, m.coordinates + (m.arity,)
+        f"E({m.name}, {point.label})", oracle, m.coordinates + (m.arity,), symmetries
     )
 
 

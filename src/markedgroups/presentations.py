@@ -205,6 +205,33 @@ def builtin(name: str) -> Presentation:
     raise KeyError(f"unknown built-in presentation {name!r}")
 
 
+# The generating involutions of the built-in groups, each a pair of letters
+# swapped together with their inverses: a -> a^-1, b <-> c and, past B,
+# h -> h^-1.  Each maps every relator to a trivial word, so it is an
+# automorphism.  E's are G's and t -> t^-1, which ``marked.condense`` adds.
+_SYMMETRIES = {
+    "B": (("a", "a^-1"), ("b", "c")),
+    "ZxB": (("a", "a^-1"), ("b", "c"), ("h", "h^-1")),
+    "G": (("a", "a^-1"), ("b", "c"), ("h", "h^-1")),
+}
+
+
+@cache
+def builtin_symmetries(name: str) -> tuple[tuple[int, ...], ...]:
+    """The generating involutions of B, ZxB or G as letter permutations
+    over its alphabet: the permutation maps letter x to letter sigma[x]."""
+    if name not in _SYMMETRIES:
+        raise KeyError(f"no built-in symmetries for {name!r}")
+    letter_of = builtin(name).alphabet._letter_of
+    symmetries = []
+    for x, y in _SYMMETRIES[name]:
+        p, q = letter_of[x], letter_of[y]
+        sigma = list(range(len(letter_of)))
+        sigma[p], sigma[q], sigma[p ^ 1], sigma[q ^ 1] = q, p, q ^ 1, p ^ 1
+        symmetries.append(tuple(sigma))
+    return tuple(symmetries)
+
+
 # ---------------------------------------------------------------------------
 # File format (UTF-8, line-oriented):
 #   group NAME

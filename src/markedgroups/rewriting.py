@@ -91,6 +91,11 @@ def run_trace(
     """Validate and replay a trace; returns the final (reduced) word.
 
     A trace may have at most as many steps as its start word has letters.
+    Each step does what ``apply_step`` does, on a word kept as two stacks:
+    ``head``, the letters before a cursor, and ``tail``, those after it,
+    last letter first.  The cursor moves to the step's position, the lhs
+    is popped off ``tail`` and the rhs pushed onto ``head``, so a step
+    costs its rule's length and the cursor's move, not a copy of the word.
     """
     if len(steps) > len(start):
         raise InvalidTraceError(
@@ -99,7 +104,28 @@ def run_trace(
         )
     check_alphabet(start, presentation.alphabet)
     validate_rules(rules, presentation)
-    w = free_reduce(start)
+    # each rule's lhs as ``tail`` holds it, and its rhs freely reduced
+    moves = [(r.lhs.letters[::-1], free_reduce(r.rhs).letters) for r in rules]
+    head, tail = list(free_reduce(start).letters), []
     for step in steps:
-        w = apply_step(w, rules[step.rule], step.pos)
-    return w
+        pos, (lhs, rhs) = step.pos, moves[step.rule]
+        while len(head) > pos >= 0:
+            tail.append(head.pop())
+        while len(head) < pos and tail:
+            head.append(tail.pop())
+        n = len(lhs)
+        if pos < 0 or n > len(tail) or tuple(tail[len(tail) - n:]) != lhs:
+            raise InvalidTraceError(
+                f"rule {rules[step.rule].name} does not match at position {pos} "
+                f"of {render_word(_word(start.alphabet, tuple(head + tail[::-1])))}"
+            )
+        del tail[len(tail) - n:]
+        for y in rhs:
+            if head and head[-1] == y ^ 1:
+                head.pop()
+            else:
+                head.append(y)
+        while head and tail and head[-1] == tail[-1] ^ 1:
+            head.pop()
+            tail.pop()
+    return _word(start.alphabet, tuple(head + tail[::-1]))

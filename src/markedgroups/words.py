@@ -297,6 +297,9 @@ def _sphere_from(
     sums: list[int],
     norm: int,
     follow: Sequence[Sequence[Letter]],
+    owner: Sequence[int],
+    mirror: Sequence[Letter],
+    pending: int,
 ) -> Iterator[tuple[Letter, ...]]:
     """The letters of the words of ``length`` more letters after ``prefix``
     whose coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
@@ -304,7 +307,11 @@ def _sphere_from(
     0.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
     most 1, so a child is cut when its norm exceeds the letters left after
     it, and every leaf reached has norm 0.  Every letter of a word, its
-    first included, lies in ``follow[first]``."""
+    first included, lies in ``follow[first]``.  ``pending`` holds the bit
+    ``owner[x]`` of each symmetry whose support no letter of the prefix
+    lies in yet; the first letter x that does must be the smaller of its
+    pair, ``x < mirror[x]``, and clears the bit.  A last letter ends its
+    word where it is taken, with no generator of its own."""
     if length == 0:
         yield tuple(prefix)
         return
@@ -318,12 +325,22 @@ def _sphere_from(
             continue
         k, d = steps[x]
         old = sums[k]
-        child = norm + abs(old + d) - abs(old)
+        # |old + d| - |old| with no call: d moves the sum away from 0 unless
+        # they have opposite signs, and a letter of no coordinate has d = 0
+        child = norm + d * d if old * d >= 0 else norm - 1
         if child > left:
+            continue
+        entered = pending and pending & owner[x]
+        if entered and mirror[x] < x:
+            continue
+        if not left:
+            yield (*prefix, x)
             continue
         sums[k] = old + d
         prefix.append(x)
-        yield from _sphere_from(left, prefix, steps, sums, child, follow)
+        yield from _sphere_from(
+            left, prefix, steps, sums, child, follow, owner, mirror, pending ^ entered
+        )
         prefix.pop()
         sums[k] = old
 
@@ -337,10 +354,14 @@ _MAX_LENGTH = 500
 def _walk(
     alphabet: Alphabet, lengths: range, coordinates: Sequence[int],
     follow: Sequence[Sequence[Letter]] | None = None,
+    symmetries: Sequence[Sequence[Letter]] = (),
 ) -> Iterator[tuple[Letter, ...]]:
     """The letters of the words in the spheres of the given lengths, in
-    length-lex order, pruned by ``coordinates`` and by ``follow``, the
-    letters allowed after each first letter (all of them by default)."""
+    length-lex order, pruned by ``coordinates``, by ``follow``, the letters
+    allowed after each first letter (all of them by default), and by
+    ``symmetries``: letter involutions with disjoint supports, each of
+    which keeps only the words whose first letter in its support is the
+    smaller of its pair, as a word no larger than its image is."""
     if lengths[-1] > _MAX_LENGTH:
         raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
@@ -350,9 +371,17 @@ def _walk(
         steps[2 * i], steps[2 * i + 1] = (k, 1), (k, -1)
     if follow is None:
         follow = [range(len(steps))] * len(steps)
+    owner, mirror = [0] * len(steps), list(range(len(steps)))
+    for bit, sigma in enumerate(symmetries):
+        for x, y in enumerate(sigma):
+            if x != y:
+                owner[x], mirror[x] = 1 << bit, y
     sums = [0] * (len(coordinates) + 1)
     for length in lengths:
-        yield from _sphere_from(length, [], steps, sums, 0, follow)
+        yield from _sphere_from(
+            length, [], steps, sums, 0, follow, owner, mirror,
+            (1 << len(symmetries)) - 1,
+        )
 
 
 def enumerate_sphere(

@@ -197,6 +197,19 @@ def test_load_group_coordinates(tmp_path):
     assert load_group("Z/4", 10_000).coordinates == ()
 
 
+def test_load_group_file_inherits_symmetries(tmp_path):
+    # a file that matches a built-in gets its symmetries with its oracle
+    for name in ("B", "ZxB", "G", "E"):
+        path = tmp_path / f"{name}.pres"
+        path.write_text(serialize_presentation(builtin(name)))
+        group = load_group(f"file:{path}", 10_000)
+        assert group.symmetries == load_group(name, 10_000).symmetries, name
+        assert group.symmetries
+    path = tmp_path / "c.pres"
+    path.write_text("group C\ngens y\nrel y^3\n")
+    assert load_group(f"file:{path}", 10_000).symmetries == ()
+
+
 def test_load_group_cyclic_file(tmp_path):
     path = tmp_path / "c.pres"
     path.write_text("group C\ngens x\nrel x^10\nrel x^4\n")

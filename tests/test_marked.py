@@ -205,6 +205,69 @@ def test_builtin_group_budget_and_unknown_name():
         builtin_group("F")
 
 
+# -- letter symmetries -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "symmetries, message",
+    [
+        (((1, 0, 2, 3),), "is not a permutation"),
+        (((0, 1, 2, 3, 4, 4),), "is not a permutation"),
+        (((0, 1, 2, 3, 4, 5),), "moves no letter"),
+        # a -> b -> c -> a, each inverse along: not an involution
+        (((2, 3, 4, 5, 0, 1),), "is not an involution"),
+        # a <-> b with a^-1 and b^-1 left where they are
+        (((2, 1, 0, 3, 4, 5),), "does not commute with inversion"),
+        # a -> a^-1 and a <-> b^-1 both move a
+        (((1, 0, 2, 3, 4, 5), (3, 2, 1, 0, 4, 5)), "another symmetry moves"),
+    ],
+)
+def test_symmetries_are_refused(symmetries, message):
+    with pytest.raises(ValueError, match=message):
+        MarkedGroup("B", builtin_group("B").oracle, (), symmetries)
+
+
+def test_builtin_symmetries():
+    # a -> a^-1 and b <-> c in B, also h -> h^-1 from ZxB on, and E has G's
+    # three, which the H2 handle declares, and t -> t^-1 from condense
+    a, bc = (1, 0, 2, 3, 4, 5), (0, 1, 4, 5, 2, 3)
+    assert builtin_group("B").symmetries == (a, bc)
+    g = builtin_group("G")
+    assert g.symmetries == (a + (6, 7, 8, 9), bc + (6, 7, 8, 9), (*range(6), 7, 6, 8, 9))
+    assert h2_handle(g.oracle).symmetries == g.symmetries
+    e = builtin_group("E").symmetries
+    assert e == tuple(sigma + (10, 11) for sigma in g.symmetries) + (
+        (*range(10), 11, 10),
+    )
+    # a conjugate handle declares none, so its extension keeps only t -> t^-1
+    _, k_point = orbit_witness(1, g.oracle)
+    assert condense(g, k_point).symmetries == ((*range(10), 11, 10),)
+    assert condense(replace(g, symmetries=()), h2_handle(g.oracle)).symmetries == (
+        (*range(10), 11, 10),
+    )
+
+
+def _symmetric_groups():
+    z4 = replace(marked_Zmod(4), symmetries=((1, 0),))  # x -> x^-1
+    return [(builtin_group(name), 7) for name in ("B", "ZxB", "G", "E")] + [(z4, 12)]
+
+
+@pytest.mark.parametrize(
+    "group, r", _symmetric_groups(), ids=lambda v: getattr(v, "name", v)
+)
+def test_relation_ball_same_with_and_without_symmetries(group, r):
+    # the cut walk and its orbit closure against testing every class; the
+    # radius-r ball holds every shorter one.  On one letter x -> x^-1 maps
+    # each class to itself, so it saves no call.
+    plain = replace(group, symmetries=())
+    counting, counting_plain = CountingOracle(group.oracle), CountingOracle(plain.oracle)
+    ball = relation_ball(replace(group, oracle=counting), r)
+    assert ball == relation_ball(replace(plain, oracle=counting_plain), r)
+    assert counting.calls < counting_plain.calls or group.arity == 1
+    # each marking walks with its own symmetries
+    assert max_agreement(group, plain, r) == Agreement(r, True)
+
+
 def test_condense_coordinates():
     g = builtin_group("G")
     assert g.coordinates == (1, 2, 4)
@@ -305,11 +368,18 @@ def test_max_agreement_examples():
 @pytest.mark.parametrize(
     "m1, m2, r_max, calls",
     [
-        (builtin_group("E"), builtin_group("E"), 4, (63, 63)),
+        (
+            replace(builtin_group("E"), symmetries=()),
+            replace(builtin_group("E"), symmetries=()),
+            4,
+            (63, 63),
+        ),
+        # one call per orbit of E's 16 letter automorphisms
+        (builtin_group("E"), builtin_group("E"), 4, (39, 39)),
         # Z/7 has no coordinate; Z's prunes every non-empty sphere
         (marked_Zmod(7), marked_Z(), 10, (7, 0)),
     ],
-    ids=["E-E", "Z7-Z"],
+    ids=["E-E", "E-E-symmetric", "Z7-Z"],
 )
 def test_max_agreement_tests_one_word_per_inverse_pair(m1, m2, r_max, calls):
     counting1 = CountingOracle(m1.oracle)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from markedgroups.experiments import (
@@ -7,7 +7,8 @@ from markedgroups.experiments import (
     epsilon_kernel_word,
     epsilon_substitution,
 )
-from markedgroups.presentations import ABCHST, builtin
+from markedgroups.marked import builtin_group
+from markedgroups.presentations import ABCHST, builtin, relator_class
 from markedgroups.rewriting import (
     InvalidTraceError,
     RewriteRule,
@@ -123,6 +124,68 @@ def test_apply_step_equals_reduced_splice(rule, p, q, data):
     assert apply_step(w, rule, len(u)) == naive
 
 
+def replay_by_steps(start, rules, steps):
+    """The reference replay: apply_step once per step, on a whole word."""
+    w = free_reduce(start)
+    for step in steps:
+        w = apply_step(w, rules[step.rule], step.pos)
+    return w
+
+
+@st.composite
+def traces(draw):
+    """A start word over E's alphabet, up to four relator-derived rules, an
+    empty lhs among them at times, and a valid trace: each step is a rule
+    at a position where a plain search finds its lhs.  The start word
+    strings random letters and rules' lhs together, so that rules match."""
+    pool = _RULES + [RewriteRule("r", Word(ABCHST, ()), rel) for rel in E_PRES.relators]
+    rules = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    pieces = st.one_of(
+        st.integers(0, 2 * ABCHST.arity - 1).map(lambda x: (x,)),
+        st.sampled_from(rules).map(lambda rule: rule.lhs.letters),
+    )
+    start = Word(ABCHST, sum(draw(st.lists(pieces, max_size=8)), ()))
+    w, steps = free_reduce(start), []
+    for _ in range(draw(st.integers(min(len(start), 1), len(start)))):
+        matches = [
+            TraceStep(i, pos)
+            for i, rule in enumerate(rules)
+            for pos in range(len(w) + 1)
+            if w.letters[pos : pos + len(rule.lhs)] == rule.lhs.letters
+        ]
+        if not matches:
+            break
+        steps.append(draw(st.sampled_from(matches)))
+        w = apply_step(w, rules[steps[-1].rule], steps[-1].pos)
+    return start, rules, steps
+
+
+@given(traces())
+def test_run_trace_equals_repeated_apply_step(trace):
+    start, rules, steps = trace
+    assert run_trace(start, rules, steps, E_PRES) == replay_by_steps(start, rules, steps)
+
+
+@given(traces(), st.data())
+def test_run_trace_refuses_a_step_as_apply_step_does(trace, data):
+    # one more step at any position, past either end included: the replay
+    # returns what apply_step returns, or raises its message
+    start, rules, steps = trace
+    assume(start)
+    steps = steps[: len(start) - 1]  # room for one more under the step limit
+    w = replay_by_steps(start, rules, steps)
+    rule = data.draw(st.integers(0, len(rules) - 1))
+    steps = steps + [TraceStep(rule, data.draw(st.integers(-2, len(w) + 2)))]
+    try:
+        expected = apply_step(w, rules[rule], steps[-1].pos)
+    except InvalidTraceError as exc:
+        with pytest.raises(InvalidTraceError) as got:
+            run_trace(start, rules, steps, E_PRES)
+        assert str(got.value) == str(exc)
+    else:
+        assert run_trace(start, rules, steps, E_PRES) == expected
+
+
 # b, a, c: the letters of "b b" are those of B's "a a", a false identity
 BAC = Alphabet(("b", "a", "c"))
 
@@ -196,3 +259,73 @@ def test_trace_positions_are_exact():
     tweaked[0] = TraceStep(steps[0].rule, steps[0].pos + 1)
     with pytest.raises(InvalidTraceError):
         run_trace(start, rules, tweaked, E_PRES)
+
+
+# -- the built-in groups' letter symmetries ---------------------------------
+
+# A trace for each relator image that is not a relator up to rotation and
+# inversion: rules "lhs -> rhs", each from a relator, with their positions.
+SYMMETRY_TRACES = {
+    # a -> a^-1 on a^c = a a^b: each a flipped back by a^2, then the relator
+    "c^-1 a^-1 c b^-1 a b a": [
+        ("a^-1", "a", 1),
+        ("a", "a^-1", 4),
+        ("a", "a^-1", 6),
+        ("c^-1 a c b^-1 a^-1 b a^-1", "1", 0),
+    ],
+    # b <-> c on [a, a^b], which reads [a, a^c]: a^c = a a^b twice
+    "a^-1 c^-1 a^-1 c a c^-1 a c": [
+        ("c^-1 a^-1 c", "b^-1 a^-1 b a^-1", 1),
+        ("c^-1 a c", "a b^-1 a b", 4),
+        ("a^-1 b^-1 a^-1 b a b^-1 a b", "1", 0),
+    ],
+    # b <-> c on a^c = a a^b, which reads a^b = a a^c
+    "b^-1 a b c^-1 a^-1 c a^-1": [
+        ("c^-1 a^-1 c", "b^-1 a^-1 b a^-1", 3),
+        ("a^-1 a^-1", "1", 0),
+    ],
+    # a -> a^-1 on (h^2)^s = h a: a flipped back, then the relator
+    "s^-1 h h s a h^-1": [
+        ("a", "a^-1", 4),
+        ("s^-1 h h s a^-1 h^-1", "1", 0),
+    ],
+    # h -> h^-1 on (h^2)^s = h a: (h^-2)^s = (h a)^-1, [h, a] and a^2
+    "s^-1 h^-1 h^-1 s a^-1 h": [
+        ("s^-1 h^-1 h^-1 s", "a^-1 h^-1", 0),
+        ("h^-1 a^-1", "a^-1 h^-1", 1),
+        ("a^-1 a^-1", "1", 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["B", "ZxB", "G", "E"])
+def test_builtin_symmetries_map_relators_to_trivial_words(name):
+    # independent of the oracle: each relator's image under each generating
+    # involution is a relator up to rotation and inversion, or replays to
+    # the empty word by a trace written above
+    pres = builtin(name)
+    classes = {relator_class(rel) for rel in pres.relators}
+    symmetries = builtin_group(name).symmetries
+    assert len(symmetries) == {"B": 2, "ZxB": 3, "G": 3, "E": 4}[name]
+    traced = set()
+    for sigma in symmetries:
+        for rel in pres.relators:
+            letters = tuple(map(sigma.__getitem__, rel.letters))
+            image = free_reduce(Word(pres.alphabet, letters))
+            if relator_class(image) in classes:
+                continue
+            trace = SYMMETRY_TRACES[render_word(image)]
+            rules = [
+                RewriteRule(
+                    f"{lhs} -> {rhs}",
+                    parse_word(lhs, pres.alphabet),
+                    parse_word(rhs, pres.alphabet),
+                )
+                for lhs, rhs, _ in trace
+            ]
+            steps = [TraceStep(i, pos) for i, (_, _, pos) in enumerate(trace)]
+            assert len(run_trace(image, rules, steps, pres)) == 0, render_word(image)
+            traced.add(render_word(image))
+    assert traced <= set(SYMMETRY_TRACES)
+    if name in ("G", "E"):
+        assert traced == set(SYMMETRY_TRACES)
