@@ -37,11 +37,9 @@ from .words import (
     Word,
     check_budget,
     commutator,
-    concat,
     conjugate,
     enumerate_ball,
     exponent_sums,
-    free_reduce,
     gen,
     invert,
     parse_word,
@@ -168,7 +166,7 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
-        group.oracle.is_trivial(free_reduce(concat(image, invert(witness)))),
+        group.oracle._trivial((image * invert(witness)).letters),
         {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"},
     )
     return report
@@ -363,11 +361,11 @@ def exp_epsilon(
             for p, q in combinations(bucket, 2):
                 if fixed[p] and fixed[q]:
                     continue
-                merged_image = free_reduce(concat(images[p], invert(images[q])))
-                if not oracle.is_trivial(merged_image):
+                # each product is reduced once, by *, and the oracle folds
+                # its letters: the budget measures the reduced product
+                if not oracle._trivial((images[p] * invert(images[q])).letters):
                     continue
-                merged = free_reduce(concat(ball[p], invert(ball[q])))
-                if not oracle.is_trivial(merged):
+                if not oracle._trivial((ball[p] * invert(ball[q])).letters):
                     count += 1
                     # the least pair is the one the full double loop meets first
                     if example is None or (p, q) < example:

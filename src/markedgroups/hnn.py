@@ -46,9 +46,10 @@ class GroupOracle(Protocol):
 
     The base of an extension also has ``_trivial``, which decides the
     letters of a freely reduced word over its alphabet, unchecked: the
-    extension's fold hands it its reduced form, so no ``Word`` is built.
-    The oracles here decide only there; their ``is_trivial`` checks the
-    word and passes its letters on.
+    extension's fold hands it its reduced form, so no ``Word`` is built,
+    and the ``wp`` command the letters it has reduced and checked.  The
+    oracles here decide only there; their ``is_trivial`` checks the word
+    and passes its letters on.
     """
 
     alphabet: Alphabet
@@ -295,8 +296,11 @@ def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
 def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
     """The handle for g H g^-1: z is a member iff g^-1 z g is in H, and its
     canonical word is g rep g^-1 for the canonical word rep of g^-1 z g.
-    It declares no symmetry, since which ones map g H g^-1 onto itself
-    depends on g: b <-> c moves <h^2>^(s b^i) for i != 0."""
+    It declares each symmetry of the inner handle that fixes every letter
+    of g: such a sigma maps g H g^-1 to sigma(g) sigma(H) sigma(g)^-1,
+    which is g H g^-1.  For g = (s b^i)^-1 these are a -> a^-1 and
+    h -> h^-1, and b <-> c too when i = 0; b <-> c moves <h^2>^(s b^i)
+    for i != 0."""
     check_alphabet(g, inner.alphabet)
     g_letters, g_inv = g.letters, invert_letters(g.letters)
 
@@ -305,4 +309,7 @@ def conjugate_handle(g: Word, inner: SubgroupHandle) -> SubgroupHandle:
         return None if rep is None else tuple(_reduce_letters(g_letters + rep + g_inv))
 
     label = f"conj({render_word(g)}, {inner.label})"
-    return SubgroupHandle(label, contains, inner.alphabet)
+    symmetries = tuple(
+        sigma for sigma in inner.symmetries if all(sigma[x] == x for x in g_letters)
+    )
+    return SubgroupHandle(label, contains, inner.alphabet, symmetries=symmetries)

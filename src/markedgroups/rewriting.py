@@ -64,7 +64,7 @@ def apply_step(w: Word, rule: RewriteRule, pos: int) -> Word:
     check_alphabet(rule.lhs, w.alphabet)
     check_alphabet(rule.rhs, w.alphabet)
     lhs, letters = rule.lhs.letters, w.letters
-    if pos < 0 or letters[pos : pos + len(lhs)] != lhs:
+    if not 0 <= pos <= len(letters) or letters[pos : pos + len(lhs)] != lhs:
         raise InvalidTraceError(
             f"rule {rule.name} does not match at position {pos} "
             f"of {render_word(w)}"
@@ -114,7 +114,8 @@ def run_trace(
         while len(head) < pos and tail:
             head.append(tail.pop())
         n = len(lhs)
-        if pos < 0 or n > len(tail) or tuple(tail[len(tail) - n:]) != lhs:
+        # the cursor stops short of pos only when pos is past either end
+        if len(head) != pos or n > len(tail) or tuple(tail[len(tail) - n:]) != lhs:
             raise InvalidTraceError(
                 f"rule {rules[step.rule].name} does not match at position {pos} "
                 f"of {render_word(_word(start.alphabet, tuple(head + tail[::-1])))}"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import shlex
 import time
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import markedgroups.hnn as hnn
+import markedgroups.words as words
 from markedgroups import experiments
 from markedgroups.cli import load_group, main
 from markedgroups.experiments import (
@@ -25,11 +28,14 @@ from markedgroups.presentations import (
     zero_sum_coordinates,
 )
 from markedgroups.words import (
+    BudgetExceededError,
+    Word,
     concat,
     enumerate_ball,
     exponent_sums,
     free_reduce,
     invert,
+    invert_letters,
     parse_word,
     render_word,
     substitute,
@@ -271,6 +277,102 @@ def test_cli_wp_syntax_error_column(capsys):
     # an error the parser gives no column keeps its message
     assert main(["wp", "--group", "E", "--word", "a^"]) == 2
     assert capsys.readouterr().err == "error: dangling '^'\n"
+
+
+def _plain_texts(alphabet, relators, rng, count):
+    """Random words and products of conjugated relators, unreduced, as
+    plain letters: the parser reduces none of them."""
+    n = 2 * alphabet.arity
+
+    def letters(length):
+        return tuple(rng.randrange(n) for _ in range(length))
+
+    texts = [letters(rng.randrange(40)) for _ in range(count)]
+    for _ in range(count):
+        product = ()
+        for r in rng.choices(relators, k=3):
+            u = letters(rng.randrange(4))
+            product += invert_letters(u) + (r if rng.random() < 0.5 else invert_letters(r)) + u
+        texts.append(product)
+    return [render_word(Word(alphabet, w)) for w in texts]
+
+
+def test_cli_wp_reduces_each_word_once(monkeypatch, capsys):
+    # wp reduces its word once, for "reduced", and E folds those letters:
+    # neither E's maps nor G's fold reduce a part again
+    reduce_letters, calls = words._reduce_letters, []
+
+    def counting(letters):
+        calls.append(len(letters))
+        return reduce_letters(letters)
+
+    monkeypatch.setattr(words, "_reduce_letters", counting)
+    monkeypatch.setattr(hnn, "_reduce_letters", counting)
+    relators = [rel.letters for rel in builtin("E").relators]
+    for text in _plain_texts(ABCHST, relators, random.Random(5), 10):
+        calls.clear()
+        main(["wp", "--group", "E", "--word", text])
+        assert len(calls) == 1, text
+        capsys.readouterr()
+
+
+def _wp_reference(spec, text, budget):
+    """The exit code and stderr of wp, from the oracle's own is_trivial."""
+    try:
+        group = load_group(spec, budget)
+        w = parse_word(text, group.oracle.alphabet, budget=budget)
+        return (0 if group.oracle.is_trivial(w) else 1), ""
+    except BudgetExceededError as exc:
+        return 1, f"error: {exc}\n"
+
+
+# s^4 h^2 s^-4 is h^32 in G, which commutes with b and t: at a budget of 31
+# the first two words are refused for a base part of 32 letters, at 32 they
+# are trivial.  The last two are trivial at either budget, as they cancel
+# freely, but a fold of their letters as written grows h^32.
+_PART_EDGE = [
+    "s^4 h^2 s^-4 b s^4 h^-2 s^-4 b^-1",
+    "[t, s^4 h^2 s^-4]",
+    "s^4 h^2 s^-4 s^4 h^-2 s^-4",
+    "t^-1 s^4 h^2 s^-4 t t^-1 s^4 h^-2 s^-4 t",
+]
+
+
+@pytest.mark.parametrize("spec", ["B", "ZxB", "G", "E", "Z", "Z/4", "file:E"])
+def test_cli_wp_agrees_with_is_trivial(capsys, tmp_path, spec):
+    # wp decides the letters it reduced; the oracle's is_trivial decides
+    # the parsed word.  Each text runs at the default budget and at the
+    # budget edge of its own length, and G's and E's at the edge of a part.
+    if spec == "file:E":
+        path = tmp_path / "e.pres"
+        path.write_text(serialize_presentation(builtin("E")))
+        spec = f"file:{path}"
+    alphabet = load_group(spec, 10_000).oracle.alphabet
+    # x x^-1 and x^4 stand in for the relators of Z and Z/4
+    relators = {"Z": [(0, 1)], "Z/4": [(0,) * 4]}.get(spec)
+    if relators is None:
+        name = spec if spec in ("B", "ZxB", "G") else "E"
+        relators = [rel.letters for rel in builtin(name).relators]
+    cases = []
+    for text in _plain_texts(alphabet, relators, random.Random(3), 8):
+        length = len(parse_word(text, alphabet))
+        cases += [(text, 10_000), (text, length), (text, max(length - 1, 0))]
+    for text in _PART_EDGE:
+        if set(re.findall("[a-z]", text)) <= set(alphabet.names):
+            cases += [(text, 31), (text, 32)]
+    outcomes = set()
+    for text, budget in cases:
+        code = main(["--budget", str(budget), "wp", "--group", spec, "--word", text])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == _wp_reference(spec, text, budget), (text, budget)
+        if not captured.err:
+            assert json.loads(captured.out)["trivial"] is (code == 0)
+        outcomes.add(re.sub(r" \d.*", "", captured.err) or code)
+    # trivial and non-trivial words, and refusals at the budget edges
+    expected = {0, 1, "error: word expands to\n"}
+    if "s" in alphabet.names:
+        expected.add("error: base part grew to\n")
+    assert outcomes == expected
 
 
 def test_cli_ball_output(capsys, tmp_path):
@@ -606,6 +708,27 @@ def test_cli_experiment_budget(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"(budget {argv[1]})" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["experiment", "orbit", "--rho", "2"], 8),
+        (["experiment", "epsilon", "--i", "3", "--rho", "3"], 30),
+    ],
+)
+def test_cli_experiment_budget_measures_reduced_products(capsys, argv, budget):
+    # each product these experiments decide is measured after its free
+    # reduction: (h^2)^(s b) (h a^b)^-1 has 8 letters reduced, 10 as
+    # written, and epsilon's longest merged pair at i = 3 has 30 and 38
+    argv = argv + ["--no-timing"]
+    assert main(["--budget", str(budget), *argv]) == 0
+    at_edge = capsys.readouterr().out
+    assert main(argv) == 0
+    assert at_edge == capsys.readouterr().out
+    assert main(["--budget", str(budget - 1), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: input word has {budget} letters (budget {budget - 1})\n"
 
 
 # SHA-256 of stdout for fixed commands, so that a change to rendering, word

@@ -239,17 +239,28 @@ def test_builtin_symmetries():
     assert e == tuple(sigma + (10, 11) for sigma in g.symmetries) + (
         (*range(10), 11, 10),
     )
-    # a conjugate handle declares none, so its extension keeps only t -> t^-1
-    _, k_point = orbit_witness(1, g.oracle)
-    assert condense(g, k_point).symmetries == ((*range(10), 11, 10),)
-    assert condense(replace(g, symmetries=()), h2_handle(g.oracle)).symmetries == (
-        (*range(10), 11, 10),
-    )
+    # a conjugate handle declares those that fix its conjugator b^-i s^-1
+    # letter for letter: a -> a^-1 and h -> h^-1, and b <-> c when i = 0
+    a_e, bc_e, h_e = (sigma + (10, 11) for sigma in g.symmetries)
+    t_e = (*range(10), 11, 10)
+    for i in (1, -1, 2):
+        _, k_point = orbit_witness(i, g.oracle)
+        assert condense(g, k_point).symmetries == (a_e, h_e, t_e)
+    _, k_point = orbit_witness(0, g.oracle)
+    assert condense(g, k_point).symmetries == (a_e, bc_e, h_e, t_e)
+    assert condense(replace(g, symmetries=()), h2_handle(g.oracle)).symmetries == (t_e,)
 
 
 def _symmetric_groups():
     z4 = replace(marked_Zmod(4), symmetries=((1, 0),))  # x -> x^-1
-    return [(builtin_group(name), 7) for name in ("B", "ZxB", "G", "E")] + [(z4, 12)]
+    g = builtin_group("G")
+    # f(K_i) = condense(G, K_i) for the escaping conjugates K_1 and K_0
+    k_groups = [condense(g, orbit_witness(i, g.oracle)[1]) for i in (1, 0)]
+    return (
+        [(builtin_group(name), 7) for name in ("B", "ZxB", "G", "E")]
+        + [(k_group, 6) for k_group in k_groups]
+        + [(z4, 12)]
+    )
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,22 @@ def test_apply_step_checks_position():
         apply_step(ew("b h a c"), rule, -3)
 
 
+def test_empty_lhs_step_is_refused_past_either_end():
+    # 1 -> a a matches at every position of b c, 0 to 2, and at no other
+    b_pres = builtin("B")
+    bc, one, aa = (parse_word(text, b_pres.alphabet) for text in ("b c", "1", "a a"))
+    rule = RewriteRule("square", one, aa)
+    validate_rules([rule], b_pres)
+    assert render_word(apply_step(bc, rule, 2)) == "b c a a"
+    assert render_word(run_trace(bc, [rule], [TraceStep(0, 2)], b_pres)) == "b c a a"
+    for pos in (3, 99, -1):
+        message = f"rule square does not match at position {pos} of b c"
+        with pytest.raises(InvalidTraceError, match=message):
+            apply_step(bc, rule, pos)
+        with pytest.raises(InvalidTraceError, match=message):
+            run_trace(bc, [rule], [TraceStep(0, pos)], b_pres)
+
+
 def test_apply_step_freely_reduces():
     rule = RewriteRule("swap", ew("b h"), ew("h b"))
     w = ew("h^-1 b h b^-1")
