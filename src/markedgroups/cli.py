@@ -136,10 +136,10 @@ def cmd_wp(args: argparse.Namespace) -> int:
             raise
         # the message names a column only together with a line
         raise UsageError(f"{exc} (col {exc.col})") from None
-    # parse_word checked the alphabet and the budget; the oracle decides
-    # the letters reduced here, with no second reduction
+    # parse_word checked the alphabet and the budget, so the oracle
+    # decides the letters reduced here, with no second reduction
     w = free_reduce(w)
-    trivial = group.oracle._trivial(w.letters)
+    trivial = group.oracle.decide(w.letters)
     _emit(
         {"group": group.name, "word": args.word,
          "reduced": render_word(w), "trivial": trivial},

@@ -166,7 +166,7 @@ def exp_orbit(rho: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     report.check(
         "conjugate-identity",
         "(h^2)^(s b^i) equals h a^(b^i) in G",
-        group.oracle._trivial((image * invert(witness)).letters),
+        group.oracle.decide((image * invert(witness)).letters),
         {"identity": f"(h^2)^(s b^{i}) = {render_word(witness)}"},
     )
     return report
@@ -363,9 +363,9 @@ def exp_epsilon(
                     continue
                 # each product is reduced once, by *, and the oracle folds
                 # its letters: the budget measures the reduced product
-                if not oracle._trivial((images[p] * invert(images[q])).letters):
+                if not oracle.decide((images[p] * invert(images[q])).letters):
                     continue
-                if not oracle._trivial((ball[p] * invert(ball[q])).letters):
+                if not oracle.decide((ball[p] * invert(ball[q])).letters):
                     count += 1
                     # the least pair is the one the full double loop meets first
                     if example is None or (p, q) < example:

@@ -20,7 +20,7 @@ ones, so orientation is immaterial for triviality; it fixes reduced forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .baumslag import BaseElement, eval_base, h2_exponent, ha_exponent
 from .presentations import ABC, ABCH, builtin_symmetries
@@ -41,24 +41,28 @@ T = TypeVar("T")
 Letters = tuple[int, ...]  # freely reduced letters, passed between levels
 
 
-class GroupOracle(Protocol):
+class GroupOracle:
     """A total triviality predicate on words over a fixed alphabet.
 
-    The base of an extension also has ``_trivial``, which decides the
-    letters of a freely reduced word over its alphabet, unchecked: the
-    extension's fold hands it its reduced form, so no ``Word`` is built,
-    and the ``wp`` command the letters it has reduced and checked.  The
-    oracles here decide only there; their ``is_trivial`` checks the word
-    and passes its letters on.
+    An oracle defines ``decide``, on the letters of a freely reduced word
+    over its alphabet, unchecked: a fold hands its base the letters of a
+    reduced form, and the walk and ``wp`` the letters they built.  The one
+    entry for a ``Word`` is ``is_trivial``: it checks the alphabet,
+    refuses a word past the budget if the oracle has one, reduces it once
+    and decides its letters.
     """
 
     alphabet: Alphabet
 
-    def is_trivial(self, w: Word) -> bool: ...
+    def decide(self, letters: Sequence[int]) -> bool:
+        raise NotImplementedError
+
+    def is_trivial(self, w: Word) -> bool:
+        return self.decide(_reduced_input(w, self))
 
 
 @dataclass(frozen=True)
-class BaseOracle:
+class BaseOracle(GroupOracle):
     """Word problem of B (alphabet ABC) or of <h> x B (alphabet ABCH) via
     the exact GF(2) module model."""
 
@@ -68,17 +72,13 @@ class BaseOracle:
         if self.alphabet not in (ABC, ABCH):
             raise ValueError(f"no base group over {self.alphabet.names}")
 
-    def is_trivial(self, w: Word) -> bool:
-        check_alphabet(w, self.alphabet)
-        return self._trivial(w.letters)
-
-    def _trivial(self, letters: Sequence[int]) -> bool:
+    def decide(self, letters: Sequence[int]) -> bool:
         # the identity is h^{2k} with k = 0; the coordinates are read as
         # sums, so the letters need not be reduced
         return h2_exponent(letters) == 0
 
 
-class HnnOracle:
+class HnnOracle(GroupOracle):
     """Word-problem oracle for an extension by a commuting stable letter.
 
     ``left`` maps freely reduced base letters, within the budget, to the
@@ -103,12 +103,6 @@ class HnnOracle:
         self.alphabet = base.alphabet.extend(stable)
         self.budget = budget
         self._stable_letter = 2 * base.alphabet.arity  # t; t^-1 is one more
-
-    def _letters(self, w: Word) -> Letters:
-        """The fold's input for a word from outside: checked, then reduced."""
-        check_alphabet(w, self.alphabet)
-        _check_input(len(w), self.budget)
-        return free_reduce(w).letters
 
     def _fold(self, letters: Sequence[int]) -> tuple[list[int], list[int]]:
         """Remove every pinch in one left-to-right pass over the letters.
@@ -171,16 +165,26 @@ class HnnOracle:
 
     def reduce(self, w: Word) -> Word:
         """The reduced form of w: no pinch, every part freely reduced."""
-        return _word(self.alphabet, tuple(self._fold(self._letters(w))[0]))
+        return _word(self.alphabet, tuple(self._fold(_reduced_input(w, self))[0]))
 
-    def is_trivial(self, w: Word) -> bool:
-        """Britton's lemma: w is trivial iff its reduced form has no stable
-        letters and is trivial in the base group."""
-        return self._trivial(self._letters(w))
-
-    def _trivial(self, letters: Sequence[int]) -> bool:
+    def in_base(self, letters: Sequence[int]) -> Optional[list[int]]:
+        """The letters of the reduced form, or None if it keeps a stable
+        letter: by Britton's lemma its element lies outside the base."""
         out, marks = self._fold(letters)
-        return not marks and self.base._trivial(out)
+        return None if marks else out
+
+    def decide(self, letters: Sequence[int]) -> bool:
+        """Britton's lemma: trivial iff the reduced form is trivial in the base."""
+        out = self.in_base(letters)
+        return out is not None and self.base.decide(out)
+
+
+def _reduced_input(w: Word, checker: GroupOracle | SubgroupHandle) -> Letters:
+    """The letters of a word from outside the engine: checked against the
+    checker's alphabet and its budget, if set, then freely reduced."""
+    check_alphabet(w, checker.alphabet)
+    _check_input(len(w), getattr(checker, "budget", None))
+    return free_reduce(w).letters
 
 
 def _check_input(length: int, budget: Optional[int]) -> None:
@@ -237,8 +241,9 @@ def member_in_G(
     hence outside every subgroup of it; otherwise membership is decided
     in <h> x B.
     """
-    out, marks = oracle._fold(oracle._letters(w))
-    return None if marks else test(eval_base(_word(oracle.base.alphabet, tuple(out))))
+    out = oracle.in_base(_reduced_input(w, oracle))
+    z = None if out is None else eval_base(_word(oracle.base.alphabet, tuple(out)))
+    return None if z is None else test(z)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +273,7 @@ class SubgroupHandle:
     symmetries: tuple[Letters, ...] = ()
 
     def __call__(self, w: Word) -> bool:
-        check_alphabet(w, self.alphabet)
-        _check_input(len(w), self.budget)
-        return self.contains(free_reduce(w).letters) is not None
+        return self.contains(_reduced_input(w, self)) is not None
 
 
 def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
@@ -284,8 +287,8 @@ def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
         raise ValueError(f"<h^2> needs an extension of <h> x B, not of {names}")
 
     def contains(letters: Letters) -> Optional[Letters]:
-        out, marks = oracle._fold(letters)
-        k = None if marks else h2_exponent(out)
+        out = oracle.in_base(letters)
+        k = None if out is None else h2_exponent(out)
         return None if k is None else _h_power(2 * k)
 
     return SubgroupHandle(

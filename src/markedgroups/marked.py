@@ -36,7 +36,6 @@ from .words import (
     Alphabet,
     Word,
     ball_size,
-    check_alphabet,
     check_budget,
     conjugate,
     enumerate_ball,
@@ -52,7 +51,7 @@ from .words import (
 
 
 @dataclass(frozen=True)
-class CyclicOracle:
+class CyclicOracle(GroupOracle):
     """Word problem of Z (order None) or Z/order on one generator."""
 
     order: Optional[int] = None
@@ -64,15 +63,9 @@ class CyclicOracle:
         if self.order is not None and self.order < 1:
             raise ValueError("order must be positive")
 
-    def is_trivial(self, w: Word) -> bool:
-        check_alphabet(w, self.alphabet)
-        return self._trivial(w.letters)
-
-    def _trivial(self, letters: Sequence[int]) -> bool:
+    def decide(self, letters: Sequence[int]) -> bool:
         exponent = exponent_sum(letters)
-        if self.order is None:
-            return exponent == 0
-        return exponent % self.order == 0
+        return exponent == 0 if self.order is None else exponent % self.order == 0
 
 
 @dataclass(frozen=True)
@@ -195,9 +188,13 @@ class RelationBall:
 def _least_in_class(v: tuple[int, ...]) -> bool:
     """Whether v is its own ``relator_class``: no rotation of v or of v^-1
     is a smaller tuple.  Stops at the first smaller one; a rotation whose
-    first letter is larger than v's is larger, so it is not sliced."""
+    first letter is larger than v's is larger, so it is not sliced.  For v
+    under the walk's first-letter rule (x >= v[0] and x ^ 1 >= v[0] for
+    each letter x) no letter of v^-1 is below v[0], so v^-1 is scanned
+    only if it holds v[0], that is if v holds v[0] ^ 1."""
     n, first = len(v), v[0]
-    for s in (v + v, invert_letters(v) * 2):
+    scans = (v + v, invert_letters(v) * 2) if first ^ 1 in v else (v + v,)
+    for s in scans:
         for k in range(n):
             if s[k] <= first and s[k:k + n] < v:
                 return False
@@ -214,8 +211,8 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     After first letter f the walk takes only letters x with x >= f and
     x ^ 1 >= f, since any other begins a smaller rotation, and only words
     with exponent sum 0 in each of m's coordinates, since no other word
-    is trivial in m.  Only a representative is made a ``Word``, for the
-    oracle.
+    is trivial in m.  The oracle decides a representative's letters, so
+    the walk makes no ``Word``.
 
     Triviality is invariant under m's symmetries too, so one call decides
     an orbit of classes: a trivial class brings in the representatives of
@@ -225,8 +222,7 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     whose first letter there is the larger of its pair, and still reaches
     v.  A class already brought in is not tested.
     """
-    oracle = m.oracle
-    alphabet = oracle.alphabet
+    alphabet, decide = m.oracle.alphabet, m.oracle.decide
     n = 2 * alphabet.arity
     follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
     images = [tuple(range(n))]  # the group the symmetries generate
@@ -237,7 +233,7 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     for v in _walk(alphabet, lengths, m.coordinates, follow, m.symmetries):
         if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
             continue  # not cyclically reduced, or not least in its class
-        if v not in trivial and oracle.is_trivial(_word(alphabet, v)):
+        if v not in trivial and decide(v):
             trivial.update(min(rotations(tuple(map(g.__getitem__, v)))) for g in images)
     return sorted(trivial)
 

@@ -359,7 +359,7 @@ def test_fold_builds_no_word_or_base_element(monkeypatch):
 
 @pytest.mark.parametrize("group", ["B", "ZxB"])
 def test_base_oracle_decides_on_raw_letters(monkeypatch, group):
-    # is_trivial and _trivial both read h2_exponent on the letters, reduced
+    # is_trivial and decide both read h2_exponent on the letters, reduced
     # or not; eval_base, outside the oracle, is the reference
     rng = random.Random(31)
     alphabet, relators = builtin(group).alphabet, builtin(group).relators
@@ -374,7 +374,7 @@ def test_base_oracle_decides_on_raw_letters(monkeypatch, group):
     oracle = BaseOracle(alphabet)
     for w, trivial in zip(words, expected):
         assert oracle.is_trivial(w) is trivial, render_word(w)
-        assert oracle._trivial(w.letters) is trivial, render_word(w)
+        assert oracle.decide(w.letters) is trivial, render_word(w)
 
 
 def test_tower_consistency():

@@ -9,6 +9,7 @@ import markedgroups.marked as marked
 import markedgroups.words as words
 from markedgroups.hnn import (
     DEFAULT_BUDGET,
+    GroupOracle,
     HnnOracle,
     SubgroupHandle,
     g_oracle,
@@ -19,6 +20,7 @@ from markedgroups.marked import (
     CyclicOracle,
     MarkedGroup,
     _least_in_class,
+    _trivial_sphere,
     builtin_group,
     chabauty_agree,
     condense,
@@ -35,18 +37,24 @@ from markedgroups.presentations import (
     ABCHS,
     ABCHST,
     builtin,
+    hnn_presentation,
     relator_class,
     zero_sum_coordinates,
 )
 from markedgroups.words import (
     Alphabet,
     Word,
+    conjugate,
     enumerate_ball,
     enumerate_sphere,
     free_reduce,
+    gen,
     invert,
+    invert_letters,
     parse_word,
     render_canonical,
+    rotations,
+    _walk,
 )
 
 G_MARKED = MarkedGroup("G", g_oracle())
@@ -60,15 +68,34 @@ def gw(text):
 # -- relation balls ----------------------------------------------------------
 
 
+def _first_letter_rule(n):
+    """The walk's rule: after first letter f, only letters x with x >= f
+    and x ^ 1 >= f, f itself included."""
+    return [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
+
+
 def test_class_test_stops_at_the_least_rotation():
-    # the early-exit class test is relator_class's least rotation, on
-    # words with repeated letters and periodic words among them
+    # the early-exit class test is relator_class's least rotation on the
+    # words the walk gives it, which keep its first-letter rule: random
+    # ones, with repeated letters and periodic words among them, and every
+    # cyclically reduced walk word over B's alphabet up to length 7
     rng = random.Random(7)
     alphabet = Alphabet(("x", "y"))
+    follow = _first_letter_rule(4)
+    firsts = [f for f in range(4) if f in follow[f]]
     for _ in range(3000):
-        n = rng.randrange(1, 9)
-        v = tuple(rng.randrange(4) for _ in range(n)) * rng.randrange(1, 3)
+        first = rng.choice(firsts)
+        body = rng.choices(follow[first], k=rng.randrange(8))
+        v = (first, *body) * rng.randrange(1, 3)
         assert _least_in_class(v) == (relator_class(Word(alphabet, v)) == v), v
+    abc = builtin("B").alphabet
+    walked = [
+        v for v in _walk(abc, range(1, 8), (), _first_letter_rule(6))
+        if v[-1] != v[0] ^ 1
+    ]
+    assert len(walked) == 17109
+    for v in walked:
+        assert _least_in_class(v) == (relator_class(Word(abc, v)) == v), v
 
 
 def test_relation_ball_z():
@@ -83,17 +110,17 @@ def test_relation_ball_zmod2():
     ]
 
 
-class CountingOracle:
-    """Passes every call through to an oracle and counts them."""
+class CountingOracle(GroupOracle):
+    """Passes every decision through to an oracle and counts them."""
 
     def __init__(self, inner):
         self.inner = inner
         self.alphabet = inner.alphabet
         self.calls = 0
 
-    def is_trivial(self, w):
+    def decide(self, letters):
         self.calls += 1
-        return self.inner.is_trivial(w)
+        return self.inner.decide(letters)
 
 
 @pytest.mark.parametrize(
@@ -186,6 +213,69 @@ def test_relation_ball_equals_brute_force(group, r_max):
         ball = [w.letters for w in relation_ball(group, r).words]
         assert len(set(ball)) == len(ball), r  # the closure makes no word twice
         assert ball == [w for w in brute if len(w) <= r], r
+
+
+def _short_relator_classes(relators, n, r):
+    """The cyclic classes of length <= r of each rotated relator and of
+    each freely reduced product r1 · u r2 u^-1 of two, with |u| <= 2, over
+    n letters: trivial words made from the presentation alone.  Rotations
+    of cyclically reduced relators and the reduced u r2 u^-1 are freely
+    reduced, so a pair that cancels at neither end where it meets is
+    cyclically reduced as written; it is skipped when longer than r."""
+
+    def cyclic_class(letters):
+        w = words._reduce_letters(letters)
+        i, j = 0, len(w)
+        while j - i > 1 and w[i] == w[j - 1] ^ 1:
+            i, j = i + 1, j - 1
+        return min(rotations(tuple(w[i:j]))) if j - i <= r else None
+
+    rotated = sorted({
+        s[k:] + s[:k]
+        for rel in relators
+        for s in (rel.letters, invert_letters(rel.letters))
+        for k in range(len(s))
+    })
+    us = [()] + [(x,) for x in range(n)]
+    us += [(x, y) for x in range(n) for y in range(n) if y != x ^ 1]
+    conjugates = {
+        tuple(words._reduce_letters(u + r2 + invert_letters(u)))
+        for u in us for r2 in rotated
+    }
+    by_first, by_last = [set() for _ in range(n)], [set() for _ in range(n)]
+    for c in conjugates:
+        by_first[c[0]].add(c)
+        by_last[c[-1]].add(c)
+    classes = {cyclic_class(r1) for r1 in rotated}
+    for r1 in rotated:
+        short = {c for c in conjugates if len(r1) + len(c) <= r}
+        for c in by_first[r1[-1] ^ 1] | by_last[r1[0] ^ 1] | short:
+            classes.add(cyclic_class(r1 + c))
+    classes.discard(None)
+    return classes
+
+
+def test_relation_ball_holds_every_short_relator_product():
+    # a floor under each sphere, from the presentation alone: every class
+    # a relator product reaches is one the walk finds trivial, so neither
+    # the walk's cuts nor a "non-trivial" verdict of the oracle drops it.
+    # The counts are the generator's, pinned from it alone.
+    g = builtin_group("G")
+    h, s, b = (gen(ABCHS, name) for name in "hsb")
+    # K_1 = g <h^2> g^-1 for g = (s b)^-1, generated by (h^2)^(s b)
+    k1 = hnn_presentation(builtin("G"), "f(K_1)", (conjugate(h ** 2, s * b),), "t")
+    cases = [
+        (builtin_group(name), builtin(name).relators, r, count)
+        for name, r, count in (
+            ("B", 8, 62), ("ZxB", 8, 402), ("G", 8, 524), ("E", 8, 664)
+        )
+    ]
+    cases.append((condense(g, orbit_witness(1, g.oracle)[1]), k1.relators, 7, 80))
+    for group, relators, r, count in cases:
+        classes = _short_relator_classes(relators, 2 * group.arity, r)
+        assert len(classes) == count, group.name
+        spheres = {v for n in range(r + 1) for v in _trivial_sphere(group, n)}
+        assert classes <= spheres, (group.name, sorted(classes - spheres))
 
 
 @pytest.mark.parametrize("name", ["B", "ZxB", "G", "E"])
@@ -341,8 +431,8 @@ def test_relation_ball_renders_each_word_once(monkeypatch, group, r):
     "group, r", [(builtin_group("E"), 5), (builtin_group("B"), 5)], ids=["E", "B"]
 )
 def test_relation_ball_builds_a_word_only_to_test_or_return_it(monkeypatch, group, r):
-    # a walked leaf that fails the class test stays a letter tuple: the
-    # only Words are the representatives the oracle is given and the ball's
+    # a walked leaf stays a letter tuple, and the oracle decides a class
+    # representative's letters: the only Words are the ball's
     built = []
     word = words._word
 
@@ -354,7 +444,7 @@ def test_relation_ball_builds_a_word_only_to_test_or_return_it(monkeypatch, grou
     monkeypatch.setattr(words, "_word", counted)
     counting = CountingOracle(group.oracle)
     ball = relation_ball(replace(group, oracle=counting), r)
-    assert len(built) == counting.calls + ball.count
+    assert counting.calls > 0 and len(built) == ball.count
 
 
 # -- agreement ---------------------------------------------------------------
@@ -564,12 +654,12 @@ def test_condense_z_whole_group_is_z_squared():
     ext = condense(z, whole)
     assert ext.arity == 2
 
-    class ZSquared:
+    class ZSquared(GroupOracle):
         alphabet = ext.oracle.alphabet
 
-        def is_trivial(self, w):
-            e1 = sum((-1) ** x for x in w.letters if x // 2 == 0)
-            e2 = sum((-1) ** x for x in w.letters if x // 2 == 1)
+        def decide(self, letters):
+            e1 = sum((-1) ** x for x in letters if x // 2 == 0)
+            e2 = sum((-1) ** x for x in letters if x // 2 == 1)
             return e1 == 0 and e2 == 0
 
     reference = MarkedGroup("Z^2", ZSquared())
@@ -647,11 +737,11 @@ def test_cyclic_oracle_sums_exponents(order):
         exponent = letters.count(0) - letters.count(1)
         trivial = exponent == 0 if order is None else exponent % order == 0
         assert oracle.is_trivial(Word(oracle.alphabet, letters)) is trivial, letters
-        assert oracle._trivial(letters) is trivial, letters
+        assert oracle.decide(letters) is trivial, letters
 
 
 def test_condense_z_decides_base_parts_with_no_word(monkeypatch):
-    # the fold hands each base part's letters to CyclicOracle._trivial
+    # the fold hands each base part's letters to CyclicOracle.decide
     z = marked_Z()
     ext = condense(z, SubgroupHandle("Z", lambda w: w, z.oracle.alphabet))
     monkeypatch.setattr(marked, "_word", None)

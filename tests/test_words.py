@@ -384,6 +384,10 @@ def test_parse_bad_character_column():
         ("(" + " " * 100000, None),
         ("a b^-1 " * 50000 + "[a, b]", 100004),
     ],
+    ids=[
+        "letters-then-power", "long-name", "space-before-power", "only-space-power",
+        "trailing-space", "open-paren-space", "letters-then-commutator",
+    ],
 )
 def test_parse_time_is_linear(text, letters):
     # no letter, name or whitespace is read more than a bounded number of times
