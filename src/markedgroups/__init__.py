@@ -32,8 +32,8 @@ from .baumslag import (
     BaseElement,
     BElement,
     PolyFrac,
+    a_module,
     eval_base,
-    member_A,
     polyfrac,
     span_membership,
 )
@@ -44,7 +44,6 @@ from .hnn import (
     conjugate_handle,
     g_oracle,
     h2_handle,
-    member_in_G,
 )
 from .marked import (
     Agreement,

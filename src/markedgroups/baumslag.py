@@ -238,13 +238,19 @@ def ha_exponent(letters: Sequence[int]) -> Optional[int]:
     return n
 
 
-def member_A(z: BaseElement) -> bool:
-    """Membership in the subgroup generated by h and the a^{b^i}.
+def a_module(letters: Sequence[int]) -> Optional[PolyFrac]:
+    """The module part of letters over a, b, c, h, read by index and
+    unchecked, if they lie in A, the subgroup generated by h and the
+    a^{b^i}; otherwise None.
 
-    Holds iff the b and c exponents vanish and the module part is a
-    Laurent polynomial in x.
+    They do iff the b and c exponent sums vanish and the module part is
+    a Laurent polynomial in x.
     """
-    return z.beta.i == 0 and z.beta.j == 0 and z.beta.m.is_laurent()
+    _, i, j, terms = _coordinates(letters)
+    if i or j:
+        return None
+    m = _module(terms)
+    return m if m.is_laurent() else None
 
 
 def span_membership(targets: list[PolyFrac], candidate: PolyFrac) -> bool:

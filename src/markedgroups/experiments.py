@@ -35,13 +35,15 @@ from .presentations import (
 from .rewriting import RewriteRule, TraceStep, run_trace
 from .words import (
     Word,
+    _reduce_letters,
+    _walk,
+    _word,
     check_budget,
     commutator,
     conjugate,
-    enumerate_ball,
-    exponent_sums,
     gen,
     invert,
+    invert_letters,
     parse_word,
     render_word,
     substitute,
@@ -185,7 +187,7 @@ def exp_continuity(r: int, *, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
         raise ValueError("r must be 2, 3 or 4")
     group = builtin_group("G", budget)
     # outside the kernel of G's coordinates no word is in A (orbit_agreement)
-    i = escape_index(enumerate_ball(ABCHS, r, group.coordinates), group.oracle)
+    i = escape_index(_walk(ABCHS, range(r + 1), group.coordinates), group.oracle)
     report = ExperimentReport("continuity", {"r": r, "i": i})
     extension_h, extension_k = condensed_pair(i, group)
     ball_h, ball_k = relation_ball(extension_h, r), relation_ball(extension_k, r)
@@ -244,8 +246,12 @@ def epsilon_kernel_certificate(i: int):
     Returns (start word, rules, steps); replay with rewriting.run_trace
     against the presentation of E.
     """
-    sigma = epsilon_substitution(i)
-    start = substitute(epsilon_kernel_word(i), sigma)
+    # The image of [t, h a^(b^i)] under t -> t^(s b^i), freely reduced,
+    # written out: it is checked against substitute, not built by it.
+    start = parse_word(
+        f"b^{-i} s^-1 t^-1 s a^-1 b^{i} h^-1 b^{-i} s^-1 t s b^{i} h b^{-i} a b^{i}",
+        ABCHST,
+    )
     b = "b" if i >= 0 else "b^-1"
     rule = lambda name, lhs, rhs: RewriteRule(
         name, parse_word(lhs, ABCHST), parse_word(rhs, ABCHST)
@@ -257,10 +263,9 @@ def epsilon_kernel_certificate(i: int):
         rule("move-h-left", f"{b} h", f"h {b}"),
         rule("fold-pair", "h a", "s^-1 h h s"),
     ]
-    # The start word is b^-i s^-1 t^-1 s a^-1 b^i h^-1 b^-i s^-1 t s b^i h
-    # b^-i a b^i, each b^+-i of k = |i| letters.  The h^-1 moves left past
-    # b^i one letter at a time and folds with a^-1, t pinches, and then the
-    # h moves left past b^i in the same way and folds with a.
+    # Each b^+-i of the start word has k = |i| letters.  The h^-1 moves
+    # left past b^i one letter at a time and folds with a^-1, t pinches,
+    # and then the h moves left past b^i in the same way and folds with a.
     k = abs(i)
     moves = range(2 * k + 3, k + 3, -1)
     steps = (
@@ -290,7 +295,8 @@ def exp_epsilon(
     for i in i_list:
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
-    ball = list(enumerate_ball(ABCHST, rho))
+    ball = list(_walk(ABCHST, range(rho + 1), ()))
+    ball_inverses = [invert_letters(u) for u in ball]
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     for i in i_list:
         sigma = epsilon_substitution(i)
@@ -345,27 +351,28 @@ def exp_epsilon(
             },
         )
 
-        images = [substitute(u, sigma) for u in ball]
+        images = [sigma.image_letters(u) for u in ball]
+        inverses = [invert_letters(img) for img in images]
         # sigma fixes a word letter for letter when it has no t; a pair
         # of fixed words has image equal to word, so it cannot collide
-        fixed = [img.letters == u.letters for img, u in zip(images, ball)]
+        fixed = [img == u for img, u in zip(images, ball)]
         # images apart in a coordinate sum differ in E, so only pairs in
         # one bucket are compared
         buckets: dict[tuple[int, ...], list[int]] = {}
         for p, img in enumerate(images):
-            sums = exponent_sums(img)
-            buckets.setdefault(tuple(sums[k] for k in coordinates), []).append(p)
+            key = tuple(img.count(2 * k) - img.count(2 * k + 1) for k in coordinates)
+            buckets.setdefault(key, []).append(p)
         count = 0
         example = None
         for bucket in buckets.values():
             for p, q in combinations(bucket, 2):
                 if fixed[p] and fixed[q]:
                     continue
-                # each product is reduced once, by *, and the oracle folds
-                # its letters: the budget measures the reduced product
-                if not oracle.decide((images[p] * invert(images[q])).letters):
+                # each product is reduced once and the oracle folds its
+                # letters: the budget measures the reduced product
+                if not oracle.decide(_reduce_letters(images[p] + inverses[q])):
                     continue
-                if not oracle.decide((ball[p] * invert(ball[q])).letters):
+                if not oracle.decide(_reduce_letters(ball[p] + ball_inverses[q])):
                     count += 1
                     # the least pair is the one the full double loop meets first
                     if example is None or (p, q) < example:
@@ -373,7 +380,7 @@ def exp_epsilon(
         witness: dict[str, Any] = {"i": i, "rho": rho, "ball_size": len(ball),
                                    "collisions": count}
         if example is not None:
-            witness["example"] = [render_word(ball[p]) for p in example]
+            witness["example"] = [render_word(_word(ABCHST, ball[p])) for p in example]
         report.check(
             f"ball-injectivity-{i}",
             "collision count of the self-map on the radius-rho ball",

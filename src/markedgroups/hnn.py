@@ -20,9 +20,9 @@ ones, so orientation is immaterial for triviality; it fixes reduced forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
-from .baumslag import BaseElement, eval_base, h2_exponent, ha_exponent
+from .baumslag import h2_exponent, ha_exponent
 from .presentations import ABC, ABCH, builtin_symmetries
 from .words import (
     DEFAULT_BUDGET,
@@ -37,7 +37,6 @@ from .words import (
     render_word,
 )
 
-T = TypeVar("T")
 Letters = tuple[int, ...]  # freely reduced letters, passed between levels
 
 
@@ -232,20 +231,6 @@ def g_oracle(budget: int = DEFAULT_BUDGET) -> HnnOracle:
     return HnnOracle(BaseOracle(ABCH), _h2_to_ha, _ha_to_h2, "s", budget=budget)
 
 
-def member_in_G(
-    w: Word, test: Callable[[BaseElement], T], oracle: HnnOracle
-) -> Optional[T]:
-    """test(z) for the element z of <h> x B equal to w in G, or None.
-
-    A reduced form retaining stable letters lies outside the base group,
-    hence outside every subgroup of it; otherwise membership is decided
-    in <h> x B.
-    """
-    out = oracle.in_base(_reduced_input(w, oracle))
-    z = None if out is None else eval_base(_word(oracle.base.alphabet, tuple(out)))
-    return None if z is None else test(z)
-
-
 # ---------------------------------------------------------------------------
 # Subgroup handles and the extensions they define.
 # ---------------------------------------------------------------------------
@@ -276,15 +261,22 @@ class SubgroupHandle:
         return self.contains(_reduced_input(w, self)) is not None
 
 
+def check_extends_zxb(oracle: HnnOracle, subgroup: str) -> None:
+    """Refuse an oracle that does not extend <h> x B: its reduced forms
+    are read by index as letters over a, b, c, h, so a letter above them,
+    such as G's s in E's base parts, would be taken for h."""
+    if oracle.base.alphabet != ABCH:
+        names = oracle.base.alphabet.names
+        raise ValueError(f"{subgroup} needs an extension of <h> x B, not of {names}")
+
+
 def h2_handle(oracle: HnnOracle) -> SubgroupHandle:
     """The handle for <h^2> in G, the base point of the orbit: every other
     point is a ``conjugate_handle`` of it.  Canonical words: h^{2k}.  The
     oracle must extend <h> x B, whose letters its reduced forms are read as.
     G's involutions a -> a^-1, b <-> c and h -> h^-1 send h^2 to h^{+-2},
     so each maps <h^2> onto itself: the handle declares all three."""
-    if oracle.base.alphabet != ABCH:
-        names = oracle.base.alphabet.names
-        raise ValueError(f"<h^2> needs an extension of <h> x B, not of {names}")
+    check_extends_zxb(oracle, "<h^2>")
 
     def contains(letters: Letters) -> Optional[Letters]:
         out = oracle.in_base(letters)

@@ -13,17 +13,17 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .baumslag import PolyFrac, member_A, monomial, span_membership
+from .baumslag import PolyFrac, a_module, monomial, span_membership
 from .hnn import (
     DEFAULT_BUDGET,
     BaseOracle,
     GroupOracle,
     HnnOracle,
     SubgroupHandle,
+    check_extends_zxb,
     conjugate_handle,
     g_oracle,
     h2_handle,
-    member_in_G,
 )
 from .presentations import (
     ABC,
@@ -38,7 +38,6 @@ from .words import (
     ball_size,
     check_budget,
     conjugate,
-    enumerate_ball,
     exponent_sum,
     gen,
     invert,
@@ -308,12 +307,15 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
 
 
 def chabauty_agree(
-    h: SubgroupHandle, k: SubgroupHandle, words: Iterable[Word]
+    h: SubgroupHandle, k: SubgroupHandle, words: Iterable[Sequence[int]]
 ) -> bool:
-    """True iff the two subgroups meet the finite set of words identically."""
+    """True iff the two subgroups meet the finite set identically: the
+    freely reduced letters of words over their ambient group, as ``_walk``
+    yields them, each handed to both handles' ``contains``."""
     if h.alphabet != k.alphabet:
         raise ValueError("Chabauty points must share the ambient group")
-    return all(h(w) == k(w) for w in words)
+    h_contains, k_contains = h.contains, k.contains
+    return all((h_contains(v) is None) == (k_contains(v) is None) for v in words)
 
 
 def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
@@ -343,19 +345,24 @@ def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
 # ---------------------------------------------------------------------------
 
 
-def escape_index(finite_set: Iterable[Word], oracle: HnnOracle) -> int:
+def escape_index(finite_set: Iterable[Sequence[int]], oracle: HnnOracle) -> int:
     """Smallest index i (0, 1, -1, 2, -2, ...) such that the monomial x^i
     escapes the GF(2)-span of the module parts of the set's intersection
     with the subgroup A.
 
-    Such an i exists for every finite set because A is not finitely
-    generated.
+    The set holds the freely reduced letters of words of G, as ``_walk``
+    yields them.  Each is folded to its reduced form, which lies in A
+    only if it lies in <h> x B, by Britton's lemma; ``a_module`` reads
+    its coordinates, so the oracle must extend <h> x B.  Such an i
+    exists for every finite set because A is not finitely generated.
     """
+    check_extends_zxb(oracle, "A")
     module_parts: list[PolyFrac] = []
-    for w in finite_set:
-        z = member_in_G(w, lambda z: z if member_A(z) else None, oracle)
-        if z is not None and not z.beta.m.is_zero():
-            module_parts.append(z.beta.m)
+    for v in finite_set:
+        out = oracle.in_base(v)
+        m = None if out is None else a_module(out)
+        if m is not None and not m.is_zero():
+            module_parts.append(m)
     i = 0
     while True:
         for candidate in ((i,) if i == 0 else (i, -i)):
@@ -406,12 +413,13 @@ def orbit_agreement(
     G's coordinates: h is not a coordinate, so <h^2> and, the kernel being
     normal, its conjugates meet no such word."""
     oracle = g.oracle
+    lengths = range(rho + 1)
     if i is None:
-        i = escape_index(enumerate_ball(oracle.alphabet, rho, g.coordinates), oracle)
+        i = escape_index(_walk(oracle.alphabet, lengths, g.coordinates), oracle)
     conjugator, k_point = orbit_witness(i, oracle)
     h_point = h2_handle(oracle)
     agree = chabauty_agree(
-        h_point, k_point, enumerate_ball(oracle.alphabet, rho, g.coordinates)
+        h_point, k_point, _walk(oracle.alphabet, lengths, g.coordinates)
     )
     # sized after the walks, which refuse a radius past their cap at once
     return OrbitAgreement(

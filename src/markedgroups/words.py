@@ -11,7 +11,7 @@ are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -362,6 +362,8 @@ def _walk(
     ``symmetries``: letter involutions with disjoint supports, each of
     which keeps only the words whose first letter in its support is the
     smaller of its pair, as a word no larger than its image is."""
+    if not lengths or lengths[0] < 0:
+        raise ValueError("radius must be non-negative")
     if lengths[-1] > _MAX_LENGTH:
         raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
@@ -414,11 +416,13 @@ def enumerate_ball(
 @dataclass(frozen=True)
 class Substitution:
     """A homomorphism of free groups, given by the images of the source
-    generators."""
+    generators.  ``table[x]`` holds the letters of the image of letter x,
+    a generator or its inverse."""
 
     source: Alphabet
     target: Alphabet
     images: tuple[Word, ...]
+    table: tuple[tuple[Letter, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.images) != self.source.arity:
@@ -426,20 +430,28 @@ class Substitution:
         for img in self.images:
             if img.alphabet != self.target:
                 raise ValueError("substitution image over wrong alphabet")
+        table = tuple(
+            letters
+            for img in self.images
+            for letters in (img.letters, invert_letters(img.letters))
+        )
+        object.__setattr__(self, "table", table)
 
     def __call__(self, w: Word) -> Word:
         return substitute(w, self)
+
+    def image_letters(self, letters: Sequence[Letter]) -> tuple[Letter, ...]:
+        """The freely reduced letters of the image of letters over the
+        source alphabet, unchecked: ``substitute`` on letters."""
+        table = self.table
+        return tuple(_reduce_letters([y for x in letters for y in table[x]]))
 
 
 def substitute(w: Word, sigma: Substitution) -> Word:
     """Homomorphic image of w under sigma, freely reduced."""
     if w.alphabet != sigma.source:
         raise ValueError("word not over the substitution's source alphabet")
-    letters: list[Letter] = []
-    for x in w.letters:
-        img = sigma.images[x >> 1].letters
-        letters.extend(invert_letters(img) if x & 1 else img)
-    return free_reduce(_word(sigma.target, tuple(letters)))
+    return _word(sigma.target, sigma.image_letters(w.letters))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_4_conjugate_meets_ball_identically():
     oracle = g_oracle()
     ok = True
     for rho in (1, 2):
-        finite_set = list(enumerate_ball(ABCHS, rho))
+        finite_set = [w.letters for w in enumerate_ball(ABCHS, rho)]
         i = escape_index(finite_set, oracle)
         _, k_point = orbit_witness(i, oracle)
         h_point = h2_handle(oracle)
@@ -105,7 +105,7 @@ def test_criterion_5_extension_relation_balls():
     extension_h = condense(g_marked, h2_handle(oracle))
     ok = True
     for r in (2, 3):
-        i = escape_index(list(enumerate_ball(ABCHS, r)), oracle)
+        i = escape_index([w.letters for w in enumerate_ball(ABCHS, r)], oracle)
         _, k_point = orbit_witness(i, oracle)
         extension_k = condense(g_marked, k_point)
         ball_h = relation_ball(extension_h, r)

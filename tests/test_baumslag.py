@@ -16,10 +16,10 @@ from markedgroups.baumslag import (
     PF_ZERO,
     PolyFrac,
     _coordinates,
+    a_module,
     eval_base,
     h2_exponent,
     ha_exponent,
-    member_A,
     monomial,
     polyfrac,
     span_membership,
@@ -32,6 +32,7 @@ from markedgroups.words import (
     concat,
     conjugate,
     free_reduce,
+    invert_letters,
     parse_word,
 )
 
@@ -94,6 +95,14 @@ def member_HA(z):
     expected = B_IDENTITY if z.n % 2 == 0 else B_A
     if z.beta == expected:
         return z.n
+    return None
+
+
+def member_A(z):
+    """The module part of z if z lies in A, generated by h and the a^{b^i}:
+    its b and c exponents vanish and its module part is Laurent in x."""
+    if z.beta.i == 0 and z.beta.j == 0 and z.beta.m.is_laurent():
+        return z.beta.m
     return None
 
 
@@ -478,10 +487,56 @@ def test_letter_predicates_match_reference_on_random_words(w):
 
 
 def test_member_A_examples():
-    z = BaseElement(5, BElement(polyfrac(0b10100, 1, 0)))  # x^2 + x^-1 part
-    assert member_A(z)
-    assert not member_A(BaseElement(0, B_B))
-    assert not member_A(BaseElement(0, BElement(polyfrac(1, 0, 1))))
+    z = BaseElement(5, BElement(polyfrac(0b10100, 1, 0)))  # x + x^3 part
+    assert member_A(z) == polyfrac(0b1010)
+    assert member_A(BaseElement(0, B_B)) is None
+    assert member_A(BaseElement(0, BElement(polyfrac(1, 0, 1)))) is None
+    # the letter predicate: a^(b^k) adds x^k, a^(c^k) adds (1+x)^k
+    assert a_module(pw("h^5 a^b a^(b^3)").letters) == polyfrac(0b1010)
+    assert a_module(pw("h^-2").letters) == PF_ZERO
+    assert a_module(pw("a^c").letters) == polyfrac(0b11)  # a^c = a a^b
+    assert a_module(pw(ZERO_MODULE).letters) == PF_ZERO
+    assert a_module(pw("b").letters) is None
+    assert a_module(pw("a^(c^-1)").letters) is None  # (1+x)^-1
+
+
+def a_module_cases():
+    """Seeded words over a, b, c, h, heavy in a: products of conjugates
+    a^u and a^2 by words u over b and c, with some h, some cancelling
+    pairs, and in some words one stray b or c, so that their b or c
+    exponent sum is not 0."""
+    rng = random.Random(13)
+    words = []
+    for _ in range(800):
+        letters = []
+        for _ in range(rng.randrange(1, 5)):
+            u = [rng.choice((2, 3, 4, 5)) for _ in range(rng.randrange(4))]
+            letters += u + [rng.choice((0, 1))] * rng.randrange(1, 3)
+            letters += invert_letters(u)
+            if rng.random() < 0.3:
+                letters.append(rng.choice((6, 7)))
+            if rng.random() < 0.2:
+                x = rng.randrange(8)
+                letters += [x, x ^ 1]
+        if rng.random() < 0.3:
+            letters.insert(rng.randrange(len(letters) + 1), rng.choice((2, 3, 4, 5)))
+        words.append(Word(ABCH, tuple(letters)))
+    return words
+
+
+def test_a_module_matches_reference_membership():
+    # eval_base, with its checks and its BaseElement, is the reference
+    found = {"laurent": 0, "zero": 0, "fraction": 0, "unbalanced": 0}
+    for w in a_module_cases():
+        z = eval_base(w)
+        assert a_module(w.letters) == member_A(z), w
+        if z.beta.i or z.beta.j:
+            found["unbalanced"] += 1
+        elif not z.beta.m.is_laurent():
+            found["fraction"] += 1
+        else:
+            found["zero" if z.beta.m.is_zero() else "laurent"] += 1
+    assert min(found.values()) > 100, found
 
 
 def test_span_membership_examples():

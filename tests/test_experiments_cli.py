@@ -515,6 +515,9 @@ def test_cli_help_exits_0(capsys):
         ["compare", "--group", "Z", "--other", "Z", "--max-radius", "1",
          "--json", "{missing}"],
         ["experiment", "zmod-limit", "--imax", "2", "--json", "{missing}"],
+        # a negative radius is refused where a walk starts
+        ["chabauty", "--rho", "-1"],
+        ["experiment", "epsilon", "--i", "1", "--rho", "-1"],
     ],
 )
 def test_cli_bad_arguments_exit_2(capsys, tmp_path, argv):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import markedgroups.baumslag as baumslag
 import markedgroups.hnn as hnn
 from markedgroups.hnn import (
     BaseOracle,
@@ -15,9 +16,8 @@ from markedgroups.hnn import (
     conjugate_handle,
     g_oracle,
     h2_handle,
-    member_in_G,
 )
-from markedgroups.baumslag import eval_base, member_A
+from markedgroups.baumslag import a_module, eval_base
 from markedgroups.marked import (
     CyclicOracle,
     MarkedGroup,
@@ -37,7 +37,7 @@ from markedgroups.words import (
     parse_word,
     render_word,
 )
-from test_baumslag import member_H2, member_HA
+from test_baumslag import member_A, member_H2, member_HA
 
 
 def zw(text):
@@ -84,20 +84,39 @@ def test_e_oracle_relators():
         assert E.is_trivial(rel)
 
 
+def base_letters(text, oracle=G):
+    """The letters of the reduced form of the word in G, or None when it
+    keeps a stable letter."""
+    return oracle.in_base(free_reduce(gw(text)).letters)
+
+
+def in_base_element(text):
+    """The element of <h> x B equal to the word in G, by eval_base, the
+    reference, on its reduced form, or None off <h> x B."""
+    out = base_letters(text)
+    return None if out is None else eval_base(Word(ABCH, tuple(out)))
+
+
 def test_member_H2_in_G_examples():
-    assert member_in_G(gw("h^4"), member_H2, G) == 2
-    assert member_in_G(gw("s^-1 h^2 s s^-1 h^2 s"), member_H2, G) == 1  # (ha)^2 = h^2
-    assert member_in_G(gw("h a"), member_H2, G) is None
-    assert member_in_G(gw("s"), member_H2, G) is None
+    assert member_H2(in_base_element("h^4")) == 2
+    assert member_H2(in_base_element("s^-1 h^2 s s^-1 h^2 s")) == 1  # (ha)^2 = h^2
+    assert member_H2(in_base_element("h a")) is None
+    assert in_base_element("s") is None
 
 
 def test_member_HA_and_A_in_G():
-    assert member_in_G(gw("h a"), member_HA, G) == 1
-    assert member_in_G(gw("(h^2)^s"), member_HA, G) == 1  # reduces to ha
-    assert member_in_G(gw("h^2"), member_HA, G) == 2
-    assert member_in_G(gw("h^3 a^b a^(b^-2)"), member_A, G)
-    assert not member_in_G(gw("b"), member_A, G)
-    assert not member_in_G(gw("s"), member_A, G)
+    assert member_HA(in_base_element("h a")) == 1
+    assert member_HA(in_base_element("(h^2)^s")) == 1  # reduces to ha
+    assert member_HA(in_base_element("h^2")) == 2
+    # a_module reads the reduced form's letters as eval_base's element
+    for text, in_a in (
+        ("h^3 a^b a^(b^-2)", True), ("(h^2)^(s b)", True),  # h a^b
+        ("b", False), ("a^(c^-1)", False),
+    ):
+        m = a_module(base_letters(text))
+        assert (m is not None) is in_a, text
+        assert m == member_A(in_base_element(text)), text
+    assert base_letters("s") is None
 
 
 def test_transport_canonical_forms():
@@ -350,7 +369,7 @@ def test_fold_builds_no_word_or_base_element(monkeypatch):
     def refuse(*args):
         raise AssertionError("built inside the fold")
 
-    monkeypatch.setattr(hnn, "eval_base", refuse)
+    monkeypatch.setattr(baumslag, "eval_base", refuse)
     monkeypatch.setattr(hnn, "_word", refuse)
     for oracle, w, trivial in cases:
         assert oracle.is_trivial(w) is trivial, render_word(w)
@@ -370,7 +389,7 @@ def test_base_oracle_decides_on_raw_letters(monkeypatch, group):
     ]
     expected = [eval_base(w).is_identity() for w in words]
     assert 150 <= sum(expected) < len(words)
-    monkeypatch.setattr(hnn, "eval_base", None)
+    monkeypatch.setattr(baumslag, "eval_base", None)
     oracle = BaseOracle(alphabet)
     for w, trivial in zip(words, expected):
         assert oracle.is_trivial(w) is trivial, render_word(w)
@@ -381,7 +400,8 @@ def test_tower_consistency():
     # w is in <h^2> <=> [w, t] dies in E
     for text in ("h^2", "h^4", "h a", "h", "s^-1 h^2 s", "a", "h^-2"):
         w = gw(text)
-        in_h2 = member_in_G(w, member_H2, G) is not None
+        z = in_base_element(text)
+        in_h2 = z is not None and member_H2(z) is not None
         lifted = Word(ABCHST, w.letters)
         comm = free_reduce(
             concat(
@@ -514,7 +534,6 @@ def test_input_budget_is_read_where_a_word_enters():
     for call in (
         lambda: tight.is_trivial(w),
         lambda: tight.reduce(w),
-        lambda: member_in_G(w, member_H2, tight),
         lambda: extension.is_trivial(Word(ABCHST, w.letters)),
         lambda: extension.reduce(Word(ABCHST, w.letters)),
         lambda: h2_handle(tight)(w),

@@ -12,6 +12,7 @@ from markedgroups.hnn import (
     GroupOracle,
     HnnOracle,
     SubgroupHandle,
+    conjugate_handle,
     g_oracle,
     h2_handle,
 )
@@ -44,6 +45,7 @@ from markedgroups.presentations import (
 from markedgroups.words import (
     Alphabet,
     Word,
+    commutator,
     conjugate,
     enumerate_ball,
     enumerate_sphere,
@@ -53,6 +55,7 @@ from markedgroups.words import (
     invert_letters,
     parse_word,
     render_canonical,
+    render_word,
     rotations,
     _walk,
 )
@@ -553,9 +556,9 @@ def test_cong_monotone():
 
 def test_chabauty_agree_examples():
     h = h2_handle(G)
-    assert chabauty_agree(h, h, list(enumerate_ball(ABCHS, 1)))
+    assert chabauty_agree(h, h, [w.letters for w in enumerate_ball(ABCHS, 1)])
     ha_point = orbit_witness(0, G)[1]  # <ha> = <h^2>^s
-    assert not chabauty_agree(h, ha_point, [gw("h a")])
+    assert not chabauty_agree(h, ha_point, [gw("h a").letters])
 
 
 def test_chabauty_agree_alphabet_guard():
@@ -587,14 +590,59 @@ def test_orbit_subgroups_lie_in_kernel_of_g_coordinates():
     assert ABCHS.index("a") not in coordinates
     for rho in range(4):
         orbit = orbit_agreement(rho, g)
-        ball = list(enumerate_ball(ABCHS, rho))
+        ball = [w.letters for w in enumerate_ball(ABCHS, rho)]
         assert orbit.i == escape_index(ball, g.oracle)
         assert orbit.agree == chabauty_agree(orbit.h_point, orbit.k_point, ball)
         assert orbit.ball_size == len(ball)
 
 
+def first_difference(h, k, coordinates, r_max):
+    """The first letters of G's ball of radius r_max, walked with G's
+    coordinates, in one subgroup and not in the other, or None."""
+    return next(
+        (
+            v for v in _walk(ABCHS, range(1, r_max + 1), coordinates)
+            if (h.contains(v) is None) != (k.contains(v) is None)
+        ),
+        None,
+    )
+
+
+def test_conjugate_extensions_agree_past_the_conjugates():
+    # ROADMAP item 23: when <h^2> and K = g <h^2> g^-1 agree on G's ball
+    # of radius rho and first differ at w, of length rho + 1, f(<h^2>) and
+    # f(K) agree to rho + 2, and [t, w], of length 2 rho + 4, is trivial
+    # in exactly one of them; so their agreement radius lies in
+    # [rho + 2, 2 rho + 3].  b s^-1 and b c^-1 s^-1 are the deepest
+    # conjugators of length <= 3, at rho 3 and 4.
+    g_group = builtin_group("G")
+    h = h2_handle(g_group.oracle)
+    f_h = condense(g_group, h)
+    t = gen(f_h.oracle.alphabet, "t")
+    pool = [w for w in enumerate_ball(ABCHS, 3) if w]
+    conjugators = random.Random(23).sample(pool, 12)
+    conjugators += [gw("b"), gw("b s^-1"), gw("b c^-1 s^-1")]
+    rhos = {}
+    for g in conjugators:
+        k = conjugate_handle(g, h)
+        w = first_difference(h, k, g_group.coordinates, 5)
+        if w is None:
+            continue  # K agrees with <h^2> through radius 5, as for g = b
+        rho = len(w) - 1
+        f_k = condense(g_group, k)
+        assert max_agreement(f_h, f_k, rho + 2).saturated, render_word(g)
+        separator = commutator(t, Word(t.alphabet, w))
+        assert len(separator) == 2 * rho + 4
+        trivial = f_h.oracle.is_trivial(separator), f_k.oracle.is_trivial(separator)
+        assert trivial in ((True, False), (False, True)), render_word(g)
+        rhos[render_word(g)] = rho
+    assert "b" not in rhos and len(rhos) < len(conjugators) - 1
+    assert set(rhos.values()) == {1, 3, 4}
+    assert (rhos["b s^-1"], rhos["b c^-1 s^-1"]) == (3, 4)
+
+
 def test_chabauty_agree_radius2_witness():
-    finite_set = list(enumerate_ball(ABCHS, 2))
+    finite_set = [w.letters for w in enumerate_ball(ABCHS, 2)]
     i = escape_index(finite_set, G)
     _, k = orbit_witness(i, G)
     assert chabauty_agree(h2_handle(G), k, finite_set)
@@ -683,23 +731,43 @@ def test_condense_alphabet_guard():
 
 
 def test_escape_index_examples():
-    assert escape_index([gw("a"), gw("h")], G) == 1
+    assert escape_index([gw("a").letters, gw("h").letters], G) == 1
     assert escape_index([], G) == 0
     assert escape_index(
-        [gw("a"), gw("a^b"), gw("a^(b^-1)"), gw("h")], G
+        [gw(text).letters for text in ("a", "a^b", "a^(b^-1)", "h")], G
     ) == 2
 
 
 def test_escape_index_ball_values():
-    assert escape_index(list(enumerate_ball(ABCHS, 1)), G) == 1
-    assert escape_index(list(enumerate_ball(ABCHS, 2)), G) == 1
-    assert escape_index(list(enumerate_ball(ABCHS, 3)), G) == 2
+    for r, i in ((1, 1), (2, 1), (3, 2)):
+        assert escape_index([w.letters for w in enumerate_ball(ABCHS, r)], G) == i
+
+
+def test_escape_index_walked_with_and_without_coordinates():
+    # no word off the kernel of G's coordinates lies in A, so the pruned
+    # walk, which orbit_agreement and exp_continuity take, loses nothing
+    g = builtin_group("G")
+    found = [
+        escape_index(_walk(ABCHS, range(r + 1), coordinates), g.oracle)
+        for r in range(5)
+        for coordinates in (g.coordinates, ())
+    ]
+    assert found == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+
+
+def test_escape_index_refuses_an_oracle_not_over_zxb():
+    # E's reduced forms are over G's letters, whose s a_module would read
+    # as h; the escape index refuses E's oracle, as h2_handle does
+    e = builtin_group("E").oracle
+    assert e.in_base(gw("s").letters) == [ABCHS.index("s") * 2]
+    with pytest.raises(ValueError, match=r"extension of <h> x B"):
+        escape_index([gw("s").letters], e)
 
 
 def test_escape_index_positive_tie_break():
     # span {x} leaves both 1 and -1 escaping; i=0 wins, then +|i| before -|i|
-    assert escape_index([gw("a^b")], G) == 0
-    assert escape_index([gw("a"), gw("a^b a^(b^-1)")], G) == 1
+    assert escape_index([gw("a^b").letters], G) == 0
+    assert escape_index([gw("a").letters, gw("a^b a^(b^-1)").letters], G) == 1
 
 
 def test_orbit_witness_claims():

@@ -27,6 +27,7 @@ from markedgroups.words import (
     parse_word,
     render_word,
     substitute,
+    _walk,
 )
 
 AB = Alphabet(("a", "b"))
@@ -215,6 +216,13 @@ def test_ball_coordinates_filter_in_order(coordinates):
 def test_ball_coordinates_out_of_range():
     with pytest.raises(ValueError):
         list(enumerate_ball(AB, 2, (2,)))
+
+
+@pytest.mark.parametrize("lengths", [range(0), range(-3), range(-1, 2)])
+def test_walk_refuses_a_negative_radius(lengths):
+    # range(rho + 1) is empty for rho = -1; the walk reads its last length
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        list(_walk(AB, lengths, ()))
 
 
 # -- grammar -----------------------------------------------------------------
