@@ -59,6 +59,7 @@ from .marked import (
     max_agreement,
     orbit_witness,
     relation_ball,
+    shadow_of,
 )
 from .experiments import (
     ExperimentReport,

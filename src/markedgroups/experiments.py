@@ -25,6 +25,7 @@ from .marked import (
     max_agreement,
     orbit_agreement,
     relation_ball,
+    shadow_of,
 )
 from .presentations import (
     ABCHS,
@@ -283,20 +284,30 @@ def exp_epsilon(
     """For each i: the map is well defined, surjective, non-injective,
     and its collision count on the radius-rho ball is reported.
 
-    Only pairs whose images have equal exponent sums in E's coordinates
-    (b, c, s, t) are compared, since each sum is a homomorphism E -> Z
-    and so no other pair can collide.  rho is at most 3.
+    Only pairs of ball words with equal exponent sums in E's coordinates
+    (b, c, s, t) and equal shadows are compared: each is a homomorphism
+    out of E that every self-map keeps, since it sends t and t^(s b^i)
+    to the same value, so no other pair can collide.  The words are
+    bucketed by them once, for every i.  rho is at most 3.
     """
     if rho > 3:
         raise ValueError(f"rho must be at most 3, got {rho}")
     i_list = list(i_list)
     e = builtin_group("E", budget)
-    oracle, coordinates = e.oracle, e.coordinates
+    oracle, coordinates, shadow = e.oracle, e.coordinates, e.shadow
     for i in i_list:
         check_budget(abs(i) + 1, oracle.budget)  # s b^i, before it is built
     e_pres = builtin("E")
     ball = list(_walk(ABCHST, range(rho + 1), ()))
     ball_inverses = [invert_letters(u) for u in ball]
+    buckets: dict[tuple[Any, ...], list[int]] = {}
+    for p, u in enumerate(ball):
+        sums = tuple(u.count(2 * k) - u.count(2 * k + 1) for k in coordinates)
+        buckets.setdefault((sums, shadow_of(shadow, u)), []).append(p)
+    # the self-maps fix a word letter for letter when it has no t, and a
+    # pair of such words has images equal to the words, so it cannot collide
+    t = 2 * ABCHST.index("t")
+    has_t = [t in u or t + 1 in u for u in ball]
     report = ExperimentReport("epsilon", {"i": i_list, "rho": rho})
     for i in i_list:
         sigma = epsilon_substitution(i)
@@ -351,22 +362,16 @@ def exp_epsilon(
             },
         )
 
-        images = [sigma.image_letters(u) for u in ball]
-        inverses = [invert_letters(img) for img in images]
-        # sigma fixes a word letter for letter when it has no t; a pair
-        # of fixed words has image equal to word, so it cannot collide
-        fixed = [img == u for img, u in zip(images, ball)]
-        # images apart in a coordinate sum differ in E, so only pairs in
-        # one bucket are compared
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for p, img in enumerate(images):
-            key = tuple(img.count(2 * k) - img.count(2 * k + 1) for k in coordinates)
-            buckets.setdefault(key, []).append(p)
+        images, inverses = list(ball), list(ball_inverses)
+        for p, u in enumerate(ball):
+            if has_t[p]:
+                images[p] = sigma.image_letters(u)
+                inverses[p] = invert_letters(images[p])
         count = 0
         example = None
         for bucket in buckets.values():
             for p, q in combinations(bucket, 2):
-                if fixed[p] and fixed[q]:
+                if not (has_t[p] or has_t[q]):
                     continue
                 # each product is reduced once and the oracle folds its
                 # letters: the budget measures the reduced product

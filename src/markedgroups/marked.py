@@ -85,15 +85,24 @@ class MarkedGroup:
     every relator to a trivial word is an assumption, like the marking's;
     the class walk then tests one class per orbit.  The default () tests
     every class.
+
+    ``shadow`` is a homomorphism to the affine maps z -> m z + c mod the
+    prime ``SHADOW_MODULUS``, given as one (m, c) per letter, each the
+    inverse of its partner's (``shadow_of`` composes them).  Every trivial
+    word has shadow (1, 0), so the class walk decides no class whose
+    shadow is another; that each relator has shadow (1, 0) is an
+    assumption, like the marking's.  The default () decides every class.
     """
 
     name: str
     oracle: GroupOracle
     coordinates: tuple[int, ...] = ()
     symmetries: tuple[tuple[int, ...], ...] = ()
+    shadow: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         _check_symmetries(self.symmetries, 2 * self.arity)
+        _check_shadow(self.shadow, 2 * self.arity)
 
     @property
     def marking(self) -> tuple[str, ...]:
@@ -133,6 +142,71 @@ def _check_symmetries(symmetries: tuple[tuple[int, ...], ...], n: int) -> None:
         moved |= support
 
 
+SHADOW_MODULUS = 2**31 - 1  # a prime
+SHADOW_IDENTITY = (1, 0)
+
+
+def shadow_of(
+    shadow: Sequence[tuple[int, int]], letters: Sequence[int]
+) -> tuple[int, int]:
+    """The affine map (m, c), z -> m z + c mod ``SHADOW_MODULUS``, of a
+    word's letters under a shadow table: the composite of its letters'
+    maps, the first letter outermost.  Any value other than
+    ``SHADOW_IDENTITY`` proves the word non-trivial; a false identity
+    costs only an oracle call."""
+    p = SHADOW_MODULUS
+    m, c = SHADOW_IDENTITY
+    for x in letters:
+        mx, cx = shadow[x]
+        c = (m * cx + c) % p
+        m = m * mx % p
+    return m, c
+
+
+def _affine_shadow(maps: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The shadow table of one affine map (m, c) per generator: each
+    generator's map, then its inverse's."""
+    p = SHADOW_MODULUS
+    table: list[tuple[int, int]] = []
+    for m, c in maps:
+        m_inverse = pow(m, -1, p)
+        table += [(m % p, c % p), (m_inverse, -m_inverse * c % p)]
+    return tuple(table)
+
+
+@cache
+def _check_shadow(shadow: tuple[tuple[int, int], ...], n: int) -> None:
+    """Refuse a shadow table that does not give each of the n letters a
+    pair of residues, or in which a letter's map is not the inverse of its
+    partner's.  Cached, as ``_check_symmetries`` is."""
+    if not shadow:
+        return
+    if len(shadow) != n:
+        raise ValueError(f"shadow has {len(shadow)} entries for {n} letters")
+    for x, entry in enumerate(shadow):
+        if len(entry) != 2 or not all(
+            type(v) is int and 0 <= v < SHADOW_MODULUS for v in entry
+        ):
+            raise ValueError(
+                f"shadow entry {entry!r} of letter {x} is not two residues"
+            )
+    for x in range(0, n, 2):
+        if shadow_of(shadow, (x, x + 1)) != SHADOW_IDENTITY:
+            raise ValueError(
+                f"shadow of letter {x + 1} is not the inverse of letter {x}'s"
+            )
+
+
+# G's shadow: its affine quotient Z[1/2] x| Z, mod the prime, with a, b, c,
+# h, s sent to z, z + beta, z + gamma, z + 1, 2z.  The relators of B hold
+# since a is sent to the identity and translations commute, h commutes with
+# each, and (h^2)^s = h a holds as (2z)^-1 (z + 2) (2z) = z + 1.  Any beta
+# and gamma give a homomorphism; fixed ones keep every run the same.
+_G_SHADOW = _affine_shadow(
+    ((1, 0), (1, 1_480_955_641), (1, 719_542_087), (1, 1), (2, 0))
+)
+
+
 def marked_Z() -> MarkedGroup:
     return MarkedGroup("Z", CyclicOracle(None), (0,))
 
@@ -144,7 +218,10 @@ def marked_Zmod(n: int) -> MarkedGroup:
 def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
     """B, ZxB, G or E with the coordinates and symmetries of its
     presentation; E is the paper's condense(G, <h^2>), whose stable letter
-    t commutes with h^2, and has G's symmetries and t -> t^-1."""
+    t commutes with h^2, and has G's symmetries and t -> t^-1.  G has its
+    affine shadow, and E extends it by t -> z.  B and ZxB have none: a
+    word the walk meets has exponent sum 0 in b, c (and h), so the
+    restriction of G's would send it to the identity."""
     if name == "E":
         g = builtin_group("G", budget)
         return replace(condense(g, h2_handle(g.oracle)), name="E")
@@ -157,7 +234,11 @@ def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
     else:
         raise KeyError(f"no built-in group named {name!r}")
     return MarkedGroup(
-        name, oracle, zero_sum_coordinates(builtin(name)), builtin_symmetries(name)
+        name,
+        oracle,
+        zero_sum_coordinates(builtin(name)),
+        builtin_symmetries(name),
+        _G_SHADOW if name == "G" else (),
     )
 
 
@@ -219,9 +300,10 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     for each symmetry sigma, and the first letter where they differ is
     v's first letter in sigma's support; so the walk cuts every prefix
     whose first letter there is the larger of its pair, and still reaches
-    v.  A class already brought in is not tested.
+    v.  A class already brought in is not tested, nor one whose shadow
+    proves it non-trivial.
     """
-    alphabet, decide = m.oracle.alphabet, m.oracle.decide
+    alphabet, decide, shadow = m.oracle.alphabet, m.oracle.decide, m.shadow
     n = 2 * alphabet.arity
     follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
     images = [tuple(range(n))]  # the group the symmetries generate
@@ -232,7 +314,9 @@ def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
     for v in _walk(alphabet, lengths, m.coordinates, follow, m.symmetries):
         if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
             continue  # not cyclically reduced, or not least in its class
-        if v not in trivial and decide(v):
+        if v in trivial or shadow and shadow_of(shadow, v) != SHADOW_IDENTITY:
+            continue
+        if decide(v):
             trivial.update(min(rotations(tuple(map(g.__getitem__, v)))) for g in images)
     return sorted(trivial)
 
@@ -326,7 +410,8 @@ def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
     in each letter.  It keeps each symmetry of m that the handle declares
     maps its subgroup onto itself, fixing t, since it maps each [t, z] to
     another, and adds t -> t^-1, since t^-1 commutes with the subgroup
-    too."""
+    too.  It extends m's shadow, if it has one, by t -> z, which sends
+    each [t, z] to the identity whatever the subgroup."""
     if point.alphabet != m.oracle.alphabet:
         raise ValueError("Chabauty point not over this marked group")
     budget = getattr(m.oracle, "budget", DEFAULT_BUDGET)
@@ -335,8 +420,13 @@ def condense(m: MarkedGroup, point: SubgroupHandle) -> MarkedGroup:
     kept = [sigma for sigma in m.symmetries if sigma in point.symmetries]
     symmetries = tuple(sigma + (t, t + 1) for sigma in kept)
     symmetries += (tuple(range(t)) + (t + 1, t),)
+    shadow = m.shadow and m.shadow + (SHADOW_IDENTITY, SHADOW_IDENTITY)
     return MarkedGroup(
-        f"E({m.name}, {point.label})", oracle, m.coordinates + (m.arity,), symmetries
+        f"E({m.name}, {point.label})",
+        oracle,
+        m.coordinates + (m.arity,),
+        symmetries,
+        shadow,
     )
 
 

@@ -20,7 +20,7 @@ from markedgroups.experiments import (
     exp_orbit,
     exp_zmod_limit,
 )
-from markedgroups.marked import builtin_group
+from markedgroups.marked import builtin_group, shadow_of
 from markedgroups.presentations import (
     ABCHST,
     builtin,
@@ -95,14 +95,20 @@ def test_exp_epsilon_passes():
 
 def full_pair_collisions(i, rho):
     """The collision witness of the full double loop over the ball, and
-    the coordinate-sum bucket of each pair whose images merge trivially."""
-    oracle = builtin_group("E").oracle
+    the coordinate sums and shadow of each pair whose images merge
+    trivially."""
+    e = builtin_group("E")
+    oracle = e.oracle
     sigma = epsilon_substitution(i)
     coordinates = zero_sum_coordinates(builtin("E"))
     ball = list(enumerate_ball(ABCHST, rho))
     images = [substitute(u, sigma) for u in ball]
     fixed = [img.letters == u.letters for img, u in zip(images, ball)]
-    keys = [tuple(exponent_sums(img)[k] for k in coordinates) for img in images]
+    keys = [
+        (tuple(exponent_sums(img)[k] for k in coordinates),
+         shadow_of(e.shadow, img.letters))
+        for img in images
+    ]
     count, example, merged_pairs = 0, None, []
     for p in range(len(ball)):
         for q in range(p + 1, len(ball)):
@@ -131,6 +137,26 @@ def test_exp_epsilon_buckets_match_full_loop(i):
         # rho 2 there are such pairs, as h a and a h
         assert merged_pairs or rho == 1
         assert all(key_p == key_q for key_p, key_q in merged_pairs)
+
+
+def test_self_maps_keep_the_epsilon_bucket_key():
+    # exp_epsilon buckets the ball once for every i, by each word's
+    # exponent sums in E's coordinates and its shadow: each self-map must
+    # keep both, word for word
+    e = builtin_group("E")
+    coordinates = zero_sum_coordinates(builtin("E"))
+    ball = [w.letters for w in enumerate_ball(ABCHST, 3)]
+    assert len(ball) == 1597
+
+    def key(letters):
+        sums = exponent_sums(Word(ABCHST, letters))
+        return [sums[k] for k in coordinates], shadow_of(e.shadow, letters)
+
+    keys = [key(u) for u in ball]
+    for i in range(-3, 9):
+        sigma = epsilon_substitution(i)
+        for u, u_key in zip(ball, keys):
+            assert key(sigma.image_letters(u)) == u_key, (i, u)
 
 
 def test_exp_epsilon_rho_3_finds_a_collision():

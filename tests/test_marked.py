@@ -17,9 +17,11 @@ from markedgroups.hnn import (
     h2_handle,
 )
 from markedgroups.marked import (
+    SHADOW_IDENTITY,
     Agreement,
     CyclicOracle,
     MarkedGroup,
+    _affine_shadow,
     _least_in_class,
     _trivial_sphere,
     builtin_group,
@@ -33,11 +35,13 @@ from markedgroups.marked import (
     orbit_agreement,
     orbit_witness,
     relation_ball,
+    shadow_of,
 )
 from markedgroups.presentations import (
     ABCHS,
     ABCHST,
     builtin,
+    builtin_symmetries,
     hnn_presentation,
     relator_class,
     zero_sum_coordinates,
@@ -372,6 +376,159 @@ def test_relation_ball_same_with_and_without_symmetries(group, r):
     assert max_agreement(group, plain, r) == Agreement(r, True)
 
 
+# -- the affine shadow -------------------------------------------------------
+
+
+def _k_presentation(i):
+    """The presentation of f(K_i), K_i = g <h^2> g^-1 for g = (s b^i)^-1,
+    generated by g h^2 g^-1 = (h^2)^(s b^i)."""
+    h, sb = gen(ABCHS, "h"), escape_words(i, ABCHS)[0]
+    return hnn_presentation(builtin("G"), f"f(K_{i})", (conjugate(h ** 2, sb),), "t")
+
+
+def test_shadow_is_a_homomorphism():
+    # every relator of G, of E and of each f(K_i) of the orbit maps to the
+    # identity under the shadow its marked group carries
+    g = builtin_group("G")
+    cases = [(g, builtin("G")), (builtin_group("E"), builtin("E"))]
+    for i in range(-2, 3):
+        cases.append((condense(g, orbit_witness(i, g.oracle)[1]), _k_presentation(i)))
+    for group, presentation in cases:
+        assert len(group.shadow) == 2 * group.arity, group.name
+        for rel in presentation.relators:
+            assert shadow_of(group.shadow, rel.letters) == SHADOW_IDENTITY, (
+                group.name, render_word(rel)
+            )
+    # the check has teeth: with s -> 3z, (h^2)^s = h a no longer holds
+    s_index = ABCHS.index("s")
+    mutant = g.shadow[:2 * s_index] + _affine_shadow([(3, 0)])
+    assert any(
+        shadow_of(mutant, rel.letters) != SHADOW_IDENTITY
+        for rel in builtin("G").relators
+    )
+
+
+@pytest.mark.parametrize(
+    "shadow, message",
+    [
+        (((1, 0),) * 5, "has 5 entries for 6 letters"),
+        (((1, 0),) * 8, "has 8 entries for 6 letters"),
+        # b -> z + 1 with b^-1 -> z + 1 as well
+        (((1, 0), (1, 0), (1, 1), (1, 1), (1, 0), (1, 0)), "not the inverse"),
+        # a -> 2z with a^-1 -> 2z
+        (((2, 0), (2, 0), (1, 0), (1, 0), (1, 0), (1, 0)), "not the inverse"),
+        (((1, 0), (1, 0), (1, 0), (1, 0), (1, 2**31 - 1), (1, 0)), "two residues"),
+        (((1, 0), (1, 0), (1, 0), (1, 0), (1, 0, 0), (1, 0)), "two residues"),
+    ],
+)
+def test_shadow_tables_are_refused(shadow, message):
+    with pytest.raises(ValueError, match=message):
+        MarkedGroup("B", builtin_group("B").oracle, shadow=shadow)
+
+
+def test_builtin_shadows():
+    # G has its table and E extends it by t -> z; B and ZxB have none
+    g, e = builtin_group("G"), builtin_group("E")
+    assert builtin_group("B").shadow == builtin_group("ZxB").shadow == ()
+    assert e.shadow == g.shadow + (SHADOW_IDENTITY, SHADOW_IDENTITY)
+    assert condense(replace(g, shadow=()), h2_handle(g.oracle)).shadow == ()
+    # a is sent to z, h to z + 1 and s to 2z
+    assert [shadow_of(g.shadow, gw(text).letters) for text in ("a", "h", "s")] == [
+        (1, 0), (1, 1), (2, 0)
+    ]
+
+
+def test_trivial_verdicts_have_identity_shadow():
+    # an independent check of the oracle's "trivial" verdicts: the shadow
+    # is a homomorphism, so each trivial word has shadow the identity.
+    # The balls are built with no shadow, so it prunes none of them
+    g = builtin_group("G")
+    k1 = condense(g, orbit_witness(1, g.oracle)[1])
+    for group, r in ((builtin_group("E"), 7), (g, 6), (k1, 6)):
+        ball = relation_ball(replace(group, shadow=()), r)
+        assert ball.count > 1
+        for w in ball.words:
+            assert shadow_of(group.shadow, w.letters) == SHADOW_IDENTITY, (
+                group.name, render_word(w)
+            )
+    # random words, and products of conjugated relators, some times a
+    # random word: decide is true only where the shadow is the identity
+    rng = random.Random(31)
+    for name in ("G", "E"):
+        group = builtin_group(name)
+        n, relators = 2 * group.arity, builtin(name).relators
+        verdicts = []
+        for _ in range(600):
+            letters = [rng.randrange(n) for _ in range(rng.randrange(13))]
+            if rng.random() < 0.5:
+                for _ in range(rng.randrange(1, 4)):
+                    u = [rng.randrange(n) for _ in range(rng.randrange(3))]
+                    rel = list(rng.choice(relators).letters)
+                    if rng.random() < 0.5:
+                        rel = list(invert_letters(rel))
+                    letters += u + rel + list(invert_letters(u))
+                if rng.random() < 0.5:
+                    letters += [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+            v = tuple(words._reduce_letters(letters))
+            trivial = group.oracle.decide(v)
+            identity = shadow_of(group.shadow, v) == SHADOW_IDENTITY
+            assert identity or not trivial, (name, v)
+            verdicts.append((trivial, identity))
+        # both verdicts occur, and identity shadows that are not trivial
+        assert {(True, True), (False, True), (False, False)} <= set(verdicts), name
+
+
+def _shadowed_groups():
+    g = builtin_group("G")
+    # B and ZxB lie in G on the same letters, so G's table restricts to
+    # each; their coordinates already send every translation to 0
+    bases = [
+        replace(builtin_group(name), shadow=g.shadow[:2 * builtin(name).alphabet.arity])
+        for name in ("B", "ZxB")
+    ]
+    k_groups = [condense(g, orbit_witness(i, g.oracle)[1]) for i in (1, 0)]
+    return (
+        [(group, 7) for group in bases + [g, builtin_group("E")]]
+        + [(k_group, 6) for k_group in k_groups]
+    )
+
+
+@pytest.mark.parametrize(
+    "group, r", _shadowed_groups(), ids=lambda v: getattr(v, "name", v)
+)
+def test_relation_ball_same_with_and_without_shadow(group, r):
+    # the walk that decides only identity shadows against deciding every
+    # class; the radius-r ball holds every shorter one
+    plain = replace(group, shadow=())
+    counting, counting_plain = CountingOracle(group.oracle), CountingOracle(plain.oracle)
+    ball = relation_ball(replace(group, oracle=counting), r)
+    assert ball == relation_ball(replace(plain, oracle=counting_plain), r)
+    if group.name in ("B", "ZxB"):
+        assert counting.calls == counting_plain.calls
+    else:
+        assert counting.calls < counting_plain.calls
+    assert max_agreement(group, plain, r) == Agreement(r, True)
+
+
+@pytest.mark.parametrize(
+    "shadow, calls",
+    [(True, [1, 1, 1, 1, 14, 32, 192]), (False, [1, 2, 3, 4, 30, 124, 731])],
+    ids=["shadow", "no-shadow"],
+)
+def test_e_class_walk_calls_per_sphere(shadow, calls):
+    # the oracle calls of E's class walk, sphere by sphere, with its 16
+    # symmetries; the shadow decides 242 classes of the 895 to radius 6
+    e = builtin_group("E")
+    if not shadow:
+        e = replace(e, shadow=())
+    made = []
+    for n in range(len(calls)):
+        counting = CountingOracle(e.oracle)
+        _trivial_sphere(replace(e, oracle=counting), n)
+        made.append(counting.calls)
+    assert made == calls
+
+
 def test_condense_coordinates():
     g = builtin_group("G")
     assert g.coordinates == (1, 2, 4)
@@ -473,17 +630,30 @@ def test_max_agreement_examples():
     "m1, m2, r_max, calls",
     [
         (
-            replace(builtin_group("E"), symmetries=()),
-            replace(builtin_group("E"), symmetries=()),
+            replace(builtin_group("E"), symmetries=(), shadow=()),
+            replace(builtin_group("E"), symmetries=(), shadow=()),
             4,
             (63, 63),
         ),
         # one call per orbit of E's 16 letter automorphisms
-        (builtin_group("E"), builtin_group("E"), 4, (39, 39)),
+        (
+            replace(builtin_group("E"), shadow=()),
+            replace(builtin_group("E"), shadow=()),
+            4,
+            (39, 39),
+        ),
+        # the shadow decides only the classes it does not prove non-trivial
+        (
+            replace(builtin_group("E"), symmetries=()),
+            replace(builtin_group("E"), symmetries=()),
+            4,
+            (21, 21),
+        ),
+        (builtin_group("E"), builtin_group("E"), 4, (17, 17)),
         # Z/7 has no coordinate; Z's prunes every non-empty sphere
         (marked_Zmod(7), marked_Z(), 10, (7, 0)),
     ],
-    ids=["E-E", "E-E-symmetric", "Z7-Z"],
+    ids=["E-E", "E-E-symmetric", "E-E-shadow", "E-E-symmetric-shadow", "Z7-Z"],
 )
 def test_max_agreement_tests_one_word_per_inverse_pair(m1, m2, r_max, calls):
     counting1 = CountingOracle(m1.oracle)
@@ -639,6 +809,31 @@ def test_conjugate_extensions_agree_past_the_conjugates():
     assert "b" not in rhos and len(rhos) < len(conjugators) - 1
     assert set(rhos.values()) == {1, 3, 4}
     assert (rhos["b s^-1"], rhos["b c^-1 s^-1"]) == (3, 4)
+
+
+def test_conjugate_handle_declares_only_symmetries_that_keep_its_subgroup():
+    # each symmetry sigma that conjugate_handle(g, <h^2>) declares maps the
+    # generator g h^2 g^-1 of K into K; sigma is an involution, so it maps
+    # K onto itself.  b s^-1 and b c^-1 s^-1 are conjugators for which
+    # b <-> c moves K, so it must not be declared for them
+    h = h2_handle(G)
+    h2 = gw("h^2")
+    pool = [w for w in enumerate_ball(ABCHS, 3) if w]
+    conjugators = random.Random(37).sample(pool, 40)
+    conjugators += [gw("b s^-1"), gw("b c^-1 s^-1")]
+    declared = 0
+    for g in conjugators:
+        k = conjugate_handle(g, h)
+        generator = (g * h2 * invert(g)).letters
+        for sigma in k.symmetries:
+            image = tuple(sigma[x] for x in generator)
+            assert k.contains(image) is not None, (render_word(g), sigma)
+            declared += 1
+    assert declared > len(conjugators)
+    b_to_c = builtin_symmetries("G")[1]
+    assert b_to_c not in conjugate_handle(gw("b s^-1"), h).symmetries
+    moved = tuple(b_to_c[x] for x in (gw("b s^-1") * h2 * invert(gw("b s^-1"))).letters)
+    assert conjugate_handle(gw("b s^-1"), h).contains(moved) is None
 
 
 def test_chabauty_agree_radius2_witness():
