@@ -37,7 +37,9 @@ from .words import (
     Word,
     ball_size,
     check_budget,
+    check_lengths,
     conjugate,
+    coordinate_steps,
     exponent_sum,
     gen,
     invert,
@@ -154,13 +156,12 @@ def shadow_of(
     maps, the first letter outermost.  Any value other than
     ``SHADOW_IDENTITY`` proves the word non-trivial; a false identity
     costs only an oracle call."""
-    p = SHADOW_MODULUS
     m, c = SHADOW_IDENTITY
-    for x in letters:
+    for x in letters:  # reduced once, at the end
         mx, cx = shadow[x]
-        c = (m * cx + c) % p
-        m = m * mx % p
-    return m, c
+        c += m * cx
+        m *= mx
+    return m % SHADOW_MODULUS, c % SHADOW_MODULUS
 
 
 def _affine_shadow(maps: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -266,59 +267,127 @@ class RelationBall:
 
 
 def _least_in_class(v: tuple[int, ...]) -> bool:
-    """Whether v is its own ``relator_class``: no rotation of v or of v^-1
-    is a smaller tuple.  Stops at the first smaller one; a rotation whose
-    first letter is larger than v's is larger, so it is not sliced.  For v
-    under the walk's first-letter rule (x >= v[0] and x ^ 1 >= v[0] for
-    each letter x) no letter of v^-1 is below v[0], so v^-1 is scanned
-    only if it holds v[0], that is if v holds v[0] ^ 1."""
+    """Whether v, a necklace whose letters are all >= its first, an even
+    letter, is its own ``relator_class``: no rotation of v^-1 is a smaller
+    tuple, since none of v is.  Only a rotation that starts with v[0] can
+    be, so v^-1 is scanned only if it holds v[0], that is if v holds
+    v[0] ^ 1, and stops at the first smaller rotation."""
     n, first = len(v), v[0]
-    scans = (v + v, invert_letters(v) * 2) if first ^ 1 in v else (v + v,)
-    for s in scans:
-        for k in range(n):
-            if s[k] <= first and s[k:k + n] < v:
-                return False
+    if first ^ 1 not in v:
+        return True
+    s = invert_letters(v) * 2
+    for k in range(n):
+        if s[k] == first and s[k:k + n] < v:
+            return False
     return True
 
 
-def _trivial_sphere(m: MarkedGroup, length: int) -> list[tuple[int, ...]]:
-    """The letters of the trivial class representatives of the given
-    length, sorted, the order in which a walk with no symmetries finds
-    them.
+def _trivial_classes(m: MarkedGroup, lengths: range) -> list[list[tuple[int, ...]]]:
+    """The letters of the trivial class representatives of each of the
+    given lengths, one sorted list per length, from one depth-first walk.
+    It recurses once per letter, so ``check_lengths`` refuses a range past
+    the walks' cap before any call.
 
     Triviality is invariant under ``rotations``, so one call decides a
     class; its representative is ``relator_class``, cyclically reduced.
-    After first letter f the walk takes only letters x with x >= f and
-    x ^ 1 >= f, since any other begins a smaller rotation, and only words
-    with exponent sum 0 in each of m's coordinates, since no other word
-    is trivial in m.  The oracle decides a representative's letters, so
-    the walk makes no ``Word``.
+    The walk grows prefixes of every necklace, a word no larger than any
+    of its rotations (Fredricksen-Maiorana): with p the period of the
+    prefix, the next letter x must be at least prefix[d - p]; an equal
+    one keeps p, a larger one makes it d + 1, and a prefix is a necklace
+    when p divides its length d.  So every letter is at least the first,
+    which is a generator, not an inverse, since any other word has a
+    rotation of it or of its inverse that begins lower.  A prefix whose
+    length is in the range is tested when it is a cyclically reduced
+    necklace, no rotation of its inverse is smaller (``_least_in_class``),
+    and its exponent sum is 0 in each of m's coordinates, since no other
+    word is trivial in m; the walk goes deeper while those sums can
+    still return to 0 in the letters left to the longest length.  The
+    oracle decides a representative's letters, so the walk makes no
+    ``Word``.
 
     Triviality is invariant under m's symmetries too, so one call decides
-    an orbit of classes: a trivial class brings in the representatives of
-    all its images.  The least of an orbit, v, is no larger than sigma(v)
-    for each symmetry sigma, and the first letter where they differ is
-    v's first letter in sigma's support; so the walk cuts every prefix
-    whose first letter there is the larger of its pair, and still reaches
-    v.  A class already brought in is not tested, nor one whose shadow
-    proves it non-trivial.
+    an orbit of classes: a trivial class brings in the representative of
+    each of its distinct images.  The least of an orbit, v, is no larger
+    than sigma(v) for each symmetry sigma, and the first letter where
+    they differ is v's first letter in sigma's support; so the walk cuts
+    every prefix whose first letter there is the larger of its pair, and
+    still reaches v.  A class already brought in is not tested, nor one
+    whose shadow proves it non-trivial.  Each length's words are met in
+    lex order, as a walk of that length alone meets them, so each length
+    makes the same oracle calls as that walk would.
     """
+    check_lengths(lengths)
     alphabet, decide, shadow = m.oracle.alphabet, m.oracle.decide, m.shadow
     n = 2 * alphabet.arity
-    follow = [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
+    steps = coordinate_steps(alphabet, m.coordinates)
+    owner, mirror = [0] * n, list(range(n))
+    for bit, sigma in enumerate(m.symmetries):
+        for x, y in enumerate(sigma):
+            if x != y:
+                owner[x], mirror[x] = 1 << bit, y
     images = [tuple(range(n))]  # the group the symmetries generate
     for sigma in m.symmetries:
         images += [tuple(sigma[x] for x in g) for g in images]
-    trivial: set[tuple[int, ...]] = set()
-    lengths = range(length, length + 1)
-    for v in _walk(alphabet, lengths, m.coordinates, follow, m.symmetries):
-        if v and (v[-1] == v[0] ^ 1 or not _least_in_class(v)):
-            continue  # not cyclically reduced, or not least in its class
+    low, high = lengths[0], lengths[-1]
+    found: list[set[tuple[int, ...]]] = [set() for _ in lengths]
+    sums = [0] * (len(m.coordinates) + 1)
+    prefix: list[int] = []
+
+    def test(v: tuple[int, ...]) -> None:
+        trivial = found[len(v) - low]
         if v in trivial or shadow and shadow_of(shadow, v) != SHADOW_IDENTITY:
-            continue
+            return
+        if not _least_in_class(v):
+            return
         if decide(v):
-            trivial.update(min(rotations(tuple(map(g.__getitem__, v)))) for g in images)
-    return sorted(trivial)
+            distinct = {tuple(map(g.__getitem__, v)) for g in images}
+            trivial.update(min(rotations(w)) for w in distinct)
+
+    def grow(d: int, norm: int, period: int, pending: int) -> None:
+        # prefix: d >= 1 letters, a prefix of a necklace of period `period`;
+        # each child has e letters, and `left` more to the longest length
+        e = d + 1
+        left, tested = high - e, e >= low
+        cancel, repeat = prefix[-1] ^ 1, prefix[d - period]
+        for x in range(repeat, n):
+            if x == cancel:
+                continue
+            k, step = steps[x]
+            old = sums[k]
+            # |old + step| - |old| with no call, as in ``words._sphere_from``
+            child = norm + step * step if old * step >= 0 else norm - 1
+            if child > left:
+                continue
+            entered = pending and pending & owner[x]
+            if entered and mirror[x] < x:
+                continue
+            p = period if x == repeat else e
+            if not child and tested and not e % p and x != last:
+                test((*prefix, x))
+            if left:
+                sums[k] = old + step
+                prefix.append(x)
+                grow(e, child, p, pending ^ entered)
+                prefix.pop()
+                sums[k] = old
+
+    if not low and decide(()):
+        found[0].add(())
+    pending = (1 << len(m.symmetries)) - 1
+    for first in range(0, n, 2):
+        last = first ^ 1  # no class ends with it, since it cancels first
+        k, step = steps[first]
+        if step * step > high - 1 or pending & owner[first] and mirror[first] < first:
+            continue
+        if not step and low <= 1:
+            test((first,))
+        if high > 1:
+            sums[k] = step
+            prefix.append(first)
+            grow(1, step * step, 1, pending ^ pending & owner[first])
+            prefix.pop()
+            sums[k] = 0
+    return [sorted(trivial) for trivial in found]
 
 
 def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
@@ -327,13 +396,13 @@ def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
     Every freely reduced word is uniquely u c u^-1, reduced as written,
     with c cyclically reduced (Lyndon-Schupp, Ch. I), and is trivial iff
     c is.  So the ball is every such word with c in a trivial class of
-    ``_trivial_sphere``, each made once.  The largest sphere is walked
-    first, so a radius past the walk's cap is refused before any work.
+    length <= r, each made once.  One class walk over ``range(r + 1)``
+    finds them all; it checks the radius against its cap before any work.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     alphabet = m.oracle.alphabet
-    classes = [v for n in range(r, -1, -1) for v in _trivial_sphere(m, n)]
+    classes = [v for sphere in _trivial_classes(m, range(r + 1)) for v in sphere]
     conjugators = [
         (u, invert_letters(u))
         for u in _walk(alphabet, range(max(r - 1, 0) // 2 + 1), ())
@@ -369,18 +438,21 @@ def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """Largest r <= r_max at which the relation balls coincide.
 
     Compares the trivial class representatives of each sphere, radius by
-    radius: the ball of radius r is the conjugation closure of those of
-    length <= r.  Each marking's sphere is pruned by its own coordinates,
-    which is exact: a word outside them is non-trivial in that marking.
-    Each is walked with its own symmetries, which is exact too: the
-    sphere is every trivial class all the same.
+    radius, each from a class walk over ``range(r, r + 1)``, so the first
+    radius where they differ ends the comparison: the ball of radius r is
+    the conjugation closure of those of length <= r.  Each marking's
+    sphere is pruned by its own coordinates, which is exact: a word
+    outside them is non-trivial in that marking.  Each is walked with its
+    own symmetries and shadow, which is exact too: the sphere is every
+    trivial class all the same.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")
     if r_max < 0:
         raise ValueError("radius must be non-negative")
     for r in range(1, r_max + 1):
-        if set(_trivial_sphere(m1, r)) != set(_trivial_sphere(m2, r)):
+        lengths = range(r, r + 1)
+        if _trivial_classes(m1, lengths) != _trivial_classes(m2, lengths):
             return Agreement(r - 1, False)
     return Agreement(r_max, True)
 

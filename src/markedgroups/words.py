@@ -296,94 +296,80 @@ def _sphere_from(
     steps: Sequence[tuple[int, int]],
     sums: list[int],
     norm: int,
-    follow: Sequence[Sequence[Letter]],
-    owner: Sequence[int],
-    mirror: Sequence[Letter],
-    pending: int,
 ) -> Iterator[tuple[Letter, ...]]:
-    """The letters of the words of ``length`` more letters after ``prefix``
-    whose coordinate sums end at 0.  Letter x adds ``steps[x] = (k, d)`` to
-    ``sums[k]``; letters of no coordinate add 0 to a last slot that stays
-    0.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
+    """The letters of the freely reduced words of ``length`` more letters
+    after ``prefix`` whose coordinate sums end at 0.  Letter x adds
+    ``steps[x] = (k, d)`` to ``sums[k]``, as ``coordinate_steps`` gives
+    them.  ``norm`` is the L1 norm of ``sums``.  Each letter moves it by at
     most 1, so a child is cut when its norm exceeds the letters left after
-    it, and every leaf reached has norm 0.  Every letter of a word, its
-    first included, lies in ``follow[first]``.  ``pending`` holds the bit
-    ``owner[x]`` of each symmetry whose support no letter of the prefix
-    lies in yet; the first letter x that does must be the smaller of its
-    pair, ``x < mirror[x]``, and clears the bit.  A last letter ends its
-    word where it is taken, with no generator of its own."""
+    it, and every leaf reached has norm 0.  A last letter ends its word
+    where it is taken, with no generator of its own."""
     if length == 0:
         yield tuple(prefix)
         return
-    if prefix:
-        cancel, letters = prefix[-1] ^ 1, follow[prefix[0]]
-    else:
-        cancel, letters = -1, [f for f, allowed in enumerate(follow) if f in allowed]
+    cancel = prefix[-1] ^ 1 if prefix else -1
     left = length - 1
-    for x in letters:
+    for x, (k, d) in enumerate(steps):
         if x == cancel:
             continue
-        k, d = steps[x]
         old = sums[k]
         # |old + d| - |old| with no call: d moves the sum away from 0 unless
         # they have opposite signs, and a letter of no coordinate has d = 0
         child = norm + d * d if old * d >= 0 else norm - 1
         if child > left:
             continue
-        entered = pending and pending & owner[x]
-        if entered and mirror[x] < x:
-            continue
         if not left:
             yield (*prefix, x)
             continue
         sums[k] = old + d
         prefix.append(x)
-        yield from _sphere_from(
-            left, prefix, steps, sums, child, follow, owner, mirror, pending ^ entered
-        )
+        yield from _sphere_from(left, prefix, steps, sums, child)
         prefix.pop()
         sums[k] = old
 
 
-# _sphere_from recurses once per letter, and a one-letter alphabet hits
-# Python's recursion limit near length 985; this keeps well below it.  The
-# cap is checked when a walk starts, so a scan that stops short never meets it.
+# The walks here and the class walk of ``marked`` recurse once per letter,
+# and a one-letter alphabet hits Python's recursion limit near length 985;
+# this keeps well below it.  The cap is checked when a walk starts, so a
+# scan that stops short never meets it.
 _MAX_LENGTH = 500
 
 
-def _walk(
-    alphabet: Alphabet, lengths: range, coordinates: Sequence[int],
-    follow: Sequence[Sequence[Letter]] | None = None,
-    symmetries: Sequence[Sequence[Letter]] = (),
-) -> Iterator[tuple[Letter, ...]]:
-    """The letters of the words in the spheres of the given lengths, in
-    length-lex order, pruned by ``coordinates``, by ``follow``, the letters
-    allowed after each first letter (all of them by default), and by
-    ``symmetries``: letter involutions with disjoint supports, each of
-    which keeps only the words whose first letter in its support is the
-    smaller of its pair, as a word no larger than its image is."""
+def check_lengths(lengths: range) -> None:
+    """Refuse a range of word lengths that is empty, starts below 0 or
+    ends past the walks' cap."""
     if not lengths or lengths[0] < 0:
         raise ValueError("radius must be non-negative")
     if lengths[-1] > _MAX_LENGTH:
         raise ValueError(f"radius must be at most {_MAX_LENGTH}, got {lengths[-1]}")
+
+
+def coordinate_steps(
+    alphabet: Alphabet, coordinates: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The step ``(k, d)`` of each letter on the exponent sums of the
+    given generator indices: a letter of coordinate k adds d = 1, its
+    inverse d = -1, to sum k; a letter of no coordinate adds 0 to a last
+    slot, ``len(coordinates)``, that stays 0."""
     steps = [(len(coordinates), 0)] * (2 * alphabet.arity)
     for k, i in enumerate(coordinates):
         if not 0 <= i < alphabet.arity:
             raise ValueError(f"coordinate {i} out of range for arity {alphabet.arity}")
         steps[2 * i], steps[2 * i + 1] = (k, 1), (k, -1)
-    if follow is None:
-        follow = [range(len(steps))] * len(steps)
-    owner, mirror = [0] * len(steps), list(range(len(steps)))
-    for bit, sigma in enumerate(symmetries):
-        for x, y in enumerate(sigma):
-            if x != y:
-                owner[x], mirror[x] = 1 << bit, y
+    return steps
+
+
+def _walk(
+    alphabet: Alphabet, lengths: range, coordinates: Sequence[int]
+) -> Iterator[tuple[Letter, ...]]:
+    """The letters of the freely reduced words in the spheres of the given
+    lengths, in length-lex order, with exponent sum 0 in each generator
+    index of ``coordinates``."""
+    check_lengths(lengths)
+    steps = coordinate_steps(alphabet, coordinates)
     sums = [0] * (len(coordinates) + 1)
     for length in lengths:
-        yield from _sphere_from(
-            length, [], steps, sums, 0, follow, owner, mirror,
-            (1 << len(symmetries)) - 1,
-        )
+        yield from _sphere_from(length, [], steps, sums, 0)
 
 
 def enumerate_sphere(

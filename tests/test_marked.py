@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,7 @@ from markedgroups.marked import (
     MarkedGroup,
     _affine_shadow,
     _least_in_class,
-    _trivial_sphere,
+    _trivial_classes,
     builtin_group,
     chabauty_agree,
     condense,
@@ -75,34 +76,60 @@ def gw(text):
 # -- relation balls ----------------------------------------------------------
 
 
-def _first_letter_rule(n):
-    """The walk's rule: after first letter f, only letters x with x >= f
-    and x ^ 1 >= f, f itself included."""
-    return [[x for x in range(n) if x >= f and x ^ 1 >= f] for f in range(n)]
+def _walk_words(n, length):
+    """The cyclically reduced words of the given length over n letters
+    that the walk's first-letter rule keeps: an even first letter, and no
+    letter below it."""
+    level = [(f,) for f in range(0, n, 2)]
+    for _ in range(length - 1):
+        level = [v + (x,) for v in level for x in range(v[0], n) if x != v[-1] ^ 1]
+    return [v for v in level if v[-1] != v[0] ^ 1]
+
+
+class RecordingOracle(GroupOracle):
+    """Calls every word but the empty one non-trivial and keeps the
+    letters it is asked about, so a walk over it tests every class."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+        self.asked = []
+
+    def decide(self, letters):
+        self.asked.append(letters)
+        return not letters
 
 
 def test_class_test_stops_at_the_least_rotation():
     # the early-exit class test is relator_class's least rotation on the
-    # words the walk gives it, which keep its first-letter rule: random
-    # ones, with repeated letters and periodic words among them, and every
-    # cyclically reduced walk word over B's alphabet up to length 7
+    # words the walk gives it, necklaces under its first-letter rule:
+    # random ones, with repeated letters and periodic words among them,
+    # and every necklace among the cyclically reduced words over B's
+    # alphabet up to length 7 that keep the rule, generated here
+    def necklace(v):
+        return all(v <= v[k:] + v[:k] for k in range(len(v)))
+
     rng = random.Random(7)
     alphabet = Alphabet(("x", "y"))
-    follow = _first_letter_rule(4)
-    firsts = [f for f in range(4) if f in follow[f]]
+    tested = 0
     for _ in range(3000):
-        first = rng.choice(firsts)
-        body = rng.choices(follow[first], k=rng.randrange(8))
+        first = rng.choice((0, 2))
+        body = rng.choices(range(first, 4), k=rng.randrange(8))
         v = (first, *body) * rng.randrange(1, 3)
-        assert _least_in_class(v) == (relator_class(Word(alphabet, v)) == v), v
+        if necklace(v):
+            tested += 1
+            assert _least_in_class(v) == (relator_class(Word(alphabet, v)) == v), v
+    assert tested > 1000
     abc = builtin("B").alphabet
-    walked = [
-        v for v in _walk(abc, range(1, 8), (), _first_letter_rule(6))
-        if v[-1] != v[0] ^ 1
-    ]
+    walked = [v for length in range(1, 8) for v in _walk_words(6, length)]
     assert len(walked) == 17109
     for v in walked:
-        assert _least_in_class(v) == (relator_class(Word(abc, v)) == v), v
+        if necklace(v):
+            assert _least_in_class(v) == (relator_class(Word(abc, v)) == v), v
+    # the walk tests exactly the classes, each at its representative
+    oracle = RecordingOracle(abc)
+    _trivial_classes(MarkedGroup("B", oracle), range(8))
+    classes = [v for v in walked if relator_class(Word(abc, v)) == v]
+    assert oracle.asked == [()] + sorted(classes)
 
 
 def test_relation_ball_z():
@@ -281,7 +308,7 @@ def test_relation_ball_holds_every_short_relator_product():
     for group, relators, r, count in cases:
         classes = _short_relator_classes(relators, 2 * group.arity, r)
         assert len(classes) == count, group.name
-        spheres = {v for n in range(r + 1) for v in _trivial_sphere(group, n)}
+        spheres = {v for sphere in _trivial_classes(group, range(r + 1)) for v in sphere}
         assert classes <= spheres, (group.name, sorted(classes - spheres))
 
 
@@ -524,9 +551,66 @@ def test_e_class_walk_calls_per_sphere(shadow, calls):
     made = []
     for n in range(len(calls)):
         counting = CountingOracle(e.oracle)
-        _trivial_sphere(replace(e, oracle=counting), n)
+        _trivial_classes(replace(e, oracle=counting), range(n, n + 1))
         made.append(counting.calls)
     assert made == calls
+
+
+class LengthCountingOracle(CountingOracle):
+    """Counts the decisions at each word length too."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.by_length = Counter()
+
+    def decide(self, letters):
+        self.by_length[len(letters)] += 1
+        return super().decide(letters)
+
+
+def _one_walk_groups():
+    # the classes and calls of each length, pinned from walks of one length
+    g = builtin_group("G")
+    k_1, k_0 = (condense(g, orbit_witness(i, g.oracle)[1]) for i in (1, 0))
+    cases = [
+        (builtin_group("B"), [1, 0, 1, 0, 2, 0, 15, 16], [1, 1, 1, 1, 4, 9, 39, 128]),
+        (builtin_group("ZxB"), [1, 0, 1, 0, 6, 0, 75, 16], [1, 1, 1, 1, 7, 15, 73, 292]),
+        (g, [1, 0, 1, 0, 6, 0, 81, 16], [1, 1, 1, 1, 9, 20, 97, 445]),
+        (builtin_group("E"), [1, 0, 1, 0, 6, 0, 84, 16], [1, 1, 1, 1, 14, 32, 192, 881]),
+        (k_1, [1, 0, 1, 0, 6, 0, 84], [1, 1, 1, 1, 18, 48, 275]),
+        (k_0, [1, 0, 1, 0, 6, 0, 100], [1, 1, 1, 1, 14, 32, 190]),
+    ]
+    return [pytest.param(*case, id=case[0].name) for case in cases]
+
+
+@pytest.mark.parametrize("group, classes, calls", _one_walk_groups())
+def test_one_walk_finds_each_length_as_a_walk_of_it_alone(group, classes, calls):
+    # one walk over range(r + 1) finds, at each length, the classes that a
+    # walk of that length alone finds, with the same oracle calls; so does
+    # a walk over a range that starts past 0
+    r = len(calls) - 1
+    one = LengthCountingOracle(group.oracle)
+    spheres = _trivial_classes(replace(group, oracle=one), range(r + 1))
+    assert [len(sphere) for sphere in spheres] == classes
+    assert [one.by_length[n] for n in range(r + 1)] == calls
+    assert sum(calls) == one.calls
+    for n in range(r + 1):
+        alone = CountingOracle(group.oracle)
+        sphere = _trivial_classes(replace(group, oracle=alone), range(n, n + 1))
+        assert sphere == [spheres[n]], n
+        assert alone.calls == calls[n], n
+    assert _trivial_classes(group, range(2, r + 1)) == spheres[2:]
+
+
+def test_class_walk_refuses_a_radius_past_its_cap_before_any_call():
+    for group in (builtin_group("E"), marked_Zmod(4)):
+        counting = CountingOracle(group.oracle)
+        with pytest.raises(ValueError, match="radius must be at most 500, got 501"):
+            relation_ball(replace(group, oracle=counting), 501)
+        assert counting.calls == 0
+    # the walk recurses once per letter, and the cap itself still runs
+    ball = relation_ball(marked_Zmod(4), 500)
+    assert ball.count == 251 and ball.words[-1].letters == (1,) * 500
 
 
 def test_condense_coordinates():
