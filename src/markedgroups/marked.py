@@ -44,10 +44,8 @@ from .words import (
     gen,
     invert,
     invert_letters,
-    render_canonical,
     rotations,
     _walk,
-    _word,
 )
 
 
@@ -245,18 +243,18 @@ def builtin_group(name: str, budget: int = DEFAULT_BUDGET) -> MarkedGroup:
 
 @dataclass(frozen=True)
 class RelationBall:
-    """The trivial words of length <= r, sorted, with a stable fingerprint:
-    the sha256 of their canonical renderings, the ``lines`` that ``export``
-    prints after its header."""
+    """The letters of the trivial words of length <= r, sorted length-lex,
+    with a stable fingerprint: the sha256 of their canonical renderings,
+    the ``lines`` that ``export`` prints after its header."""
 
     radius: int
-    words: tuple[Word, ...]
+    letters: tuple[tuple[int, ...], ...]
     fingerprint: str
     lines: tuple[str, ...]
 
     @property
     def count(self) -> int:
-        return len(self.words)
+        return len(self.letters)
 
     def export(self, group_name: str = "?") -> str:
         header = (
@@ -282,9 +280,9 @@ def _least_in_class(v: tuple[int, ...]) -> bool:
     return True
 
 
-def _trivial_classes(m: MarkedGroup, lengths: range) -> list[list[tuple[int, ...]]]:
+def _trivial_classes(m: MarkedGroup, lengths: range) -> list[set[tuple[int, ...]]]:
     """The letters of the trivial class representatives of each of the
-    given lengths, one sorted list per length, from one depth-first walk.
+    given lengths, one set per length, from one depth-first walk.
     It recurses once per letter, so ``check_lengths`` refuses a range past
     the walks' cap before any call.
 
@@ -387,41 +385,38 @@ def _trivial_classes(m: MarkedGroup, lengths: range) -> list[list[tuple[int, ...
             grow(1, step * step, 1, pending ^ pending & owner[first])
             prefix.pop()
             sums[k] = 0
-    return [sorted(trivial) for trivial in found]
+    return found
 
 
 def relation_ball(m: MarkedGroup, r: int) -> RelationBall:
-    """Exactly the trivial words of length <= r, sorted length-lex.
+    """Exactly the trivial words of length <= r, as letter tuples sorted
+    length-lex, each line rendered from its letters.
 
     Every freely reduced word is uniquely u c u^-1, reduced as written,
     with c cyclically reduced (Lyndon-Schupp, Ch. I), and is trivial iff
-    c is.  So the ball is every such word with c in a trivial class of
-    length <= r, each made once.  One class walk over ``range(r + 1)``
-    finds them all; it checks the radius against its cap before any work.
+    c is.  So each length holds the ``rotations`` of its trivial classes,
+    from one class walk over ``range(r + 1)`` that checks the radius
+    against its cap before any work, and x w x^-1 for each word w two
+    letters shorter and each letter x but w[0]^-1 and w[-1]: the lengths
+    are closed one letter at a time, and each word is made once.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    alphabet = m.oracle.alphabet
-    classes = [v for sphere in _trivial_classes(m, range(r + 1)) for v in sphere]
-    conjugators = [
-        (u, invert_letters(u))
-        for u in _walk(alphabet, range(max(r - 1, 0) // 2 + 1), ())
+    spheres = [
+        [c for v in classes for c in rotations(v)]
+        for classes in _trivial_classes(m, range(r + 1))
     ]
-    ball: list[tuple[int, ...]] = []
-    for v in classes:
-        if not v:
-            ball.append(v)
-            continue
-        for c in rotations(v):
-            size = ball_size(alphabet.arity, (r - len(c)) // 2)
-            for u, u_inverse in conjugators[:size]:
-                if not u or u[-1] not in (c[0] ^ 1, c[-1]):
-                    ball.append(u + c + u_inverse)
-    ball.sort(key=lambda v: (len(v), v))
-    words = tuple(_word(alphabet, v) for v in ball)
-    lines = tuple(map(render_canonical, words))
+    n = 2 * m.arity
+    for length in range(1, r - 1):
+        longer = spheres[length + 2]
+        for w in spheres[length]:
+            first, last = w[0] ^ 1, w[-1]
+            longer += [(x, *w, x ^ 1) for x in range(n) if x != first and x != last]
+    letters = tuple(w for sphere in spheres for w in sorted(sphere))
+    spell = m.oracle.alphabet.canonical_spellings
+    lines = tuple(" ".join(map(spell.__getitem__, w)) or "1" for w in letters)
     fingerprint = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return RelationBall(r, words, fingerprint, lines)
+    return RelationBall(r, letters, fingerprint, lines)
 
 
 class Agreement(NamedTuple):
@@ -437,14 +432,14 @@ class Agreement(NamedTuple):
 def max_agreement(m1: MarkedGroup, m2: MarkedGroup, r_max: int) -> Agreement:
     """Largest r <= r_max at which the relation balls coincide.
 
-    Compares the trivial class representatives of each sphere, radius by
-    radius, each from a class walk over ``range(r, r + 1)``, so the first
-    radius where they differ ends the comparison: the ball of radius r is
-    the conjugation closure of those of length <= r.  Each marking's
-    sphere is pruned by its own coordinates, which is exact: a word
-    outside them is non-trivial in that marking.  Each is walked with its
-    own symmetries and shadow, which is exact too: the sphere is every
-    trivial class all the same.
+    Compares the sets of trivial class representatives of each sphere,
+    radius by radius, each from a class walk over ``range(r, r + 1)``, so
+    the first radius where they differ ends the comparison: the ball of
+    radius r is the conjugation closure of those of length <= r.  Each
+    marking's sphere is pruned by its own coordinates, which is exact: a
+    word outside them is non-trivial in that marking.  Each is walked
+    with its own symmetries and shadow, which is exact too: the sphere is
+    every trivial class all the same.
     """
     if m1.arity != m2.arity:
         raise ValueError(f"arity mismatch: {m1.arity} vs {m2.arity}")

@@ -195,12 +195,19 @@ def invert(w: Word) -> Word:
 
 
 def rotations(letters: tuple[Letter, ...]) -> set[tuple[Letter, ...]]:
-    """The distinct cyclic rotations of a letter tuple and of its inverse."""
-    return {
-        s[k:] + s[:k]
-        for s in (letters, invert_letters(letters))
-        for k in range(max(len(letters), 1))
-    }
+    """The distinct cyclic rotations of a letter tuple and of its inverse.
+    They stop at the word's period, the first k > 0 whose rotation is the
+    word, since every later rotation repeats one already made; the
+    inverse has the same period."""
+    inverse = invert_letters(letters)
+    found = {letters, inverse}
+    for k in range(1, len(letters)):
+        rotated = letters[k:] + letters[:k]
+        if rotated == letters:
+            break
+        found.add(rotated)
+        found.add(inverse[k:] + inverse[:k])
+    return found
 
 
 def conjugate(x: Word, y: Word) -> Word:
@@ -544,14 +551,22 @@ def parse_word(
     budget: int = DEFAULT_BUDGET,
 ) -> Word:
     """Parse the word grammar, expanding sugar into plain letter sequences."""
-    try:  # plain letters, NAME or NAME^-1, need no grammar
-        # past budget + 1 words the last piece is the rest of the text,
-        # which no spelling matches, so a long text goes to the grammar; no
-        # text has more words than characters, and a split count must fit
-        # in a machine word
-        cut = min(max(budget, 0), len(text))
-        letters = tuple(map(alphabet._letter_of.__getitem__, text.split(None, cut)))
-    except KeyError:
+    # plain letters, NAME or NAME^-1, need no grammar.  Past budget + 1
+    # words the last piece of the split is the rest of the text, which no
+    # spelling matches, so a long text goes to the grammar; so does a text
+    # longer than budget + 1 spellings and their separators, at once, so
+    # that no split keeps a copy of a long rest.  No text has more words
+    # than characters, and a split count must fit in a machine word.
+    cut = min(max(budget, 0), len(text))
+    letters = None
+    if len(text) <= (cut + 1) * (max(map(len, alphabet.spellings)) + 1):
+        try:
+            letters = tuple(
+                map(alphabet._letter_of.__getitem__, text.split(None, cut))
+            )
+        except KeyError:
+            pass
+    if letters is None:
         tokens = _Tokens(text, alphabet, line, budget)
         try:
             return _word(alphabet, tuple(_parse_sequence(tokens, stop=())))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -132,14 +133,19 @@ def test_class_test_stops_at_the_least_rotation():
     assert oracle.asked == [()] + sorted(classes)
 
 
+def _canonical(group, ball):
+    """The ball's words, each rendered by ``render_canonical``."""
+    return [render_canonical(Word(group.oracle.alphabet, v)) for v in ball.letters]
+
+
 def test_relation_ball_z():
     ball = relation_ball(marked_Z(), 3)
-    assert [render_canonical(w) for w in ball.words] == ["1"]
+    assert _canonical(marked_Z(), ball) == ["1"]
 
 
 def test_relation_ball_zmod2():
     ball = relation_ball(marked_Zmod(2), 2)
-    assert [render_canonical(w) for w in ball.words] == [
+    assert _canonical(marked_Zmod(2), ball) == [
         "1", "x1 x1", "x1^-1 x1^-1"
     ]
 
@@ -157,6 +163,21 @@ class CountingOracle(GroupOracle):
         return self.inner.decide(letters)
 
 
+def _refuse_words(monkeypatch, keep=()):
+    """Make building a Word an error: a checked one anywhere, and an
+    unchecked one through the ``_word`` of each module of the package but
+    those kept."""
+
+    def refuse(*args):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("markedgroups.") and module not in keep:
+            if hasattr(module, "_word"):
+                monkeypatch.setattr(module, "_word", refuse)
+
+
 @pytest.mark.parametrize(
     "group, r, calls",
     [(marked_Z(), r, r + 1) for r in range(5)]
@@ -172,17 +193,17 @@ def test_relation_ball_tests_one_word_per_inverse_pair(group, r, calls):
 def test_relation_ball_e_radius2():
     e_marked = MarkedGroup("E", condense(G_MARKED, h2_handle(G)).oracle)
     ball = relation_ball(e_marked, 2)
-    assert [render_canonical(w) for w in ball.words] == [
+    assert _canonical(e_marked, ball) == [
         "1", "x1 x1", "x1^-1 x1^-1"
     ]
 
 
 def test_relation_ball_closed_under_inversion():
     ball = relation_ball(marked_Zmod(4), 5)
-    rendered = {w.letters for w in ball.words}
-    for w in ball.words:
-        assert invert(w).letters in rendered
-        assert len(w) <= 5
+    rendered = set(ball.letters)
+    for v in ball.letters:
+        assert invert_letters(v) in rendered
+        assert len(v) <= 5
 
 
 def test_relation_ball_matches_naive_sweep():
@@ -193,7 +214,7 @@ def test_relation_ball_matches_naive_sweep():
         w for w in enumerate_ball(m.oracle.alphabet, 6)
         if m.oracle.is_trivial(w)
     ]
-    assert [w.letters for w in ball.words] == [w.letters for w in naive]
+    assert list(ball.letters) == [w.letters for w in naive]
 
 
 def test_relation_ball_export_header():
@@ -244,7 +265,7 @@ def test_relation_ball_equals_brute_force(group, r_max):
         if oracle.is_trivial(w)
     ]
     for r in range(r_max + 1):
-        ball = [w.letters for w in relation_ball(group, r).words]
+        ball = list(relation_ball(group, r).letters)
         assert len(set(ball)) == len(ball), r  # the closure makes no word twice
         assert ball == [w for w in brute if len(w) <= r], r
 
@@ -474,9 +495,9 @@ def test_trivial_verdicts_have_identity_shadow():
     for group, r in ((builtin_group("E"), 7), (g, 6), (k1, 6)):
         ball = relation_ball(replace(group, shadow=()), r)
         assert ball.count > 1
-        for w in ball.words:
-            assert shadow_of(group.shadow, w.letters) == SHADOW_IDENTITY, (
-                group.name, render_word(w)
+        for v in ball.letters:
+            assert shadow_of(group.shadow, v) == SHADOW_IDENTITY, (
+                group.name, render_word(Word(group.oracle.alphabet, v))
             )
     # random words, and products of conjugated relators, some times a
     # random word: decide is true only where the shadow is the identity
@@ -610,7 +631,7 @@ def test_class_walk_refuses_a_radius_past_its_cap_before_any_call():
         assert counting.calls == 0
     # the walk recurses once per letter, and the cap itself still runs
     ball = relation_ball(marked_Zmod(4), 500)
-    assert ball.count == 251 and ball.words[-1].letters == (1,) * 500
+    assert ball.count == 251 and ball.letters[-1] == (1,) * 500
 
 
 def test_condense_coordinates():
@@ -626,7 +647,7 @@ def test_relation_ball_keeps_trivial_word_with_odd_a_count():
     w = parse_word("c^-1 a c b^-1 a^-1 b a^-1", builtin("B").alphabet)
     assert sum(x >> 1 == 0 for x in w.letters) % 2 == 1
     ball = relation_ball(builtin_group("B"), 7)
-    assert w in ball.words
+    assert w.letters in ball.letters
 
 
 @pytest.mark.parametrize(
@@ -655,40 +676,41 @@ def test_relation_ball_e_radius7_pinned():
     "group, r", [(marked_Zmod(2), 2), (builtin_group("E"), 5)], ids=["Z/2", "E"]
 )
 def test_relation_ball_renders_each_word_once(monkeypatch, group, r):
-    # fingerprint and export read the same lines, made once per word
-    calls = []
+    # each line is rendered once, from its letters: the ball looks up one
+    # spelling per letter of its words and no more; the fingerprint and
+    # the export read those lines
+    looked_up = []
 
-    def render(w):
-        calls.append(w)
-        return render_canonical(w)
+    class CountingSpellings(tuple):
+        def __getitem__(self, x):
+            looked_up.append(x)
+            return super().__getitem__(x)
 
-    monkeypatch.setattr(marked, "render_canonical", render)
+    alphabet = group.oracle.alphabet
+    spellings = CountingSpellings(alphabet.canonical_spellings)
+    monkeypatch.setitem(vars(alphabet), "canonical_spellings", spellings)
     ball = relation_ball(group, r)
+    assert looked_up == [x for v in ball.letters for x in v]
+    monkeypatch.undo()
+    assert list(ball.lines) == _canonical(group, ball)
     body = ball.export(group.name).split("\n", 1)[1]
+    assert body == "\n".join(ball.lines) + "\n"
     assert hashlib.sha256(body.removesuffix("\n").encode()).hexdigest() == (
         ball.fingerprint
     )
-    assert calls == list(ball.words)
 
 
 @pytest.mark.parametrize(
     "group, r", [(builtin_group("E"), 5), (builtin_group("B"), 5)], ids=["E", "B"]
 )
 def test_relation_ball_builds_a_word_only_to_test_or_return_it(monkeypatch, group, r):
-    # a walked leaf stays a letter tuple, and the oracle decides a class
-    # representative's letters: the only Words are the ball's
-    built = []
-    word = words._word
-
-    def counted(alphabet, letters):
-        built.append(letters)
-        return word(alphabet, letters)
-
-    monkeypatch.setattr(marked, "_word", counted)
-    monkeypatch.setattr(words, "_word", counted)
+    # a walked leaf stays a letter tuple, the oracle decides a class
+    # representative's letters, and the ball is kept as letter tuples:
+    # building it makes no Word at all
+    _refuse_words(monkeypatch)
     counting = CountingOracle(group.oracle)
     ball = relation_ball(replace(group, oracle=counting), r)
-    assert counting.calls > 0 and len(built) == ball.count
+    assert counting.calls > 0 and ball.count > 1
 
 
 # -- agreement ---------------------------------------------------------------
@@ -1088,13 +1110,16 @@ def test_cyclic_oracle_sums_exponents(order):
 
 
 def test_condense_z_decides_base_parts_with_no_word(monkeypatch):
-    # the fold hands each base part's letters to CyclicOracle.decide
+    # the fold hands each base part's letters to CyclicOracle.decide; only
+    # the input's free reduction, in ``words``, makes a Word
     z = marked_Z()
     ext = condense(z, SubgroupHandle("Z", lambda w: w, z.oracle.alphabet))
-    monkeypatch.setattr(marked, "_word", None)
     alphabet = ext.oracle.alphabet
-    assert ext.oracle.is_trivial(parse_word("[x, t] x^3 t x^-3 t^-1", alphabet))
-    assert not ext.oracle.is_trivial(parse_word("t x t^-1", alphabet))
+    trivial = parse_word("[x, t] x^3 t x^-3 t^-1", alphabet)
+    other = parse_word("t x t^-1", alphabet)
+    _refuse_words(monkeypatch, keep=(words,))
+    assert ext.oracle.is_trivial(trivial)
+    assert not ext.oracle.is_trivial(other)
 
 
 def test_cyclic_oracle_validation():

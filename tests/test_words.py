@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from markedgroups.words import (
@@ -24,8 +24,10 @@ from markedgroups.words import (
     free_reduce,
     gen,
     invert,
+    invert_letters,
     parse_word,
     render_word,
+    rotations,
     substitute,
     _walk,
 )
@@ -118,6 +120,27 @@ def test_free_reduce_respects_concat(u, v):
 def test_invert_involution_and_cancellation(u):
     assert invert(invert(u)) == u
     assert free_reduce(concat(u, invert(u))).letters == ()
+
+
+def _every_rotation(letters):
+    """The reference: every rotation of the word and of its inverse."""
+    return {
+        s[k:] + s[:k]
+        for s in (letters, invert_letters(letters))
+        for k in range(max(len(letters), 1))
+    }
+
+
+@given(st.lists(st.integers(0, 5), max_size=12).map(tuple), st.integers(1, 8))
+@example((), 1)
+@example((0,), 500)
+@example((0, 2), 50)
+@example((0, 1), 7)
+@example((0, 3, 2), 33)
+def test_rotations_are_every_rotation(letters, power):
+    # a random word and a power of it, whose period divides its length
+    for v in (letters, letters * power):
+        assert rotations(v) == _every_rotation(v)
 
 
 # -- substitution ------------------------------------------------------------
@@ -440,6 +463,24 @@ def test_parse_memory_is_bounded_by_the_budget():
         parse_word(past + "!", alphabet, 4)
     with pytest.raises(WordSyntaxError, match=r"^brackets nested deeper than 100"):
         parse_word(past + "(" * 101, alphabet)
+
+
+def test_parse_memory_of_a_long_plain_text_is_bounded_by_the_budget():
+    # a plain text far longer than its budget of spellings goes to the
+    # grammar, so no unsplit rest of it is kept: the peak is bounded by
+    # the budget, not by the text's million characters
+    alphabet = Alphabet(("gen_a", "gen_b"))
+    text = "gen_a gen_b^-1 " * 66000
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            BudgetExceededError, match=r"^word expands to 1001 letters \(budget 1000\)$"
+        ):
+            parse_word(text, alphabet, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1000, peak
 
 
 # A random word tree over a multi-character alphabet: letters, the empty
